@@ -34,12 +34,14 @@ from .greens import (
 from .interaction import (
     Atom,
     PotentialResult,
+    ResonantTerms,
     enhancement_factor,
     force,
     offresonant_potential,
     peak_enhancement_estimate,
     polarizability,
     resonant_potential,
+    resonant_terms,
 )
 from .materials import (
     HalfSpaceSystem,
@@ -81,6 +83,7 @@ __all__ = [
     "PotentialResult",
     "QuadratureError",
     "QuadratureSpec",
+    "ResonantTerms",
     "ScanSpec",
     "SingularityError",
     "SpectrumRow",
@@ -106,6 +109,7 @@ __all__ = [
     "preset_names",
     "resonant_inv_avg_eps",
     "resonant_potential",
+    "resonant_terms",
     "scan_enhancement",
     "scan_spectrum",
     "sommerfeld_green",

@@ -32,28 +32,28 @@ EXIT_VALIDATION = 4
 log = logging.getLogger("vdwsurf")
 
 
-def _fmt(x) -> str:
-    """Numeric CSV cell: up to 12 significant digits, trailing zeros trimmed."""
-    if x is None:
-        return "nan"
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    return format(x, ".12g")
-
-
 def _write_text(path: str, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
+def _json_cell(x):
+    """JSON table cell: 12 significant digits like CSV; null for NaN or inf."""
+    return float("%.12g" % x) if math.isfinite(x) else None
+
+
 def _write_table(path: str, fmt: str, header: list, rows: list) -> None:
-    """Rows of already-ordered numeric cells, as CSV or a JSON array."""
+    """Rows of float cells in header order, as CSV or a JSON array.
+
+    CSV cells hold up to 12 significant digits, trailing zeros trimmed, and
+    ``nan`` for a missing value; JSON cells hold the same digits and null.
+    """
     if fmt == "json":
-        payload = [dict(zip(header, row)) for row in rows]
+        payload = [dict(zip(header, map(_json_cell, row))) for row in rows]
         _write_text(path, json.dumps(payload, indent=2) + "\n")
     else:
+        template = ",".join(["%.12g"] * len(header))
         lines = [",".join(header)]
-        lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
+        lines.extend(template % tuple(row) for row in rows)
         _write_text(path, "\n".join(lines) + "\n")
 
 
@@ -68,11 +68,12 @@ def cmd_spectrum(cfg: RunConfig, args) -> int:
     header = ["omega_over_ref", "u_resonant", "u_resonant_no_lf", "g", "g_no_lf"]
     if cfg.scan.include_offresonant:
         header.append("u_offresonant")
+    nan = float("nan")
     table = []
     for row in rows:
-        cells = [row.omega, row.u_resonant, row.u_resonant_no_lf, row.g, row.g_no_lf]
+        cells = (row.omega, row.u_resonant, row.u_resonant_no_lf, row.g, row.g_no_lf)
         if cfg.scan.include_offresonant:
-            cells.append(row.u_offresonant)
+            cells += (nan if row.u_offresonant is None else row.u_offresonant,)
         table.append(cells)
     path, fmt = _out_path(cfg, args, "vdw_spectrum.csv")
     _write_table(path, fmt, header, table)
@@ -112,12 +113,11 @@ def cmd_validate(cfg: RunConfig, args) -> int:
     report = nonretarded_limit_check(
         cfg.system, v.omega, pos, v.scales, cfg.quadrature
     )
-    table = [
-        [row.scale, row.component, _fmt(row.ratio.real), _fmt(row.ratio.imag)]
-        for row in report.rows
-    ]
     lines = ["scale,component,ratio_re,ratio_im"]
-    lines.extend(",".join([_fmt(r[0]), r[1], r[2], r[3]]) for r in table)
+    lines.extend(
+        "%.12g,%s,%.12g,%.12g" % (row.scale, row.component, row.ratio.real, row.ratio.imag)
+        for row in report.rows
+    )
     path, _ = _out_path(cfg, args, "vdw_validate.csv")
     _write_text(path, "\n".join(lines) + "\n")
     ok = report.passed(v.tolerance)

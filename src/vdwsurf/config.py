@@ -9,6 +9,7 @@ computation starts, and every diagnostic names the offending JSON path.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -62,7 +63,20 @@ def _check_keys(obj: dict, path: str, required, optional=()):
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path} must be a number, got {value!r}", field=path)
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{path} must be finite, got {value!r}", field=path)
+    return number
+
+
+def _positive(value, path: str) -> float:
+    value = _number(value, path)
+    if not (value > 0.0):
+        raise ConfigError(f"{path} must be positive, got {value!r}", field=path)
+    return value
 
 
 def _integer(value, path: str) -> int:
@@ -80,7 +94,7 @@ def _boolean(value, path: str) -> bool:
 def _complex(value, path: str) -> complex:
     """Number or [re, im] pair."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(value)
+        return complex(_number(value, path))
     if isinstance(value, list) and len(value) == 2:
         return complex(_number(value[0], f"{path}[0]"), _number(value[1], f"{path}[1]"))
     raise ConfigError(f"{path} must be a number or a [re, im] pair", field=path)
@@ -222,12 +236,19 @@ def _validate_spec(obj, path: str) -> ValidateSpec:
     scales = obj.get("scales", (0.1, 0.01, 0.001))
     if not isinstance(scales, (list, tuple)) or not scales:
         raise ConfigError(f"{path}.scales must be a non-empty list", field=f"{path}.scales")
+    r_a = _vector3(obj.get("r_a", [0.0, 0.0, 1.0]), f"{path}.r_a")
+    r_b = _vector3(obj.get("r_b", [1.0, 0.0, -1.0]), f"{path}.r_b")
+    # atom A sits in the upper medium, atom B in the lower one
+    if not (r_a[2] > 0.0):
+        raise ConfigError(f"{path}.r_a[2] must be > 0 (upper medium), got {r_a[2]!r}", field=f"{path}.r_a[2]")
+    if not (r_b[2] < 0.0):
+        raise ConfigError(f"{path}.r_b[2] must be < 0 (lower medium), got {r_b[2]!r}", field=f"{path}.r_b[2]")
     return ValidateSpec(
-        omega=_number(obj.get("omega", 0.5), f"{path}.omega"),
-        scales=tuple(_number(s, f"{path}.scales[{i}]") for i, s in enumerate(scales)),
-        r_a=_vector3(obj.get("r_a", [0.0, 0.0, 1.0]), f"{path}.r_a"),
-        r_b=_vector3(obj.get("r_b", [1.0, 0.0, -1.0]), f"{path}.r_b"),
-        tolerance=_number(obj.get("tolerance", 0.01), f"{path}.tolerance"),
+        omega=_positive(obj.get("omega", 0.5), f"{path}.omega"),
+        scales=tuple(_positive(s, f"{path}.scales[{i}]") for i, s in enumerate(scales)),
+        r_a=r_a,
+        r_b=r_b,
+        tolerance=_positive(obj.get("tolerance", 0.01), f"{path}.tolerance"),
     )
 
 

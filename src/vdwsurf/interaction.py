@@ -9,14 +9,17 @@ ground-state atom B in the lower one.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._carray import abs_squared, operand
 from .errors import ParameterError, SingularityError, UnsupportedModelError, ValidityWarning
 from .greens import AtomPositions
 from .materials import (
+    RESONANCE_POLE,
     HalfSpaceSystem,
     Material,
     MaterialKind,
@@ -50,6 +53,9 @@ class Atom:
     offres_sign: float = 1.0
 
     def __post_init__(self):
+        for name in ("omega0", "gamma", "alpha0", "dipole_weight", "offres_sign"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterError(f"atom {name} must be finite, got {getattr(self, name)}")
         if not (self.omega0 > 0.0):
             raise ParameterError(f"transition frequency must be positive, got {self.omega0}")
         if not (self.gamma >= 0.0):
@@ -76,6 +82,134 @@ class PotentialResult:
     u_offresonant: float | None = None
 
 
+@dataclass(frozen=True)
+class ResonantTerms:
+    """Resonant potential and enhancement over an array of transition frequencies.
+
+    Columns are float arrays aligned with ``omega``; ``u`` and ``u_no_lf``
+    are NaN when no partner atom was given.  An element that hit a pole is
+    True in ``flagged``, NaN in every column, and ``errors`` holds the
+    reason for it (None elsewhere), with the thresholds and messages of the
+    scalar functions.
+    """
+
+    omega: np.ndarray
+    u: np.ndarray
+    u_no_lf: np.ndarray
+    g: np.ndarray
+    g_no_lf: np.ndarray
+    flagged: np.ndarray
+    errors: tuple
+
+
+class _Poles:
+    """Pole checks of one evaluation of the resonant formulas.
+
+    For a scalar frequency the first pole met raises SingularityError.  For
+    an array each element keeps the reason of the first pole it met and the
+    evaluation carries on; the caller blanks the flagged elements.
+    """
+
+    def __init__(self, omega):
+        self.omega = omega
+        self.reasons = None if np.ndim(omega) == 0 else [None] * np.size(omega)
+
+    def check(self, hit, message: str) -> None:
+        """Flag where ``hit``; ``message`` is formatted with the frequency."""
+        if self.reasons is None:
+            if hit:
+                raise SingularityError(message.format(self.omega))
+            return
+        for i in np.flatnonzero(hit):
+            if self.reasons[i] is None:
+                self.reasons[i] = message.format(float(self.omega[i]))
+
+
+def _polarizability(atom: Atom, w2, iw, poles: _Poles | None = None):
+    """alpha0*w0^2/(w0^2 - w^2 - i*w*gamma) from w2 = w^2 and iw = i*w.
+
+    Like ``Material._lorentz``, this serves complex w (scalar or CArray) and
+    the imaginary axis w = i*xi in real arithmetic (w2 = -xi^2, iw = -xi).
+    """
+    w02 = atom.omega0 * atom.omega0
+    den = w02 - w2 - iw * atom.gamma
+    if poles is not None:
+        poles.check(abs(den) <= 1e-12 * w02, "undamped polarizability pole at omega = {!r}")
+    return atom.alpha0 * w02 / den
+
+
+def _coupling(e_u, e_l, poles: _Poles | None = None):
+    """Screened near-field coupling D*D_m/avg_eps and its no-local-field form.
+
+    Returns ``(18 e e_m / ((e + e_m)(2e + 1)(2e_m + 1)), 2/(e + e_m))`` for
+    complex permittivities (scalars or CArrays) or real ones (imaginary
+    axis), after checking the screening and Onsager cavity poles.
+    """
+    s = e_u + e_l
+    c_u = 2.0 * e_u + 1.0
+    c_l = 2.0 * e_l + 1.0
+    if poles is not None:
+        a_u, a_l = abs(e_u), abs(e_l)
+        scale = a_u + a_l + 1.0
+        # an array eps is NaN where an undamped medium sits on its resonance
+        poles.check(np.isnan(a_u) | np.isnan(a_l), RESONANCE_POLE)
+        poles.check(abs(s) <= 1e-12 * scale, "average permittivity vanishes at omega_a = {}")
+        poles.check(
+            (abs(c_u) <= 1e-12 * scale) | (abs(c_l) <= 1e-12 * scale),
+            "Onsager cavity pole at omega_a = {}",
+        )
+    return 18.0 * e_u * e_l / (s * c_u * c_l), 2.0 / s
+
+
+def _resonant(system: HalfSpaceSystem, omega, atom_b: Atom | None, poles: _Poles):
+    """(g, g_no_lf, u, u_no_lf) at a real frequency or an array of them.
+
+    ``u`` and ``u_no_lf`` are None without a partner atom.
+    """
+    coupling, coupling_no_lf = _coupling(
+        operand(system.upper.eps(omega)), operand(system.lower.eps(omega)), poles
+    )
+    g = abs_squared(coupling)
+    g_no_lf = abs_squared(coupling_no_lf)
+    if atom_b is None:
+        return g, g_no_lf, None, None
+    w = operand(omega)
+    alpha_ratio = _polarizability(atom_b, w * w, 1j * w, poles).real / atom_b.alpha0
+    return g, g_no_lf, -alpha_ratio * g, -alpha_ratio * g_no_lf
+
+
+def resonant_terms(system: HalfSpaceSystem, omega, atom_b: Atom | None = None) -> ResonantTerms:
+    """Enhancement and, with ``atom_b``, resonant potential over an omega array.
+
+    ``omega`` is the excited atom's transition frequency, a 1-d array of
+    positive reals.  Every element equals, bit for bit, what
+    :func:`enhancement_factor` and :func:`resonant_potential` return at that
+    frequency; where those raise SingularityError the element is flagged
+    instead (see :class:`ResonantTerms`).
+    """
+    omega = np.asarray(omega, dtype=float).reshape(-1)
+    if not np.all(omega > 0.0):
+        raise ParameterError("omega_a must be positive")
+    poles = _Poles(omega)
+    g, g_no_lf, u, u_no_lf = _resonant(system, omega, atom_b, poles)
+    flagged = np.array([r is not None for r in poles.reasons], dtype=bool)
+
+    def column(values):
+        if values is None:
+            return np.full(omega.shape, np.nan)
+        return np.where(flagged, np.nan, values)
+
+    return ResonantTerms(
+        omega=omega,
+        u=column(u),
+        u_no_lf=column(u_no_lf),
+        g=column(g),
+        g_no_lf=column(g_no_lf),
+        flagged=flagged,
+        errors=tuple(poles.reasons),
+    )
+
+
 def polarizability(atom: Atom, omega) -> complex:
     """Single-resonance polarizability alpha0*w0^2/(w0^2 - w^2 - i*w*gamma).
 
@@ -83,11 +217,7 @@ def polarizability(atom: Atom, omega) -> complex:
     own transition raises SingularityError.
     """
     w = complex(omega)
-    w02 = atom.omega0 * atom.omega0
-    den = w02 - w * w - 1j * w * atom.gamma
-    if abs(den) <= 1e-12 * w02:
-        raise SingularityError(f"undamped polarizability pole at omega = {omega!r}")
-    return atom.alpha0 * w02 / den
+    return _polarizability(atom, w * w, 1j * w, _Poles(omega))
 
 
 def enhancement_factor(system: HalfSpaceSystem, omega_a: float):
@@ -100,22 +230,12 @@ def enhancement_factor(system: HalfSpaceSystem, omega_a: float):
         g_nolf = |2 / (e + e_m)|^2
 
     i.e. the squared magnitude of the screened near-field coupling with and
-    without the two Onsager cavity factors.
+    without the two Onsager cavity factors.  :func:`resonant_terms`
+    evaluates the same over a frequency array.
     """
     if not (omega_a > 0.0):
         raise ParameterError(f"omega_a must be positive, got {omega_a}")
-    e_u = system.upper.eps(omega_a)
-    e_l = system.lower.eps(omega_a)
-    scale = abs(e_u) + abs(e_l) + 1.0
-    s = e_u + e_l
-    c_u = 2.0 * e_u + 1.0
-    c_l = 2.0 * e_l + 1.0
-    if abs(s) <= 1e-12 * scale:
-        raise SingularityError(f"average permittivity vanishes at omega_a = {omega_a}")
-    if abs(c_u) <= 1e-12 * scale or abs(c_l) <= 1e-12 * scale:
-        raise SingularityError(f"Onsager cavity pole at omega_a = {omega_a}")
-    g = abs(18.0 * e_u * e_l / (s * c_u * c_l)) ** 2
-    g_no_lf = abs(2.0 / s) ** 2
+    g, g_no_lf, _, _ = _resonant(system, omega_a, None, _Poles(omega_a))
     return g, g_no_lf
 
 
@@ -162,9 +282,9 @@ def resonant_potential(
                 ValidityWarning,
                 stacklevel=2,
             )
-    g, g_no_lf = enhancement_factor(system, atom_a.omega0)
-    alpha_ratio = polarizability(atom_b, atom_a.omega0).real / atom_b.alpha0
-    return PotentialResult(u_resonant=-alpha_ratio * g, g=g, g_no_localfield=g_no_lf)
+    omega = atom_a.omega0
+    g, g_no_lf, u, _ = _resonant(system, omega, atom_b, _Poles(omega))
+    return PotentialResult(u_resonant=u, g=g, g_no_localfield=g_no_lf)
 
 
 def offresonant_potential(
@@ -191,22 +311,15 @@ def offresonant_potential(
         quad = QuadratureSpec()
 
     sign = atom_a.offres_sign
-    wa2 = atom_a.omega0 * atom_a.omega0
-    wb2 = atom_b.omega0 * atom_b.omega0
 
     def integrand(t):
         t = np.asarray(t, dtype=float)
         xi = t / (1.0 - t)
         jac = 1.0 / (1.0 - t) ** 2
-        a_a = atom_a.alpha0 * wa2 / (wa2 + xi * xi + xi * atom_a.gamma)
-        a_b = atom_b.alpha0 * wb2 / (wb2 + xi * xi + xi * atom_b.gamma)
-        e_u = system.upper.eps_imag(xi)
-        e_l = system.lower.eps_imag(xi)
-        coupling = (
-            (3.0 * e_u / (2.0 * e_u + 1.0))
-            * (3.0 * e_l / (2.0 * e_l + 1.0))
-            / (0.5 * (e_u + e_l))
-        )
+        # imaginary axis w = i*xi: w^2 = -xi^2 and i*w = -xi, all real
+        a_a = _polarizability(atom_a, -xi * xi, -xi)
+        a_b = _polarizability(atom_b, -xi * xi, -xi)
+        coupling, _ = _coupling(system.upper.eps_imag(xi), system.lower.eps_imag(xi))
         return a_a * a_b * np.real(coupling * coupling) * jac
 
     # Seed panel edges at the atomic scales, mapped to the unit interval.

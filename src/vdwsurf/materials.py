@@ -18,7 +18,12 @@ from enum import Enum
 
 import numpy as np
 
+from ._carray import operand, to_complex
 from .errors import ParameterError, SingularityError, UnsupportedModelError
+
+
+#: Reason reported when an undamped oscillator is evaluated at its resonance.
+RESONANCE_POLE = "undamped oscillator evaluated at its resonance {!r}"
 
 
 class MaterialKind(Enum):
@@ -60,6 +65,9 @@ class Material:
         object.__setattr__(self, "eps_const", _finite_complex(self.eps_const))
         object.__setattr__(self, "mu_const", _finite_complex(self.mu_const))
         if self.kind is MaterialKind.LORENTZ:
+            for name in ("eta", "eps0", "omega_t", "gamma"):
+                if not math.isfinite(getattr(self, name)):
+                    raise ParameterError(f"oscillator {name} must be finite, got {getattr(self, name)}")
             if not (self.eps0 > self.eta >= 1.0):
                 raise ParameterError(
                     f"oscillator model needs eps0 > eta >= 1, got eta={self.eta}, eps0={self.eps0}"
@@ -112,29 +120,30 @@ class Material:
 
     # -- evaluation --------------------------------------------------------
 
-    def eps(self, omega) -> complex:
-        """Relative permittivity at complex frequency ``omega``.
+    def eps(self, omega):
+        """Relative permittivity at frequency ``omega``.
 
-        Supported arguments are real frequencies and points on the positive
-        imaginary axis; the closed form is evaluated as-is for any complex
-        input.
+        ``omega`` is a real or complex number, or an array of them (then a
+        complex array comes back).  Supported arguments are real
+        frequencies and points on the positive imaginary axis; the closed
+        form is evaluated as-is for any complex input.  An undamped
+        oscillator hit exactly at its resonance raises SingularityError for
+        a scalar and gives NaN in that element of an array.
         """
-        if self.kind is MaterialKind.LORENTZ:
-            w = complex(omega)
-            wt2 = self.omega_t * self.omega_t
-            den = wt2 - w * w - 1j * w * self.gamma
-            if den == 0:
-                raise SingularityError(
-                    f"undamped oscillator evaluated at its resonance {omega!r}"
-                )
-            return self.eta + (self.eps0 - self.eta) * wt2 / den
-        return self.eps_const
+        if self.kind is not MaterialKind.LORENTZ:
+            return self.eps_const if np.ndim(omega) == 0 else np.full(np.shape(omega), self.eps_const)
+        w = operand(omega)
+        try:
+            return to_complex(self._lorentz(w * w, 1j * w))
+        except ZeroDivisionError:
+            raise SingularityError(RESONANCE_POLE.format(omega)) from None
 
     def eps_imag(self, xi):
         """Permittivity on the positive imaginary axis, vectorized over xi.
 
         For the oscillator model the continuation is real and strictly
-        decreasing from eps0 to eta:
+        decreasing from eps0 to eta, ``eps(1j*xi).real`` evaluated in real
+        arithmetic:
 
             eps(i*xi) = eta + (eps0 - eta) * w_t**2 / (w_t**2 + xi**2 + xi*gamma)
 
@@ -142,9 +151,18 @@ class Material:
         """
         xi = np.asarray(xi, dtype=float)
         if self.kind is MaterialKind.LORENTZ:
-            wt2 = self.omega_t * self.omega_t
-            return self.eta + (self.eps0 - self.eta) * wt2 / (wt2 + xi * xi + xi * self.gamma)
+            return self._lorentz(-xi * xi, -xi)
         return np.full(xi.shape, self.eps_const)
+
+    def _lorentz(self, w2, iw):
+        """The oscillator formula from ``w2`` = omega**2 and ``iw`` = 1j*omega.
+
+        Taking these two lets one expression serve complex omega (scalar or
+        CArray) and the imaginary axis omega = i*xi in real arithmetic
+        (w2 = -xi**2, iw = -xi).
+        """
+        wt2 = self.omega_t * self.omega_t
+        return self.eta + (self.eps0 - self.eta) * wt2 / (wt2 - w2 - iw * self.gamma)
 
     def mu(self, omega) -> complex:
         """Relative permeability (dispersionless in every supported model)."""
@@ -165,8 +183,8 @@ class HalfSpaceSystem:
     omega_max: float = 10.0
 
     def __post_init__(self):
-        if not (self.omega_max > 0.0):
-            raise ParameterError(f"omega_max must be positive, got {self.omega_max}")
+        if not (0.0 < self.omega_max < math.inf):
+            raise ParameterError(f"omega_max must be positive and finite, got {self.omega_max}")
 
     def avg_eps(self, omega) -> complex:
         """Average permittivity (eps_upper + eps_lower)/2 of the media in contact."""

@@ -15,13 +15,12 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ParameterError, SingularityError
+from .errors import ParameterError
 from .interaction import (
     Atom,
-    enhancement_factor,
     offresonant_potential,
-    polarizability,
     resonant_potential,
+    resonant_terms,
 )
 from .materials import (
     HalfSpaceSystem,
@@ -97,59 +96,35 @@ def scan_spectrum(
 
     ``atom_a`` is a template whose ``omega0`` is replaced by each grid
     frequency.  Rows are ordered by frequency; grid points that fall exactly
-    on a pole are flagged rather than aborting the scan.
+    on a pole are flagged rather than aborting the scan.  The resonant
+    columns come from one :func:`resonant_terms` call over the grid; the
+    off-resonant integral, when requested, is evaluated row by row.
     """
+    terms = resonant_terms(system, scan.grid(), atom_b)
+    u_no_lf = terms.u_no_lf if scan.include_no_lf_curve else np.full(terms.omega.shape, np.nan)
     rows = []
-    nan = float("nan")
-    for w in scan.grid():
-        w = float(w)
-        try:
-            swept = replace(atom_a, omega0=w)
-            res = resonant_potential(system, swept, atom_b)
-            if scan.include_no_lf_curve:
-                alpha_ratio = polarizability(atom_b, w).real / atom_b.alpha0
-                u_no_lf = -alpha_ratio * res.g_no_localfield
-            else:
-                u_no_lf = nan
-            u_off = None
-            if scan.include_offresonant:
-                u_off = offresonant_potential(system, swept, atom_b, quad=quad)
-            rows.append(
-                SpectrumRow(
-                    omega=w,
-                    u_resonant=res.u_resonant,
-                    u_resonant_no_lf=u_no_lf,
-                    g=res.g,
-                    g_no_lf=res.g_no_localfield,
-                    u_offresonant=u_off,
-                )
-            )
-        except SingularityError as exc:
-            rows.append(
-                SpectrumRow(
-                    omega=w,
-                    u_resonant=nan,
-                    u_resonant_no_lf=nan,
-                    g=nan,
-                    g_no_lf=nan,
-                    error=str(exc),
-                )
-            )
+    for w, u, u_nlf, g, g_nlf, error in zip(
+        terms.omega.tolist(),
+        terms.u.tolist(),
+        u_no_lf.tolist(),
+        terms.g.tolist(),
+        terms.g_no_lf.tolist(),
+        terms.errors,
+    ):
+        u_off = None
+        if scan.include_offresonant and error is None:
+            u_off = offresonant_potential(system, replace(atom_a, omega0=w), atom_b, quad=quad)
+        rows.append(SpectrumRow(w, u, u_nlf, g, g_nlf, u_offresonant=u_off, error=error))
     return rows
 
 
 def scan_enhancement(system: HalfSpaceSystem, scan: ScanSpec):
-    """Enhancement factors over the scan grid as (omega, g, g_no_lf) rows."""
-    rows = []
-    nan = float("nan")
-    for w in scan.grid():
-        w = float(w)
-        try:
-            g, g_no_lf = enhancement_factor(system, w)
-            rows.append((w, g, g_no_lf))
-        except SingularityError:
-            rows.append((w, nan, nan))
-    return rows
+    """Enhancement factors over the scan grid as (omega, g, g_no_lf) rows.
+
+    Rows at a pole carry NaN factors.
+    """
+    terms = resonant_terms(system, scan.grid())
+    return list(zip(terms.omega.tolist(), terms.g.tolist(), terms.g_no_lf.tolist()))
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0

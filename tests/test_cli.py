@@ -1,4 +1,7 @@
 import json
+import math
+
+import pytest
 
 from vdwsurf.cli import (
     EXIT_CONFIG,
@@ -194,3 +197,65 @@ def test_numeric_format_is_12_significant_digits(tmp_path):
     for cell in first_row:
         mantissa = cell.replace("-", "").replace(".", "").split("e")[0].lstrip("0")
         assert len(mantissa) <= 12
+
+
+def test_non_finite_config_number_exits_1_naming_field(tmp_path, capsys):
+    path = write_config(tmp_path)
+    path.write_text(path.read_text().replace('"omega0": 0.9', '"omega0": Infinity'))
+    out = tmp_path / "x.csv"
+    rc = main(["spectrum", "--config", str(path), "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    assert "config.atom_b.omega0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_negative_validate_scale_exits_1_naming_field(tmp_path, capsys):
+    cfg = write_config(tmp_path, validate={"scales": [0.1, -0.1]})
+    rc = main(["validate", "--config", str(cfg), "--out", str(tmp_path / "v.csv")])
+    assert rc == EXIT_CONFIG
+    assert "config.validate.scales[1]" in capsys.readouterr().err
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("no_lf_curve", [True, False])
+def test_json_tables_are_strict_with_null_cells(tmp_path, no_lf_curve):
+    # lossless medium whose bulk resonance sits on the middle grid point
+    cfg = write_config(
+        tmp_path,
+        system={
+            "upper": "vacuum",
+            "lower": {"kind": "lorentz", "eta": 2.71, "eps0": 6.57, "omega_t": 1.0, "gamma": 0.0},
+        },
+        scan={"omega_min": 0.5, "omega_max": 1.5, "n_points": 3, "include_no_lf_curve": no_lf_curve},
+        output={"path": "ignored.json", "format": "json"},
+    )
+    out = tmp_path / "spec.json"
+    assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    rows = _strict_json(out.read_text())
+    assert [r["omega_over_ref"] for r in rows] == [0.5, 1.0, 1.5]
+    assert all(v is None for k, v in rows[1].items() if k != "omega_over_ref")
+    for row in (rows[0], rows[2]):
+        assert (row["u_resonant_no_lf"] is None) is (not no_lf_curve)
+        assert math.isfinite(row["g"]) and math.isfinite(row["u_resonant"])
+    out = tmp_path / "enh.json"
+    assert main(["enhancement", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    rows = _strict_json(out.read_text())
+    assert rows[1]["g"] is None and rows[1]["g_no_lf"] is None
+
+
+def test_json_cells_match_csv_digits(tmp_path):
+    json_cfg = write_config(tmp_path, "j.json", output={"path": "ignored.json", "format": "json"})
+    csv_cfg = write_config(tmp_path, "c.json")
+    main(["spectrum", "--config", str(json_cfg), "--points", "7", "--out", str(tmp_path / "s.json")])
+    main(["spectrum", "--config", str(csv_cfg), "--points", "7", "--out", str(tmp_path / "s.csv")])
+    rows = _strict_json((tmp_path / "s.json").read_text())
+    lines = (tmp_path / "s.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    for row, line in zip(rows, lines[1:]):
+        assert [row[k] for k in header] == [float(c) for c in line.split(",")]

@@ -157,3 +157,56 @@ def test_roundtrip_from_disk(tmp_path):
     p.write_text(json.dumps(minimal_config()))
     cfg = load_config(p)
     assert cfg.scan.n_points == 100
+
+
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ('"atom_b": {"omega0": Infinity}', "config.atom_b.omega0"),
+        ('"atom_b": {"omega0": 0.9, "gamma": NaN}', "config.atom_b.gamma"),
+        ('"atom_b": {"omega0": 0.9, "alpha0": 1e400}', "config.atom_b.alpha0"),
+        ('"atom_b": {"omega0": 0.9, "offres_sign": -Infinity}', "config.atom_b.offres_sign"),
+    ],
+)
+def test_non_finite_numbers_name_their_field(tmp_path, text, field):
+    # json.loads accepts Infinity/NaN tokens and overflows 1e400 to inf
+    p = tmp_path / "run.json"
+    body = json.dumps(minimal_config()).replace('"atom_b": {"omega0": 0.9, "gamma": 0.001}', text)
+    p.write_text(body)
+    with pytest.raises(ConfigError, match="finite") as info:
+        load_config(p)
+    assert info.value.field == field
+
+
+def test_non_finite_material_numbers_rejected():
+    lorentz = {"kind": "lorentz", "eta": 2.71, "eps0": float("inf"), "omega_s": 1.0, "gamma": 0.015}
+    with pytest.raises(ConfigError) as info:
+        parse_config(minimal_config(system={"upper": "vacuum", "lower": lorentz}))
+    assert info.value.field == "config.system.lower.eps0"
+    constant = {"kind": "constant", "eps": [4.0, float("nan")]}
+    with pytest.raises(ConfigError) as info:
+        parse_config(minimal_config(system={"upper": "vacuum", "lower": constant}))
+    assert info.value.field == "config.system.lower.eps[1]"
+    with pytest.raises(ConfigError) as info:
+        parse_config(minimal_config(system={"upper": "vacuum", "lower": "vacuum", "omega_max": float("inf")}))
+    assert info.value.field == "config.system.omega_max"
+
+
+@pytest.mark.parametrize(
+    "section, field",
+    [
+        ({"scales": [-0.1]}, "config.validate.scales[0]"),
+        ({"scales": [0.1, 0.0]}, "config.validate.scales[1]"),
+        ({"scales": []}, "config.validate.scales"),
+        ({"omega": 0.0}, "config.validate.omega"),
+        ({"tolerance": -0.01}, "config.validate.tolerance"),
+        ({"tolerance": float("inf")}, "config.validate.tolerance"),
+        ({"r_a": [0.0, 0.0, -1.0]}, "config.validate.r_a[2]"),
+        ({"r_b": [1.0, 0.0, 0.0]}, "config.validate.r_b[2]"),
+    ],
+)
+def test_validate_section_checked_at_load(section, field):
+    with pytest.raises(ConfigError) as info:
+        parse_config(minimal_config(validate=section))
+    assert info.value.field == field
+    assert field in str(info.value)

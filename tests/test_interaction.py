@@ -65,6 +65,13 @@ class TestPolarizability:
         with pytest.raises(ParameterError):
             Atom(omega0=1.0, dipole_weight=-2.0)
 
+    @pytest.mark.parametrize("name", ["omega0", "gamma", "alpha0", "dipole_weight", "offres_sign"])
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_parameters_rejected(self, name, value):
+        kwargs = {"omega0": 1.0, name: value}
+        with pytest.raises(ParameterError):
+            Atom(**kwargs)
+
 
 class TestEnhancementFactor:
     def test_sapphire_at_surface_mode(self, sapphire_system):

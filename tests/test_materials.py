@@ -67,6 +67,39 @@ class TestMaterialEval:
         with pytest.raises(ParameterError):
             Material.constant(float("inf"))
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"eps0": float("inf")},
+            {"gamma": float("inf")},
+            {"omega_t": float("inf")},
+            {"eta": float("nan")},
+        ],
+    )
+    def test_non_finite_oscillator_parameters_rejected(self, kwargs):
+        params = {"eta": 2.0, "eps0": 3.0, "omega_t": 1.0, "gamma": 0.1, **kwargs}
+        with pytest.raises(ParameterError):
+            Material.lorentz(**params)
+
+    def test_non_finite_omega_max_rejected(self):
+        with pytest.raises(ParameterError):
+            HalfSpaceSystem(Material.vacuum(), Material.vacuum(), omega_max=float("inf"))
+
+    def test_eps_over_arrays(self, sapphire):
+        omegas = np.array([0.0, 0.5, 1.0, 2.0j, 1.3 + 0.2j])
+        vals = sapphire.eps(omegas)
+        assert vals.dtype == complex and vals.shape == omegas.shape
+        assert [complex(v) for v in vals] == [sapphire.eps(complex(w)) for w in omegas]
+        vac = Material.vacuum().eps(omegas.reshape(5, 1))
+        assert vac.shape == (5, 1) and np.all(vac == 1.0)
+
+    def test_eps_array_nan_at_exact_resonance(self):
+        lossless = Material.lorentz(eta=2.0, eps0=3.0, omega_t=1.0, gamma=0.0)
+        with pytest.raises(SingularityError):
+            lossless.eps(1.0)
+        vals = lossless.eps(np.array([0.5, 1.0, 1.5]))
+        assert np.isnan(vals[1]) and np.all(np.isfinite(vals[[0, 2]]))
+
     @given(st.floats(min_value=1e-3, max_value=3.0))
     def test_passivity_on_real_axis(self, omega):
         m = preset("sapphire-ir")
