@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import j0, j1, jv
 
 from .errors import ParameterError, SingularityError
-from .materials import HalfSpaceSystem, local_field_factor
+from .materials import HalfSpaceSystem, _avg_eps_vanishes, local_field_factor
 from .quadrature import QuadratureSpec, adaptive_gauss
 
 #: Tensor components that are generally nonzero in the frame whose x axis is
@@ -104,31 +104,66 @@ def near_field_tensor(r_vec) -> np.ndarray:
     return (3.0 * np.outer(rhat, rhat) - np.eye(3)) / r**3
 
 
-def _media_constants(system: HalfSpaceSystem, omega: float):
-    eps_u = system.upper.eps(omega)
-    eps_l = system.lower.eps(omega)
-    mu_u = system.upper.mu(omega)
-    mu_l = system.lower.mu(omega)
-    n_u = complex(_upward_root(eps_u * mu_u))
-    n_l = complex(_upward_root(eps_l * mu_l))
-    return eps_u, eps_l, mu_u, mu_l, n_u, n_l
+class _Kernel:
+    """Plane-wave transmission kernel of one system at one frequency.
+
+    Media constants and refractive indices are evaluated once, here.  A call
+    at in-plane wavenumbers ``k`` (float or array) returns
+    ``(beta, beta_m, den_p, den_s, p, s)``: the perpendicular wavenumbers,
+    the Fresnel denominators, and p = mu_u*t_p/(beta*n_u*n_l*omega^2) and
+    s = mu_u*t_s/beta, the transmission coefficients with the kernel's
+    1/beta folded in, which stay finite at beta = 0 (lossless grazing).
+    """
+
+    def __init__(self, system: HalfSpaceSystem, omega: float):
+        if not (omega > 0.0):
+            raise ParameterError(f"omega must be positive, got {omega}")
+        self.omega = omega
+        self.eps_u, self.eps_l = system.upper.eps(omega), system.lower.eps(omega)
+        self.mu_u, self.mu_l = system.upper.mu(omega), system.lower.mu(omega)
+        n_u = complex(_upward_root(self.eps_u * self.mu_u))
+        n_l = complex(_upward_root(self.eps_l * self.mu_l))
+        self._nw2_u, self._nw2_l = (n_u * omega) ** 2, (n_l * omega) ** 2
+        # sqrt(eps_u*mu_l/(eps_l*mu_u)) written as n_u*mu_l/(n_l*mu_u) so its
+        # branch follows the same roots that normalize the polarization vectors.
+        self._tp_num = n_u * self.mu_l / (n_l * self.mu_u) * 2.0 * self.eps_l
+        self.p_norm = 1.0 / (n_u * n_l * omega * omega)
+        self.k_breaks = sorted({abs((n_u * omega).real), abs((n_l * omega).real)})
+
+    def __call__(self, k):
+        beta = _upward_root(self._nw2_u - k * k)
+        beta_m = _upward_root(self._nw2_l - k * k)
+        den_p = self.eps_l * beta + self.eps_u * beta_m
+        den_s = self.mu_l * beta + self.mu_u * beta_m
+        p = self.mu_u * (self._tp_num / den_p) * self.p_norm
+        return beta, beta_m, den_p, den_s, p, self.mu_u * (2.0 * self.mu_l / den_s)
+
+    def at(self, k: float):
+        """``(beta, beta_m, p, s)`` at one k >= 0 as Python complex numbers, off the poles."""
+        if not (k >= 0.0):
+            raise ParameterError(f"k must be >= 0, got {k}")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            beta, beta_m, den_p, den_s, p, s = self(k)
+        scale = self.omega * (abs(self.eps_u) + abs(self.eps_l) + abs(self.mu_u) + abs(self.mu_l))
+        if abs(den_p) <= 1e-14 * scale or abs(den_s) <= 1e-14 * scale:
+            raise SingularityError(f"interface-mode pole hit at omega={self.omega}, k={k}")
+        return complex(beta), complex(beta_m), complex(p), complex(s)
+
+    def check_path_poles(self) -> None:
+        """Reject lossless media whose interface-mode pole lies on the real-k path."""
+        media = (self.eps_u, self.eps_l, self.mu_u, self.mu_l)
+        if any(z.imag != 0.0 for z in media):
+            return
+        for pol, (a, b) in (("p", media[:2]), ("s", media[2:])):
+            if a.real * b.real < 0.0 and a.real + b.real < 0.0:
+                raise SingularityError(
+                    f"lossless interface mode lies on the integration path ({pol} polarization)"
+                )
 
 
-def _check_path_poles(eps_u, eps_l, mu_u, mu_l):
-    # Lossless media can place the interface-mode pole of the p (or s)
-    # denominator on the real-k integration path; reject instead of
-    # integrating across it.
-    if eps_u.imag == 0.0 and eps_l.imag == 0.0 and mu_u.imag == 0.0 and mu_l.imag == 0.0:
-        er_u, er_l = eps_u.real, eps_l.real
-        mr_u, mr_l = mu_u.real, mu_l.real
-        if er_u * er_l < 0.0 and er_u + er_l < 0.0:
-            raise SingularityError(
-                "lossless interface mode lies on the integration path (p polarization)"
-            )
-        if mr_u * mr_l < 0.0 and mr_u + mr_l < 0.0:
-            raise SingularityError(
-                "lossless interface mode lies on the integration path (s polarization)"
-            )
+def _local_field(eps_u, eps_l) -> complex:
+    """Product D_u*D_l of the two media's Onsager cavity factors."""
+    return local_field_factor(eps_u) * local_field_factor(eps_l)
 
 
 def fresnel_t(system: HalfSpaceSystem, omega: float, k: float):
@@ -137,23 +172,9 @@ def fresnel_t(system: HalfSpaceSystem, omega: float, k: float):
     The wave travels from the lower medium into the upper one with in-plane
     wavenumber ``k``; perpendicular wavenumbers use the decaying branch.
     """
-    if not (omega > 0.0):
-        raise ParameterError(f"omega must be positive, got {omega}")
-    if not (k >= 0.0):
-        raise ParameterError(f"k must be >= 0, got {k}")
-    eps_u, eps_l, mu_u, mu_l, n_u, n_l = _media_constants(system, omega)
-    beta = complex(_upward_root((n_u * omega) ** 2 - k * k))
-    beta_m = complex(_upward_root((n_l * omega) ** 2 - k * k))
-    den_p = eps_l * beta + eps_u * beta_m
-    den_s = mu_l * beta + mu_u * beta_m
-    scale = abs(omega) * (abs(eps_u) + abs(eps_l) + abs(mu_u) + abs(mu_l))
-    if abs(den_p) <= 1e-14 * scale or abs(den_s) <= 1e-14 * scale:
-        raise SingularityError(f"interface-mode pole hit at omega={omega}, k={k}")
-    # sqrt(eps_u*mu_l/(eps_l*mu_u)) written as n_u*mu_l/(n_l*mu_u) so its
-    # branch follows the same roots that normalize the polarization vectors.
-    t_p = (n_u * mu_l / (n_l * mu_u)) * 2.0 * eps_l * beta / den_p
-    t_s = 2.0 * mu_l * beta / den_s
-    return t_p, t_s
+    kernel = _Kernel(system, omega)
+    beta, _, p, s = kernel.at(k)
+    return p * beta / (kernel.mu_u * kernel.p_norm), s * beta / kernel.mu_u
 
 
 def kspace_green(system: HalfSpaceSystem, omega: float, k: float, z_a: float, z_b: float) -> np.ndarray:
@@ -168,46 +189,28 @@ def kspace_green(system: HalfSpaceSystem, omega: float, k: float, z_a: float, z_
     """
     if not (z_a > 0.0 > z_b):
         raise ParameterError(f"kernel needs z_a > 0 > z_b, got z_a={z_a}, z_b={z_b}")
-    eps_u, eps_l, mu_u, mu_l, n_u, n_l = _media_constants(system, omega)
-    t_p, t_s = fresnel_t(system, omega, k)
-    beta = complex(_upward_root((n_u * omega) ** 2 - k * k))
-    beta_m = complex(_upward_root((n_l * omega) ** 2 - k * k))
+    beta, beta_m, p, s = _Kernel(system, omega).at(k)
     if beta == 0.0:
         raise SingularityError(f"grazing kernel beta = 0 at omega={omega}, k={k}")
-    p_up = np.array([beta, 0.0, -k], dtype=complex) / (n_u * omega)
-    p_low = np.array([beta_m, 0.0, -k], dtype=complex) / (n_l * omega)
-    s_block = np.zeros((3, 3), dtype=complex)
-    s_block[1, 1] = 1.0
-    phase = np.exp(1j * (beta * z_a - beta_m * z_b))
-    return 2j * np.pi * (mu_u / beta) * phase * (t_p * np.outer(p_up, p_low) + t_s * s_block)
+    dyad = p * np.outer([beta, 0.0, -k], [beta_m, 0.0, -k])
+    dyad[1, 1] = s
+    return 2j * np.pi * np.exp(1j * (beta * z_a - beta_m * z_b)) * dyad
 
 
-def _radial_integrand(system: HalfSpaceSystem, omega: float, pos: AtomPositions):
+def _radial_integrand(kernel: _Kernel, pos: AtomPositions):
     """Vectorized k-integrand of the five independent tensor components.
 
-    The 1/beta prefactor of the kernel is folded into t_p/beta and t_s/beta
-    analytically, so the integrand stays finite through beta = 0 (the
-    grazing point of a lossless upper medium).
+    This is the angular integral of :func:`kspace_green` times k/(2*pi)^2,
+    in the frame whose x axis is the in-plane separation.
     """
-    eps_u, eps_l, mu_u, mu_l, n_u, n_l = _media_constants(system, omega)
-    _check_path_poles(eps_u, eps_l, mu_u, mu_l)
-    z_a = pos.r_a[2]
-    z_b = pos.r_b[2]
-    rho = pos.rho
-    sqrt_ratio = n_u * mu_l / (n_l * mu_u)
-    p_norm = 1.0 / (n_u * n_l * omega * omega)
+    z_a, z_b, rho = pos.r_a[2], pos.r_b[2], pos.rho
 
     def integrand(k):
         k = np.asarray(k, dtype=float)
-        beta = _upward_root((n_u * omega) ** 2 - k * k)
-        beta_m = _upward_root((n_l * omega) ** 2 - k * k)
-        tp_over_beta = sqrt_ratio * 2.0 * eps_l / (eps_l * beta + eps_u * beta_m)
-        ts_over_beta = 2.0 * mu_l / (mu_l * beta + mu_u * beta_m)
+        beta, beta_m, _, _, p, s = kernel(k)
         phase = np.exp(1j * (beta * z_a - beta_m * z_b))
         u = k * rho
         b0, b1, b2 = j0(u), j1(u), jv(2, u)
-        p = mu_u * tp_over_beta * p_norm
-        s = mu_u * ts_over_beta
         pbb = p * beta * beta_m
         xx = 0.5j * k * (pbb * (b0 - b2) + s * (b0 + b2)) * phase
         yy = 0.5j * k * (pbb * (b0 + b2) + s * (b0 - b2)) * phase
@@ -216,8 +219,7 @@ def _radial_integrand(system: HalfSpaceSystem, omega: float, pos: AtomPositions)
         zx = p * k * k * beta_m * b1 * phase
         return np.stack([xx, yy, zz, xz, zx], axis=-1)
 
-    k_breaks = sorted({abs((n_u * omega).real), abs((n_l * omega).real)})
-    return integrand, k_breaks
+    return integrand
 
 
 def sommerfeld_green(
@@ -239,19 +241,19 @@ def sommerfeld_green(
     Raises QuadratureError when the panel budget is exhausted and
     SingularityError when a lossless interface mode sits on the path.
     """
-    if not (omega > 0.0):
-        raise ParameterError(f"omega must be positive, got {omega}")
+    kernel = _Kernel(system, omega)
     if quad is None:
         quad = QuadratureSpec()
-    integrand, k_breaks = _radial_integrand(system, omega, pos)
+    kernel.check_path_poles()
+    integrand = _radial_integrand(kernel, pos)
 
-    k_split = max(k_breaks)
+    k_split = max(kernel.k_breaks)
     d = pos.r_a[2] - pos.r_b[2]  # > 0
     block = _TAIL_BLOCK_DECADES * np.log(10.0) / d
 
     flat = np.zeros(5, dtype=complex)
     if k_split > 0.0:
-        val, _, _ = adaptive_gauss(integrand, 0.0, k_split, quad, breakpoints=k_breaks[:-1])
+        val, _, _ = adaptive_gauss(integrand, 0.0, k_split, quad, breakpoints=kernel.k_breaks[:-1])
         flat += val
     start = k_split
     for _ in range(_TAIL_MAX_BLOCKS):
@@ -276,9 +278,7 @@ def sommerfeld_green(
         green = frame
 
     if local_field:
-        green = green * (
-            local_field_factor(system.upper.eps(omega)) * local_field_factor(system.lower.eps(omega))
-        )
+        green = green * _local_field(kernel.eps_u, kernel.eps_l)
     if not np.all(np.isfinite(green)):
         raise SingularityError("non-finite Green tensor")
     return green
@@ -309,13 +309,9 @@ def transmission_green(
             upper=system.lower, lower=system.upper, omega_max=system.omega_max
         )
         pos = AtomPositions(mirror * r_obs, mirror * r_src)
-        green = sommerfeld_green(flipped, omega, pos, quad, local_field=False)
-        if local_field:
-            # the scalar cavity factors commute with the mirror conjugation
-            green = green * (
-                local_field_factor(system.upper.eps(omega))
-                * local_field_factor(system.lower.eps(omega))
-            )
+        # the mirror system has the same two cavity factors, and scalars
+        # commute with the mirror conjugation
+        green = sommerfeld_green(flipped, omega, pos, quad, local_field)
         flip = np.diag(mirror)
         return flip @ green @ flip
     raise ParameterError("observation and source must sit on opposite sides of the interface")
@@ -341,15 +337,12 @@ def nonretarded_green(
     w = complex(omega)
     if w == 0.0:
         raise ParameterError("omega must be nonzero")
-    eps_bar = system.avg_eps(w)
-    eps_scale = abs(system.upper.eps(w)) + abs(system.lower.eps(w))
-    if abs(eps_bar) <= 1e-12 * max(eps_scale, 1.0):
+    eps_u, eps_l = system.upper.eps(w), system.lower.eps(w)
+    if _avg_eps_vanishes(eps_u, eps_l):
         raise SingularityError(f"average permittivity vanishes at omega = {omega!r}")
-    green = near_field_tensor(pos.r_vec) / (w * w * eps_bar)
+    green = near_field_tensor(pos.r_vec) / (w * w * system.avg_eps(w))
     if local_field:
-        green = green * (
-            local_field_factor(system.upper.eps(w)) * local_field_factor(system.lower.eps(w))
-        )
+        green = green * _local_field(eps_u, eps_l)
     return green
 
 

@@ -23,6 +23,7 @@ from .materials import (
     HalfSpaceSystem,
     Material,
     MaterialKind,
+    _avg_eps_vanishes,
     local_field_factor,
     surface_mode_frequency,
 )
@@ -153,7 +154,7 @@ def _coupling(e_u, e_l, poles: _Poles | None = None):
         scale = a_u + a_l + 1.0
         # an array eps is NaN where an undamped medium sits on its resonance
         poles.check(np.isnan(a_u) | np.isnan(a_l), RESONANCE_POLE)
-        poles.check(abs(s) <= 1e-12 * scale, "average permittivity vanishes at omega_a = {}")
+        poles.check(_avg_eps_vanishes(e_u, e_l), "average permittivity vanishes at omega_a = {}")
         poles.check(
             (abs(c_u) <= 1e-12 * scale) | (abs(c_l) <= 1e-12 * scale),
             "Onsager cavity pole at omega_a = {}",

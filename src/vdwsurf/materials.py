@@ -210,6 +210,11 @@ def local_field_factor(eps) -> complex:
     return 3.0 * eps / den
 
 
+def _avg_eps_vanishes(eps_u, eps_l):
+    """True where avg_eps is within roundoff of zero (elementwise for CArrays)."""
+    return abs(eps_u + eps_l) <= _POLE_RTOL * (abs(eps_u) + abs(eps_l) + 1.0)
+
+
 def surface_mode_frequency(m: Material) -> float:
     """Frequency where the average permittivity against vacuum vanishes.
 

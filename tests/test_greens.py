@@ -11,16 +11,19 @@ from vdwsurf import (
     QuadratureError,
     QuadratureSpec,
     SingularityError,
+    enhancement_factor,
     fresnel_t,
     kspace_green,
     local_field_factor,
     near_field_tensor,
     nonretarded_green,
     nonretarded_limit_check,
+    preset,
+    resonant_terms,
     sommerfeld_green,
     transmission_green,
 )
-from vdwsurf.greens import _upward_root
+from vdwsurf.greens import COMPONENTS, _COMPONENT_INDEX, _Kernel, _radial_integrand, _upward_root
 from vdwsurf.quadrature import adaptive_gauss
 
 
@@ -304,3 +307,70 @@ class TestLimitCheck:
         report = nonretarded_limit_check(sapphire_system, 0.5, POS, [])
         assert report.rows == ()
         assert not report.passed()
+
+
+def test_radial_integrand_is_angular_integral_of_kspace_kernel(sapphire_system):
+    # The Sommerfeld integrand at k must be k/(2 pi)^2 times the angular
+    # integral of the plane-wave kernel rotated to direction phi, weighted by
+    # e^{i k rho cos phi}; 64 equispaced angles integrate it to roundoff.
+    omega = 0.8
+    pos = AtomPositions([0.0, 0.0, 0.3], [0.7, 0.0, -0.4])
+    ks = np.array([0.3, 1.7, 6.0])  # propagating in both media, then evanescent
+    got = _radial_integrand(_Kernel(sapphire_system, omega), pos)(ks)
+    n = 64
+    for k, row in zip(ks, got):
+        kernel = kspace_green(sapphire_system, omega, k, pos.r_a[2], pos.r_b[2])
+        ref = np.zeros((3, 3), dtype=complex)
+        for phi in 2.0 * np.pi * np.arange(n) / n:
+            c, s = np.cos(phi), np.sin(phi)
+            rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+            ref += rot @ kernel @ rot.T * np.exp(1j * k * pos.rho * c)
+        ref *= k / (2.0 * np.pi) ** 2 * (2.0 * np.pi / n)
+        want = np.array([ref[_COMPONENT_INDEX[name]] for name in COMPONENTS])
+        assert np.max(np.abs(row - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+_RECIPROCITY_SYSTEMS = (
+    HalfSpaceSystem(upper=Material.vacuum(), lower=preset("sapphire-ir"), omega_max=3.0),
+    HalfSpaceSystem(
+        upper=Material.constant(1.2 + 0.01j, mu=1.8 + 0.02j),
+        lower=Material.constant(3.5 + 0.4j, mu=0.6 + 0.05j),
+    ),
+)
+
+
+@given(
+    system=st.sampled_from(_RECIPROCITY_SYSTEMS),
+    omega=st.floats(min_value=0.3, max_value=1.5),
+    z_a=st.floats(min_value=0.05, max_value=1.0),
+    z_b=st.floats(min_value=-1.0, max_value=-0.05),
+    aspect=st.floats(min_value=0.0, max_value=3.0),
+    phi=st.floats(min_value=0.0, max_value=2.0 * np.pi),
+)
+@settings(max_examples=20, deadline=None)
+def test_transmission_green_reciprocity_random_geometry(system, omega, z_a, z_b, aspect, phi):
+    # G(r_a, r_b) = G(r_b, r_a)^T; the reversed order goes through the mirror system
+    rho = aspect * (z_a - z_b)
+    r_a = np.array([0.1, -0.2, z_a])
+    r_b = r_a - np.array([rho * np.cos(phi), rho * np.sin(phi), z_a - z_b])
+    g_ab = transmission_green(system, omega, r_a, r_b)
+    g_ba = transmission_green(system, omega, r_b, r_a)
+    assert np.max(np.abs(g_ba.T - g_ab)) <= 1e-12 * np.max(np.abs(g_ab))
+
+
+@pytest.mark.parametrize("delta", [2e-12, 3.5e-12, 4.5e-12])
+def test_avg_eps_pole_rule_agrees_with_coupling(delta):
+    # eps_u + eps_l = -delta: the closed form and the coupling core must
+    # reject the same near-pole media
+    sys_ = HalfSpaceSystem(upper=Material.vacuum(), lower=Material.constant(-(1.0 + delta)))
+
+    def rejects(f):
+        try:
+            f()
+        except SingularityError:
+            return True
+        return False
+
+    coupling_rejects = rejects(lambda: enhancement_factor(sys_, 1.0))
+    assert rejects(lambda: nonretarded_green(sys_, 1.0, POS)) == coupling_rejects
+    assert bool(resonant_terms(sys_, [1.0]).flagged[0]) == coupling_rejects
