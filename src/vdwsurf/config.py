@@ -54,10 +54,11 @@ def _check_keys(obj: dict, path: str, required, optional=()):
         raise ConfigError(f"{path} must be an object", field=path)
     unknown = sorted(set(obj) - set(required) - set(optional))
     if unknown:
-        raise ConfigError(f"unknown key(s) {unknown} in {path}", field=f"{path}.{unknown[0]}")
+        field = f"{path}.{unknown[0]}"
+        raise ConfigError(f"{field} is not a known key (unknown in {path}: {unknown})", field=field)
     for key in required:
         if key not in obj:
-            raise ConfigError(f"missing required key '{key}' in {path}", field=f"{path}.{key}")
+            raise ConfigError(f"missing required key {path}.{key}", field=f"{path}.{key}")
 
 
 def _number(value, path: str) -> float:
@@ -79,9 +80,18 @@ def _positive(value, path: str) -> float:
     return value
 
 
-def _integer(value, path: str) -> int:
+def _nonnegative(value, path: str) -> float:
+    value = _number(value, path)
+    if not (value >= 0.0):
+        raise ConfigError(f"{path} must be >= 0, got {value!r}", field=path)
+    return value
+
+
+def _integer(value, path: str, least: int) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{path} must be an integer, got {value!r}", field=path)
+    if value < least:
+        raise ConfigError(f"{path} must be >= {least}, got {value!r}", field=path)
     return value
 
 
@@ -134,7 +144,7 @@ def _material(obj, path: str) -> Material:
             )
             eta = _number(obj["eta"], f"{path}.eta")
             eps0 = _number(obj["eps0"], f"{path}.eps0")
-            gamma = _number(obj["gamma"], f"{path}.gamma")
+            gamma = _nonnegative(obj["gamma"], f"{path}.gamma")
             mu = _complex(obj.get("mu", 1.0), f"{path}.mu")
             has_t = "omega_t" in obj
             has_s = "omega_s" in obj
@@ -143,9 +153,9 @@ def _material(obj, path: str) -> Material:
                     f"{path} needs exactly one of omega_t/omega_s", field=path
                 )
             if has_t:
-                return Material.lorentz(eta, eps0, _number(obj["omega_t"], f"{path}.omega_t"), gamma, mu=mu)
+                return Material.lorentz(eta, eps0, _positive(obj["omega_t"], f"{path}.omega_t"), gamma, mu=mu)
             return Material.lorentz_from_surface_mode(
-                eta, eps0, _number(obj["omega_s"], f"{path}.omega_s"), gamma, mu=mu
+                eta, eps0, _positive(obj["omega_s"], f"{path}.omega_s"), gamma, mu=mu
             )
     except ParameterError as exc:
         raise ConfigError(f"{path}: {exc}", field=path) from None
@@ -157,14 +167,11 @@ def _material(obj, path: str) -> Material:
 
 def _system(obj, path: str) -> HalfSpaceSystem:
     _check_keys(obj, path, required=("upper", "lower"), optional=("omega_max",))
-    try:
-        return HalfSpaceSystem(
-            upper=_material(obj["upper"], f"{path}.upper"),
-            lower=_material(obj["lower"], f"{path}.lower"),
-            omega_max=_number(obj.get("omega_max", 10.0), f"{path}.omega_max"),
-        )
-    except ParameterError as exc:
-        raise ConfigError(f"{path}: {exc}", field=path) from None
+    return HalfSpaceSystem(
+        upper=_material(obj["upper"], f"{path}.upper"),
+        lower=_material(obj["lower"], f"{path}.lower"),
+        omega_max=_positive(obj.get("omega_max", 10.0), f"{path}.omega_max"),
+    )
 
 
 def _atom(obj, path: str) -> Atom:
@@ -174,16 +181,13 @@ def _atom(obj, path: str) -> Atom:
         required=("omega0",),
         optional=("gamma", "alpha0", "dipole_weight", "offres_sign"),
     )
-    try:
-        return Atom(
-            omega0=_number(obj["omega0"], f"{path}.omega0"),
-            gamma=_number(obj.get("gamma", 0.0), f"{path}.gamma"),
-            alpha0=_number(obj.get("alpha0", 1.0), f"{path}.alpha0"),
-            dipole_weight=_number(obj.get("dipole_weight", 1.0), f"{path}.dipole_weight"),
-            offres_sign=_number(obj.get("offres_sign", 1.0), f"{path}.offres_sign"),
-        )
-    except ParameterError as exc:
-        raise ConfigError(f"{path}: {exc}", field=path) from None
+    return Atom(
+        omega0=_positive(obj["omega0"], f"{path}.omega0"),
+        gamma=_nonnegative(obj.get("gamma", 0.0), f"{path}.gamma"),
+        alpha0=_positive(obj.get("alpha0", 1.0), f"{path}.alpha0"),
+        dipole_weight=_positive(obj.get("dipole_weight", 1.0), f"{path}.dipole_weight"),
+        offres_sign=_number(obj.get("offres_sign", 1.0), f"{path}.offres_sign"),
+    )
 
 
 def _scan(obj, path: str) -> ScanSpec:
@@ -193,32 +197,33 @@ def _scan(obj, path: str) -> ScanSpec:
         required=("omega_min", "omega_max"),
         optional=("n_points", "include_offresonant", "include_no_lf_curve"),
     )
-    try:
-        return ScanSpec(
-            omega_min=_number(obj["omega_min"], f"{path}.omega_min"),
-            omega_max=_number(obj["omega_max"], f"{path}.omega_max"),
-            n_points=_integer(obj.get("n_points", 2000), f"{path}.n_points"),
-            include_offresonant=_boolean(
-                obj.get("include_offresonant", False), f"{path}.include_offresonant"
-            ),
-            include_no_lf_curve=_boolean(
-                obj.get("include_no_lf_curve", True), f"{path}.include_no_lf_curve"
-            ),
+    omega_min = _positive(obj["omega_min"], f"{path}.omega_min")
+    omega_max = _number(obj["omega_max"], f"{path}.omega_max")
+    if not (omega_max > omega_min):
+        raise ConfigError(
+            f"{path}.omega_max must exceed {path}.omega_min, got [{omega_min}, {omega_max}]",
+            field=f"{path}.omega_max",
         )
-    except ParameterError as exc:
-        raise ConfigError(f"{path}: {exc}", field=path) from None
+    return ScanSpec(
+        omega_min=omega_min,
+        omega_max=omega_max,
+        n_points=_integer(obj.get("n_points", 2000), f"{path}.n_points", 2),
+        include_offresonant=_boolean(obj.get("include_offresonant", False), f"{path}.include_offresonant"),
+        include_no_lf_curve=_boolean(obj.get("include_no_lf_curve", True), f"{path}.include_no_lf_curve"),
+    )
 
 
 def _quadrature(obj, path: str) -> QuadratureSpec:
     _check_keys(obj, path, required=(), optional=("rel_tol", "abs_tol", "max_panels"))
-    try:
-        return QuadratureSpec(
-            rel_tol=_number(obj.get("rel_tol", 1e-8), f"{path}.rel_tol"),
-            abs_tol=_number(obj.get("abs_tol", 0.0), f"{path}.abs_tol"),
-            max_panels=_integer(obj.get("max_panels", 10_000), f"{path}.max_panels"),
-        )
-    except ParameterError as exc:
-        raise ConfigError(f"{path}: {exc}", field=path) from None
+    rel_tol = _nonnegative(obj.get("rel_tol", 1e-8), f"{path}.rel_tol")
+    abs_tol = _nonnegative(obj.get("abs_tol", 0.0), f"{path}.abs_tol")
+    if rel_tol == abs_tol == 0.0:
+        raise ConfigError(f"{path}.rel_tol or {path}.abs_tol must be positive", field=f"{path}.rel_tol")
+    return QuadratureSpec(
+        rel_tol=rel_tol,
+        abs_tol=abs_tol,
+        max_panels=_integer(obj.get("max_panels", 10_000), f"{path}.max_panels", 1),
+    )
 
 
 def _output(obj, path: str) -> OutputSpec:

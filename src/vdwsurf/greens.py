@@ -30,12 +30,10 @@ COMPONENTS = ("xx", "yy", "zz", "xz", "zx")
 
 _COMPONENT_INDEX = {"xx": (0, 0), "yy": (1, 1), "zz": (2, 2), "xz": (0, 2), "zx": (2, 0)}
 
-#: The evanescent tail is integrated in blocks spanning this many decades of
-#: the e^{-k(z_a - z_b)} envelope each, and stops once a block contributes
-#: below _TAIL_FLOOR of the running total (at most _TAIL_MAX_BLOCKS blocks,
-#: over 40 decades of decay).
+#: The evanescent tail is one integral over _TAIL_MAX_BLOCKS blocks of
+#: _TAIL_BLOCK_DECADES decades of the e^{-k(z_a - z_b)} envelope each (40
+#: decades in all), with a panel edge seeded at every block edge.
 _TAIL_BLOCK_DECADES = 4.0
-_TAIL_FLOOR = 1e-14
 _TAIL_MAX_BLOCKS = 10
 
 
@@ -233,10 +231,10 @@ def sommerfeld_green(
 
     The angular integral is done analytically (J0/J1/J2 kernels); the radial
     integral runs along the real k axis, split into a propagating segment up
-    to the largest Re(n*omega) and an evanescent tail integrated in blocks
-    until its exponentially decaying contribution drops below roundoff of
-    the running total.  With ``local_field`` the result carries the Onsager
-    cavity factor of each medium.
+    to the largest Re(n*omega) and an evanescent tail over 40 decades of
+    e^{-k(z_a - z_b)}, each one adaptive integral to ``quad``'s tolerance.
+    With ``local_field`` the result carries the Onsager cavity factor of
+    each medium.
 
     Raises QuadratureError when the panel budget is exhausted and
     SingularityError when a lossless interface mode sits on the path.
@@ -248,20 +246,13 @@ def sommerfeld_green(
     integrand = _radial_integrand(kernel, pos)
 
     k_split = max(kernel.k_breaks)
-    d = pos.r_a[2] - pos.r_b[2]  # > 0
-    block = _TAIL_BLOCK_DECADES * np.log(10.0) / d
-
-    flat = np.zeros(5, dtype=complex)
+    block = _TAIL_BLOCK_DECADES * np.log(10.0) / (pos.r_a[2] - pos.r_b[2])
+    edges = k_split + block * np.arange(_TAIL_MAX_BLOCKS + 1)
+    flat, _, _ = adaptive_gauss(integrand, edges[0], edges[-1], quad, breakpoints=edges[1:-1])
+    # A separate call: under one shared tolerance, bisection crowds into the
+    # integrable 1/beta peak at a light line and rounds abscissae onto it.
     if k_split > 0.0:
-        val, _, _ = adaptive_gauss(integrand, 0.0, k_split, quad, breakpoints=kernel.k_breaks[:-1])
-        flat += val
-    start = k_split
-    for _ in range(_TAIL_MAX_BLOCKS):
-        val, _, _ = adaptive_gauss(integrand, start, start + block, quad)
-        flat += val
-        start += block
-        if np.max(np.abs(val)) <= _TAIL_FLOOR * np.max(np.abs(flat)):
-            break
+        flat = flat + adaptive_gauss(integrand, 0.0, k_split, quad, breakpoints=kernel.k_breaks[:-1])[0]
 
     frame = np.zeros((3, 3), dtype=complex)
     for name, value in zip(COMPONENTS, flat):

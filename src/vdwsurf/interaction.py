@@ -24,6 +24,7 @@ from .materials import (
     Material,
     MaterialKind,
     _avg_eps_vanishes,
+    _cavity_pole,
     local_field_factor,
     surface_mode_frequency,
 )
@@ -147,19 +148,12 @@ def _coupling(e_u, e_l, poles: _Poles | None = None):
     axis), after checking the screening and Onsager cavity poles.
     """
     s = e_u + e_l
-    c_u = 2.0 * e_u + 1.0
-    c_l = 2.0 * e_l + 1.0
     if poles is not None:
-        a_u, a_l = abs(e_u), abs(e_l)
-        scale = a_u + a_l + 1.0
         # an array eps is NaN where an undamped medium sits on its resonance
-        poles.check(np.isnan(a_u) | np.isnan(a_l), RESONANCE_POLE)
+        poles.check(np.isnan(abs(e_u)) | np.isnan(abs(e_l)), RESONANCE_POLE)
         poles.check(_avg_eps_vanishes(e_u, e_l), "average permittivity vanishes at omega_a = {}")
-        poles.check(
-            (abs(c_u) <= 1e-12 * scale) | (abs(c_l) <= 1e-12 * scale),
-            "Onsager cavity pole at omega_a = {}",
-        )
-    return 18.0 * e_u * e_l / (s * c_u * c_l), 2.0 / s
+        poles.check(_cavity_pole(e_u) | _cavity_pole(e_l), "Onsager cavity pole at omega_a = {}")
+    return 18.0 * e_u * e_l / (s * (2.0 * e_u + 1.0) * (2.0 * e_l + 1.0)), 2.0 / s
 
 
 def _resonant(system: HalfSpaceSystem, omega, atom_b: Atom | None, poles: _Poles):

@@ -204,10 +204,14 @@ def local_field_factor(eps) -> complex:
     eps = -1/2.
     """
     eps = complex(eps)
-    den = 2.0 * eps + 1.0
-    if abs(den) <= _POLE_RTOL * (1.0 + 2.0 * abs(eps)):
+    if _cavity_pole(eps):
         raise SingularityError(f"local-field factor pole at eps = {eps!r}")
-    return 3.0 * eps / den
+    return 3.0 * eps / (2.0 * eps + 1.0)
+
+
+def _cavity_pole(eps):
+    """True where 2*eps + 1 is within roundoff of zero (elementwise for CArrays)."""
+    return abs(2.0 * eps + 1.0) <= _POLE_RTOL * (1.0 + 2.0 * abs(eps))
 
 
 def _avg_eps_vanishes(eps_u, eps_l):

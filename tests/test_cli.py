@@ -1,7 +1,13 @@
+import contextlib
+import copy
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vdwsurf.cli import (
     EXIT_CONFIG,
@@ -11,6 +17,7 @@ from vdwsurf.cli import (
     EXIT_VALIDATION,
     main,
 )
+from vdwsurf.config import resolve_config_path
 
 
 def write_config(tmp_path, name="run.json", **overrides):
@@ -259,3 +266,66 @@ def test_json_cells_match_csv_digits(tmp_path):
     header = lines[0].split(",")
     for row, line in zip(rows, lines[1:]):
         assert [row[k] for k in header] == [float(c) for c in line.split(",")]
+
+
+_FIG2 = json.loads(resolve_config_path("fig2").read_text())
+
+
+def _key_sites(obj, path="config"):
+    """Map the dotted path of every key in ``obj`` to (owning dict, key)."""
+    sites = {}
+    for key, value in obj.items():
+        sites[f"{path}.{key}"] = (obj, key)
+        if isinstance(value, dict):
+            sites.update(_key_sites(value, f"{path}.{key}"))
+    return sites
+
+
+def _junk(path):
+    """Wrong types, null, negatives, zero, nested objects and overflow."""
+    numbers = [st.integers(min_value=-10, max_value=5000), st.floats(), st.just(0), st.just(-1.0)]
+    if path != "config.scan.n_points":  # a huge point count would allocate a huge grid
+        numbers.append(st.just(10**400))
+    return st.one_of(
+        st.none(),
+        st.booleans(),
+        st.text(max_size=6),
+        *numbers,
+        st.lists(st.integers(min_value=-10, max_value=10), max_size=3),
+        st.dictionaries(st.text(max_size=4), st.integers(min_value=-10, max_value=10), max_size=2),
+    )
+
+
+@given(data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_mutated_fig2_config_exits_0_or_1_naming_the_field(data):
+    # one leaf replaced, one key deleted or one stray key added: the CLI must
+    # run or report a config error that names the mutated entry
+    cfg = copy.deepcopy(_FIG2)
+    sites = _key_sites(cfg)
+    mutation = data.draw(st.sampled_from(["replace", "delete", "add"]))
+    if mutation == "add":
+        sections = {"config": cfg}
+        sections.update({p: obj[key] for p, (obj, key) in sites.items() if isinstance(obj[key], dict)})
+        owner = data.draw(st.sampled_from(sorted(sections)))
+        key = data.draw(st.sampled_from(["extra", "n_pts", "Omega0", ""]))
+        path = f"{owner}.{key}"
+        sections[owner][key] = data.draw(_junk(path))
+    else:
+        if mutation == "replace":
+            sites = {p: site for p, site in sites.items() if not isinstance(site[0][site[1]], dict)}
+        path = data.draw(st.sampled_from(sorted(sites)))
+        obj, key = sites[path]
+        if mutation == "delete":
+            del obj[key]
+        else:
+            obj[key] = data.draw(_junk(path))
+    with tempfile.TemporaryDirectory() as tmp:
+        config_path = Path(tmp) / "run.json"
+        config_path.write_text(json.dumps(cfg))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main(["spectrum", "--config", str(config_path), "--out", str(Path(tmp) / "out.csv")])
+    assert rc in (EXIT_OK, EXIT_CONFIG)
+    if rc == EXIT_CONFIG:
+        assert err.getvalue().startswith("config error:") and path in err.getvalue(), err.getvalue()

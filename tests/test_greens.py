@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -374,3 +375,59 @@ def test_avg_eps_pole_rule_agrees_with_coupling(delta):
     coupling_rejects = rejects(lambda: enhancement_factor(sys_, 1.0))
     assert rejects(lambda: nonretarded_green(sys_, 1.0, POS)) == coupling_rejects
     assert bool(resonant_terms(sys_, [1.0]).flagged[0]) == coupling_rejects
+
+
+def _rejects(f) -> bool:
+    try:
+        f()
+    except SingularityError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("x", [0.9e-12, 1.1e-12, 1.4e-12])
+def test_cavity_pole_rule_agrees_everywhere(x):
+    # 2*eps_l + 1 = -2x: the closed form, the coupling core and the
+    # Onsager factor itself must reject the same near-pole medium
+    eps = -0.5 - x
+    sys_ = HalfSpaceSystem(upper=Material.vacuum(), lower=Material.constant(eps))
+    verdicts = {
+        _rejects(lambda: enhancement_factor(sys_, 1.0)),
+        bool(resonant_terms(sys_, [1.0]).flagged[0]),
+        _rejects(lambda: nonretarded_green(sys_, 1.0, POS)),
+        _rejects(lambda: local_field_factor(eps)),
+    }
+    assert len(verdicts) == 1
+
+
+@pytest.mark.parametrize("aspect, omega", [(0.5, 0.8), (5.0, 0.5)])
+def test_sommerfeld_green_matches_mpmath_quadrature(sapphire_system, aspect, omega):
+    # Independent quadrature of the same radial integrand (tanh-sinh in
+    # mpmath, split at the light lines and then every min(pi/rho, 2/dz) out
+    # to 50 decades of e^{-k dz}): checks the adaptive rule and the tail cut.
+    dz = 0.1
+    rho = aspect * dz
+    pos = AtomPositions([rho, 0.0, 0.4 * dz], [0.0, 0.0, -0.6 * dz])  # r_a - r_b along +x
+    kernel = _Kernel(sapphire_system, omega)
+    integrand = _radial_integrand(kernel, pos)
+    rows = {}
+
+    def row(k):
+        if k not in rows:
+            rows[k] = integrand(np.array([float(k)]))[0]
+        return rows[k]
+
+    k_split = max(kernel.k_breaks)
+    k_end = 50.0 * np.log(10.0) / dz
+    step = min(np.pi / rho, 2.0 / dz)
+    points = [0.0, *kernel.k_breaks, *np.arange(k_split + step, k_end, step), k_end]
+    ref, errors = np.zeros(len(COMPONENTS), dtype=complex), []
+    for i in range(len(COMPONENTS)):
+        value, error = mpmath.quad(lambda k: mpmath.mpc(row(k)[i]), points, maxdegree=10, error=True)
+        ref[i] = complex(value)
+        errors.append(float(error))
+    assert max(errors) <= 1e-12 * np.max(np.abs(ref))  # the reference itself converged
+
+    green = sommerfeld_green(sapphire_system, omega, pos, local_field=False)
+    got = np.array([green[_COMPONENT_INDEX[name]] for name in COMPONENTS])
+    assert np.max(np.abs(got - ref)) <= 1e-8 * np.max(np.abs(ref))

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
 from vdwsurf import (
+    Atom,
     HalfSpaceSystem,
     Material,
     MaterialKind,
@@ -14,11 +15,14 @@ from vdwsurf import (
     UnsupportedModelError,
     cavity_mode_frequency,
     local_field_factor,
+    polarizability,
     preset,
     preset_names,
     resonant_inv_avg_eps,
     surface_mode_frequency,
 )
+from vdwsurf._carray import operand
+from vdwsurf.interaction import _polarizability
 
 # Frozen by direct hand evaluation of the oscillator's rational form with
 # eta=2.71, eps0=6.57, gamma=0.015 and the surface mode pinned at 1.
@@ -218,3 +222,44 @@ def test_system_validation():
 def test_material_kind_exposed(sapphire):
     assert sapphire.kind is MaterialKind.LORENTZ
     assert Material.vacuum().kind is MaterialKind.VACUUM
+
+
+_lorentz_media = st.builds(
+    lambda eta, excess, omega_t, gamma: Material.lorentz(eta, eta + excess, omega_t, gamma),
+    st.floats(min_value=1.0, max_value=10.0),
+    st.floats(min_value=1e-3, max_value=20.0),
+    st.floats(min_value=0.05, max_value=10.0),
+    st.floats(min_value=1e-6, max_value=2.0),
+)
+_atoms = st.builds(
+    Atom,
+    omega0=st.floats(min_value=0.05, max_value=10.0),
+    gamma=st.floats(min_value=1e-6, max_value=2.0),
+    alpha0=st.floats(min_value=0.1, max_value=10.0),
+)
+_frequencies = st.lists(st.floats(min_value=1e-3, max_value=20.0), min_size=1, max_size=8)
+
+
+@given(medium=_lorentz_media, atom=_atoms, omegas=_frequencies)
+def test_damped_response_is_passive(medium, atom, omegas):
+    # Im eps >= 0 and Im alpha >= 0 at real omega > 0 (exp(-i omega t)
+    # convention), on the scalar and on the array path
+    for w in omegas:
+        assert medium.eps(w).imag >= 0.0
+        assert polarizability(atom, w).imag >= 0.0
+    assert np.all(medium.eps(np.array(omegas)).imag >= 0.0)
+    w = operand(np.array(omegas))
+    assert np.all(_polarizability(atom, w * w, 1j * w).imag >= 0.0)
+
+
+@given(medium=_lorentz_media, xis=_frequencies)
+def test_imaginary_axis_permittivity_is_real_bounded_and_decreasing(medium, xis):
+    xis = sorted([0.0, *xis])
+    scalar = np.array([medium.eps(1j * xi) for xi in xis])
+    array = medium.eps(1j * np.array(xis))
+    slack = 4.0 * np.finfo(float).eps * medium.eps0
+    for values in (scalar, array):
+        assert np.all(values.imag == 0.0)
+        assert np.all(values.real >= medium.eta - slack)
+        assert np.all(values.real <= medium.eps0 + slack)
+        assert np.all(np.diff(values.real) <= 0.0)
