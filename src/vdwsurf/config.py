@@ -18,7 +18,7 @@ from .errors import ConfigError, ParameterError
 from .interaction import Atom
 from .materials import HalfSpaceSystem, Material, preset
 from .quadrature import QuadratureSpec
-from .spectra import ScanSpec
+from .spectra import MAX_SCAN_POINTS, ScanSpec
 
 
 @dataclass(frozen=True)
@@ -87,11 +87,13 @@ def _nonnegative(value, path: str) -> float:
     return value
 
 
-def _integer(value, path: str, least: int) -> int:
+def _integer(value, path: str, least: int, most: float = math.inf) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{path} must be an integer, got {value!r}", field=path)
     if value < least:
         raise ConfigError(f"{path} must be >= {least}, got {value!r}", field=path)
+    if value > most:
+        raise ConfigError(f"{path} must be <= {most}, got {value!r}", field=path)
     return value
 
 
@@ -207,7 +209,7 @@ def _scan(obj, path: str) -> ScanSpec:
     return ScanSpec(
         omega_min=omega_min,
         omega_max=omega_max,
-        n_points=_integer(obj.get("n_points", 2000), f"{path}.n_points", 2),
+        n_points=_integer(obj.get("n_points", 2000), f"{path}.n_points", 2, MAX_SCAN_POINTS),
         include_offresonant=_boolean(obj.get("include_offresonant", False), f"{path}.include_offresonant"),
         include_no_lf_curve=_boolean(obj.get("include_no_lf_curve", True), f"{path}.include_no_lf_curve"),
     )

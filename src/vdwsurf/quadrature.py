@@ -1,14 +1,15 @@
 """Adaptive panel quadrature for vector-valued (complex) integrands.
 
 A fixed pair of Gauss-Legendre rules (7 and 15 points) is applied per panel;
-the difference between the two estimates drives bisection of the worst panel
-until every component of the integral meets the requested tolerance or the
-panel budget is exhausted.
+the difference between the two estimates is the panel's error.  Panels are
+bisected in sweeps: each sweep splits, worst first, just enough panels that
+the rest already meet the requested tolerance, and evaluates all children
+in batched integrand calls, until every component of the integral meets the
+tolerance or the panel budget is exhausted.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,10 @@ from .errors import ParameterError, QuadratureError
 
 _LO_X, _LO_W = np.polynomial.legendre.leggauss(7)
 _HI_X, _HI_W = np.polynomial.legendre.leggauss(15)
+# Both rules' abscissae on [-1, 1], and the weights that pick each rule out.
+_X = np.concatenate([_LO_X, _HI_X])
+_W = np.block([[_LO_W, np.zeros(_HI_X.size)], [np.zeros(_LO_X.size), _HI_W]])
+_CHUNK = 64  # panels per integrand call: bounds the size of one call's arrays
 
 
 @dataclass(frozen=True)
@@ -36,12 +41,17 @@ class QuadratureSpec:
             raise ParameterError("max_panels must be >= 1")
 
 
-def _panel(f, a, b):
-    """Return (high-order value, per-component error) on [a, b]."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    lo = half * np.tensordot(_LO_W, f(mid + half * _LO_X), axes=(0, 0))
-    hi = half * np.tensordot(_HI_W, f(mid + half * _HI_X), axes=(0, 0))
+def _panel(f, lefts, rights):
+    """Return (high-order value, per-component error) on each [lefts[i], rights[i]].
+
+    ``f`` is called once, on both rules' abscissae of every panel; the
+    results have shape (p,) for a scalar integrand and (p, m) otherwise.
+    """
+    mid = 0.5 * (lefts + rights)
+    half = 0.5 * (rights - lefts)
+    y = np.asarray(f((mid[:, None] + half[:, None] * _X).ravel()))
+    y = y.reshape((lefts.size, _X.size) + y.shape[1:])
+    lo, hi = np.tensordot(_W, y, axes=(1, 1)) * half.reshape((-1,) + (1,) * (y.ndim - 2))
     return hi, np.abs(hi - lo)
 
 
@@ -58,65 +68,51 @@ def adaptive_gauss(f, a, b, spec: QuadratureSpec | None = None, breakpoints=()):
     """
     if spec is None:
         spec = QuadratureSpec()
-    a = float(a)
-    b = float(b)
+    a, b = float(a), float(b)
     if not b > a:
         raise ParameterError(f"empty integration interval [{a}, {b}]")
 
-    probe = np.asarray(f(np.array([0.5 * (a + b)])))
-    scalar = probe.ndim == 1
-    fv = (lambda x: np.asarray(f(x))[:, None]) if scalar else (lambda x: np.asarray(f(x)))
+    def evaluate(lefts, rights):
+        # (p, m) values and errors, _CHUNK panels per call, and whether f is scalar
+        parts = [
+            _panel(f, lefts[i : i + _CHUNK], rights[i : i + _CHUNK]) for i in range(0, lefts.size, _CHUNK)
+        ]
+        val, err = (np.concatenate(x) for x in zip(*parts))
+        return val.reshape(lefts.size, -1), err.reshape(lefts.size, -1), val.ndim == 1
 
-    edges = [a] + sorted(p for p in set(float(p) for p in breakpoints) if a < p < b) + [b]
-
-    m = 1 if scalar else probe.shape[-1]
-    heap = []  # (-max component error, tie-break, left, right, value, err)
-    tick = 0
-    # Running totals are maintained incrementally; the returned value is
-    # recomputed from the surviving panels so pop/push cycles leave no drift.
-    vals = np.zeros(m, dtype=complex)
-    errs = np.zeros(m, dtype=float)
-    l1 = np.zeros(m, dtype=float)
-
-    def push(left, right):
-        nonlocal tick, vals, errs, l1
-        val, err = _panel(fv, left, right)
-        heapq.heappush(heap, (-float(err.max()), tick, left, right, val, err))
-        vals = vals + val
-        errs = errs + err
-        l1 = l1 + np.abs(val)
-        tick += 1
-
-    for left, right in zip(edges[:-1], edges[1:]):
-        push(left, right)
+    edges = np.array([a] + sorted(p for p in set(float(p) for p in breakpoints) if a < p < b) + [b])
+    left, right = edges[:-1], edges[1:]
+    val, err, scalar = evaluate(left, right)
 
     while True:
         # rel_tol is measured against the largest component; cancelling
         # integrals additionally converge at the roundoff floor of their
         # panel-sum magnitude.
+        vals, errs = val.sum(axis=0), err.sum(axis=0)
         tol = spec.abs_tol + spec.rel_tol * np.max(np.abs(vals))
-        floor = 100.0 * np.finfo(float).eps * np.max(l1)
-        if np.all(errs <= max(tol, floor)):
+        bound = max(tol, 100.0 * np.finfo(float).eps * np.max(np.abs(val).sum(axis=0)))
+        if np.all(errs <= bound):
             break
-        if len(heap) >= spec.max_panels:
-            best = np.sum([item[4] for item in heap], axis=0)
+        room = spec.max_panels - left.size
+        if room <= 0:
             raise QuadratureError(
                 f"no convergence within {spec.max_panels} panels "
-                f"(error estimate {errs.max():.3e}, tolerance {max(tol, floor):.3e})",
-                value=best[0] if scalar else best,
+                f"(error estimate {errs.max():.3e}, tolerance {bound:.3e})",
+                value=vals[0] if scalar else vals,
                 error_estimate=errs[0] if scalar else errs,
-                panels=len(heap),
+                panels=left.size,
             )
-        _, _, left, right, val, err = heapq.heappop(heap)
-        vals = vals - val
-        errs = np.maximum(errs - err, 0.0)
-        l1 = np.maximum(l1 - np.abs(val), 0.0)
-        mid = 0.5 * (left + right)
-        push(left, mid)
-        push(mid, right)
+        # Split the shortest worst-first prefix without which every
+        # component would meet the bound, within the remaining budget.
+        order = np.argsort(-err.max(axis=1), kind="stable")
+        short = np.any(errs - np.cumsum(err[order], axis=0) > bound, axis=1)
+        split, keep = np.split(order, [min(np.count_nonzero(short) + 1, room)])
+        mid = 0.5 * (left[split] + right[split])
+        lefts, rights = np.concatenate([left[split], mid]), np.concatenate([mid, right[split]])
+        new_val, new_err, _ = evaluate(lefts, rights)
+        left, right = np.concatenate([left[keep], lefts]), np.concatenate([right[keep], rights])
+        val, err = np.concatenate([val[keep], new_val]), np.concatenate([err[keep], new_err])
 
-    vals = np.sum([item[4] for item in heap], axis=0)
-    errs = np.sum([item[5] for item in heap], axis=0)
     if scalar:
-        return vals[0], errs[0], len(heap)
-    return vals, errs, len(heap)
+        return vals[0], errs[0], left.size
+    return vals, errs, left.size

@@ -30,6 +30,8 @@ from .materials import (
 )
 from .quadrature import QuadratureSpec
 
+MAX_SCAN_POINTS = 1_000_000  # bounds the memory of one scan grid
+
 
 class PeakKind(Enum):
     SURFACE_MODE = "surface_mode"
@@ -53,8 +55,8 @@ class ScanSpec:
             raise ParameterError(
                 f"need 0 < omega_min < omega_max, got [{self.omega_min}, {self.omega_max}]"
             )
-        if self.n_points < 2:
-            raise ParameterError(f"n_points must be >= 2, got {self.n_points}")
+        if not 2 <= self.n_points <= MAX_SCAN_POINTS:
+            raise ParameterError(f"n_points must be in [2, {MAX_SCAN_POINTS}], got {self.n_points}")
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.omega_min, self.omega_max, self.n_points)

@@ -329,3 +329,15 @@ def test_mutated_fig2_config_exits_0_or_1_naming_the_field(data):
     assert rc in (EXIT_OK, EXIT_CONFIG)
     if rc == EXIT_CONFIG:
         assert err.getvalue().startswith("config error:") and path in err.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("n_points", [10**9, 10**400], ids=["1e9", "1e400"])
+def test_huge_scan_exits_1_naming_the_field(tmp_path, capsys, n_points):
+    cfg = write_config(tmp_path, scan={"omega_min": 0.7, "omega_max": 1.3, "n_points": n_points})
+    out = tmp_path / "spec.csv"
+    assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert "config.scan.n_points" in capsys.readouterr().err
+    assert not out.exists()
+    # the --points override is bounded by the same rule
+    assert main(["spectrum", "--config", "fig2", "--points", str(10**9), "--out", str(out)]) == EXIT_CONFIG
+    assert "n_points" in capsys.readouterr().err

@@ -210,3 +210,27 @@ def test_validate_section_checked_at_load(section, field):
         parse_config(minimal_config(validate=section))
     assert info.value.field == field
     assert field in str(info.value)
+
+
+@pytest.mark.parametrize("n_points", [10**9, 10**400], ids=["1e9", "1e400"])
+def test_huge_scan_is_rejected_before_allocating(n_points):
+    import tracemalloc
+
+    from vdwsurf import ParameterError, ScanSpec
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError) as info:
+            parse_config(minimal_config(scan={"omega_min": 0.7, "omega_max": 1.3, "n_points": n_points}))
+        with pytest.raises(ParameterError, match="n_points"):
+            ScanSpec(omega_min=0.7, omega_max=1.3, n_points=n_points)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert info.value.field == "config.scan.n_points"
+    assert peak < 1_000_000  # bytes: no grid was built
+
+
+def test_largest_scan_is_accepted():
+    cfg = parse_config(minimal_config(scan={"omega_min": 0.7, "omega_max": 1.3, "n_points": 1_000_000}))
+    assert cfg.scan.n_points == 1_000_000

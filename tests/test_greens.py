@@ -431,3 +431,52 @@ def test_sommerfeld_green_matches_mpmath_quadrature(sapphire_system, aspect, ome
     green = sommerfeld_green(sapphire_system, omega, pos, local_field=False)
     got = np.array([green[_COMPONENT_INDEX[name]] for name in COMPONENTS])
     assert np.max(np.abs(got - ref)) <= 1e-8 * np.max(np.abs(ref))
+
+
+def _count_integrand_calls(monkeypatch):
+    """Count calls of every Sommerfeld radial integrand built from here on."""
+    import vdwsurf.greens as greens
+
+    calls = [0]
+
+    def counted_radial_integrand(kernel, pos):
+        integrand = _radial_integrand(kernel, pos)
+
+        def counted(k):
+            calls[0] += 1
+            return integrand(k)
+
+        return counted
+
+    monkeypatch.setattr(greens, "_radial_integrand", counted_radial_integrand)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "r_a, r_b, scale, most",
+    [
+        # ROADMAP baseline row: rho = 1, z = +-1e-3
+        ([0.0, 0.0, 1e-3], [1.0, 0.0, -1e-3], 1.0, 200),
+        # the same aspect ratio shrunk 1000x: about 12,800 panel evaluations,
+        # so at least 200 calls of 64 panels, plus small last sweeps, one
+        # halving each, toward the light line of the propagating segment
+        ([0.0, 0.0, 1e-3], [1.0, 0.0, -1e-3], 1e-3, 250),
+    ],
+)
+def test_lateral_sommerfeld_integrand_call_gate(sapphire_system, monkeypatch, r_a, r_b, scale, most):
+    # rho/dz = 500: panels are bisected in batches, so the integrand is
+    # called per batch of panels, not twice per panel (over 25,000 calls)
+    calls = _count_integrand_calls(monkeypatch)
+    green = sommerfeld_green(sapphire_system, 0.5, AtomPositions(r_a, r_b).scaled(scale))
+    assert np.all(np.isfinite(green))
+    assert calls[0] <= most
+
+
+def test_lateral_sommerfeld_budget_still_runs_out(sapphire_system, monkeypatch):
+    # rho/dz = 5000 exhausts the default panel budget, in a few hundred calls
+    calls = _count_integrand_calls(monkeypatch)
+    pos = AtomPositions([0.0, 0.0, 1e-4], [1.0, 0.0, -1e-4]).scaled(1e-3)
+    with pytest.raises(QuadratureError) as excinfo:
+        sommerfeld_green(sapphire_system, 0.5, pos)
+    assert excinfo.value.panels == QuadratureSpec().max_panels
+    assert calls[0] <= 400

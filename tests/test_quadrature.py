@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from vdwsurf import ParameterError, QuadratureError, QuadratureSpec, adaptive_gauss
+from vdwsurf import ParameterError, QuadratureError, QuadratureSpec, adaptive_gauss, quadrature
 
 
 def test_polynomial_is_exact():
@@ -70,3 +71,97 @@ def test_spec_validation():
 def test_empty_interval_rejected():
     with pytest.raises(ParameterError):
         adaptive_gauss(lambda x: x, 1.0, 1.0)
+
+
+def _oscillating(x):
+    return np.sin(50 * x) / (1e-3 + x * x)
+
+
+def test_panel_is_looked_up_per_call_and_sees_every_batch(monkeypatch):
+    # tracing tools patch quadrature._panel by name, so every batch must go
+    # through the module attribute, one integrand call per batch
+    batches, calls = [], []
+    panel = quadrature._panel
+
+    def counted(f, lefts, rights):
+        batches.append(lefts.size)
+        return panel(f, lefts, rights)
+
+    def integrand(x):
+        calls.append(x.size)
+        return _oscillating(x)
+
+    monkeypatch.setattr(quadrature, "_panel", counted)
+    _, _, panels = adaptive_gauss(integrand, 0.0, 10.0)
+    assert len(batches) == len(calls) > 1
+    assert [22 * n for n in batches] == calls
+    # every split adds one panel and evaluates two
+    assert sum(batches) == 1 + 2 * (panels - 1)
+
+
+@given(max_panels=st.integers(min_value=1, max_value=40))
+@settings(max_examples=40, deadline=None)
+def test_budget_is_never_exceeded(max_panels):
+    with pytest.raises(QuadratureError) as excinfo:
+        adaptive_gauss(_oscillating, 0.0, 10.0, QuadratureSpec(rel_tol=1e-14, max_panels=max_panels))
+    assert excinfo.value.panels == max_panels
+    # an integrand that converges on some budgets: it either converges
+    # within the budget or reports the full budget spent
+    spec = QuadratureSpec(rel_tol=1e-12, max_panels=max_panels)
+    try:
+        _, _, panels = adaptive_gauss(lambda x: np.sin(20 * x), 0.0, 3.0, spec)
+    except QuadratureError as exc:
+        panels = exc.panels
+        assert panels == max_panels
+    assert 1 <= panels <= max_panels
+
+
+def test_integrand_calls_are_capped_at_64_panels():
+    sizes = []
+
+    def integrand(x):
+        sizes.append(x.size)
+        return np.sin(500 * x)
+
+    val, _, panels = adaptive_gauss(integrand, 0.0, 10.0, QuadratureSpec(rel_tol=1e-12))
+    assert panels > 64
+    assert max(sizes) == 64 * 22
+    assert_allclose(val, (1.0 - np.cos(5000.0)) / 500.0, rtol=1e-10)
+
+
+_EXP_TERM = st.tuples(
+    st.floats(min_value=0.1, max_value=10.0),  # c
+    st.floats(min_value=0.05, max_value=5.0),  # |a|
+    st.booleans(),  # sign of a
+)
+
+
+
+# Polynomial coefficients are zero or far above the underflow threshold: a
+# subnormal coefficient makes the float "closed form" itself round (polyint
+# turns [0, 0, 5e-324] into zeros, though its integral over [0, 3] is 4.4e-323).
+_COEFF = st.one_of(st.just(0.0), st.floats(min_value=1e-100, max_value=10.0))
+
+
+@given(
+    exp_terms=st.lists(_EXP_TERM, min_size=0, max_size=3),
+    coeffs=st.lists(_COEFF, min_size=1, max_size=12),
+    lo=st.floats(min_value=0.0, max_value=2.0),
+    length=st.floats(min_value=0.1, max_value=5.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_closed_forms_within_the_error_estimate(exp_terms, coeffs, lo, length):
+    # nonnegative terms, so the exact value carries no cancellation
+    hi = lo + length
+    terms = [(c, a if positive else -a) for c, a, positive in exp_terms]
+
+    def f(x):
+        return sum(c * np.exp(a * x) for c, a in terms) + np.polynomial.polynomial.polyval(x, coeffs)
+
+    exact = sum(c * np.exp(a * lo) * np.expm1(a * length) / a for c, a in terms)
+    antiderivative = np.polynomial.polynomial.polyint(coeffs)
+    exact += np.polynomial.polynomial.polyval(hi, antiderivative) - np.polynomial.polynomial.polyval(
+        lo, antiderivative
+    )
+    val, err, _ = adaptive_gauss(f, lo, hi)
+    assert abs(val - exact) <= max(err, 1e-12 * abs(exact))
