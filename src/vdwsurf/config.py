@@ -291,6 +291,8 @@ def load_config(path) -> RunConfig:
             f"invalid JSON in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}",
             field=str(path),
         ) from exc
+    except ValueError as exc:  # an integer literal beyond Python's digit limit
+        raise ConfigError(f"invalid number in {path}: {exc}", field=str(path)) from exc
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: top level must be a JSON object", field=str(path))
     return parse_config(obj)

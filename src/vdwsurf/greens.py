@@ -8,6 +8,11 @@ below the interface, observation point above):
 * :func:`nonretarded_green` - the closed near-field form, an instantaneous
   dipole tensor screened by the average permittivity of the two media.
 
+The closed form is the exact integral of the kernel's large-wavenumber
+limit, so :func:`sommerfeld_green` adds it analytically and integrates only
+the retardation residual: adaptively up to a few Bessel periods past the
+light lines, then as an extrapolated sum over half-periods.
+
 The Green function is normalized to the wave equation with a 4*pi*delta
 source, so the free-space near field is (3*RR - R^2 I)/(omega^2 R^5) in the
 reduced units of this package (c = 1).
@@ -15,27 +20,20 @@ reduced units of this package (c = 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import j0, j1, jv
 
 from .errors import ParameterError, SingularityError
 from .materials import HalfSpaceSystem, _avg_eps_vanishes, local_field_factor
-from .quadrature import QuadratureSpec, adaptive_gauss
+from .quadrature import QuadratureSpec, adaptive_gauss, oscillatory_tail
 
 #: Tensor components that are generally nonzero in the frame whose x axis is
 #: the in-plane separation direction (everything else vanishes by symmetry).
 COMPONENTS = ("xx", "yy", "zz", "xz", "zx")
 
 _COMPONENT_INDEX = {"xx": (0, 0), "yy": (1, 1), "zz": (2, 2), "xz": (0, 2), "zx": (2, 0)}
-
-#: The evanescent tail is one integral over _TAIL_MAX_BLOCKS blocks of
-#: _TAIL_BLOCK_DECADES decades of the e^{-k(z_a - z_b)} envelope each (40
-#: decades in all), with a panel edge seeded at every block edge.
-_TAIL_BLOCK_DECADES = 4.0
-_TAIL_MAX_BLOCKS = 10
-
 
 @dataclass(frozen=True, eq=False)
 class AtomPositions:
@@ -159,6 +157,38 @@ class _Kernel:
                 )
 
 
+def _quasi_static(kernel: _Kernel, pos: AtomPositions):
+    """The k -> infinity limit of :func:`_radial_integrand`, and the s part of its integral.
+
+    For large k, beta and beta_m tend to ik, p to p0/(ik) with
+    p0 = 2/(omega^2 (eps_u + eps_l)) and s to s0/(ik) with
+    s0 = 2 mu_u mu_l/(mu_u + mu_l), and the phase to e^{-k dz}.  Through the
+    Laplace-Hankel integrals the p part of this limit integrates to
+    p0 (3 rr - I)/R^3, the closed near-field form, and the s part to
+    s0/2 (1/R +- rho^2/((R + dz)^2 R)) on xx and yy, which is returned as
+    the pair ``(s_xx, s_yy)`` next to the limit integrand.
+    """
+    z_a, z_b, rho = pos.r_a[2], pos.r_b[2], pos.rho
+    dz = z_a - z_b
+    p0 = 2.0 / (kernel.omega**2 * (kernel.eps_u + kernel.eps_l))
+    s0 = 2.0 * kernel.mu_u * kernel.mu_l / (kernel.mu_u + kernel.mu_l)
+
+    def integrand(k):
+        k = np.asarray(k, dtype=float)
+        u = k * rho
+        b0, b1, b2 = j0(u), j1(u), jv(2, u)
+        pk2, envelope = p0 * k * k, np.exp(-k * dz)
+        xx = 0.5 * (s0 * (b0 + b2) - pk2 * (b0 - b2)) * envelope
+        yy = 0.5 * (s0 * (b0 - b2) - pk2 * (b0 + b2)) * envelope
+        zz = pk2 * b0 * envelope
+        xz = pk2 * b1 * envelope
+        return np.stack([xx, yy, zz, xz, xz], axis=-1)
+
+    dist = np.hypot(rho, dz)
+    j2 = rho * rho / ((dist + dz) ** 2 * dist)  # (R - dz)^2/(rho^2 R), 0 on axis
+    return integrand, (0.5 * s0 * (1.0 / dist + j2), 0.5 * s0 * (1.0 / dist - j2))
+
+
 def _local_field(eps_u, eps_l) -> complex:
     """Product D_u*D_l of the two media's Onsager cavity factors."""
     return local_field_factor(eps_u) * local_field_factor(eps_l)
@@ -229,12 +259,17 @@ def sommerfeld_green(
 ) -> np.ndarray:
     """Transmission Green function by radial-wavenumber integration.
 
-    The angular integral is done analytically (J0/J1/J2 kernels); the radial
-    integral runs along the real k axis, split into a propagating segment up
-    to the largest Re(n*omega) and an evanescent tail over 40 decades of
-    e^{-k(z_a - z_b)}, each one adaptive integral to ``quad``'s tolerance.
-    With ``local_field`` the result carries the Onsager cavity factor of
-    each medium.
+    The angular integral is done analytically (J0/J1/J2 kernels).  The
+    integrand's k -> infinity limit is integrated in closed form: its p part
+    is :func:`nonretarded_green` without local fields, its s part a small
+    1/R correction.  Only the retardation residual is integrated numerically
+    along the real k axis, to ``quad``'s rel_tol against the largest
+    component of residual or closed form: adaptively over a propagating
+    segment up to the largest Re(n*omega) and a head up to
+    K0 = max(20*k_split, 10/rho), and beyond K0, while the e^{-k dz}
+    envelope has not decayed, as an extrapolated sum over half-periods
+    pi/rho of the Bessel oscillation.  With ``local_field`` the result
+    carries the Onsager cavity factor of each medium.
 
     Raises QuadratureError when the panel budget is exhausted and
     SingularityError when a lossless interface mode sits on the path.
@@ -243,20 +278,35 @@ def sommerfeld_green(
     if quad is None:
         quad = QuadratureSpec()
     kernel.check_path_poles()
+    z_a, z_b, rho = pos.r_a[2], pos.r_b[2], pos.rho
+
+    in_frame = AtomPositions([rho, 0.0, z_a], [0.0, 0.0, z_b])
+    frame = nonretarded_green(system, omega, in_frame, local_field=False)
+    limit, (s_xx, s_yy) = _quasi_static(kernel, pos)
+    frame[0, 0] += s_xx
+    frame[1, 1] += s_yy
     integrand = _radial_integrand(kernel, pos)
 
+    def residual(k):
+        return integrand(k) - limit(k)
+
+    spec = replace(quad, abs_tol=quad.abs_tol + quad.rel_tol * np.max(np.abs(frame)))
     k_split = max(kernel.k_breaks)
-    block = _TAIL_BLOCK_DECADES * np.log(10.0) / (pos.r_a[2] - pos.r_b[2])
-    edges = k_split + block * np.arange(_TAIL_MAX_BLOCKS + 1)
-    flat, _, _ = adaptive_gauss(integrand, edges[0], edges[-1], quad, breakpoints=edges[1:-1])
+    # beyond k_end the envelope e^{-k dz} is below eps^2 of its value at k_split
+    k_end = k_split - 2.0 * np.log(np.finfo(float).eps) / (z_a - z_b)
+    k0 = min(max(20.0 * k_split, 10.0 / rho if rho > 0.0 else np.inf), k_end)
+    # panel edges k_split + omega*1e-3*4^j below K0, dense next to the light line
+    seeds = k_split + omega * 1e-3 * 4.0 ** np.arange(np.log((k0 - k_split) / (omega * 1e-3)) / np.log(4.0))
+    flat = adaptive_gauss(residual, k_split, k0, spec, breakpoints=seeds)[0]
+    if k0 < k_end:
+        flat = flat + oscillatory_tail(residual, k0, np.pi / rho, spec)[0]
     # A separate call: under one shared tolerance, bisection crowds into the
     # integrable 1/beta peak at a light line and rounds abscissae onto it.
     if k_split > 0.0:
-        flat = flat + adaptive_gauss(integrand, 0.0, k_split, quad, breakpoints=kernel.k_breaks[:-1])[0]
+        flat = flat + adaptive_gauss(residual, 0.0, k_split, spec, breakpoints=kernel.k_breaks[:-1])[0]
 
-    frame = np.zeros((3, 3), dtype=complex)
     for name, value in zip(COMPONENTS, flat):
-        frame[_COMPONENT_INDEX[name]] = value
+        frame[_COMPONENT_INDEX[name]] += value
 
     # Rotate from the frame aligned with the in-plane separation back to lab axes.
     dx, dy = pos.r_a[0] - pos.r_b[0], pos.r_a[1] - pos.r_b[1]

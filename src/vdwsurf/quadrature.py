@@ -6,6 +6,10 @@ bisected in sweeps: each sweep splits, worst first, just enough panels that
 the rest already meet the requested tolerance, and evaluates all children
 in batched integrand calls, until every component of the integral meets the
 tolerance or the panel budget is exhausted.
+
+Oscillatory integrands on a half-line are summed over half-periods with the
+same rule pair, and the partial sums are extrapolated with Wynn's epsilon
+algorithm (:func:`oscillatory_tail`).
 """
 
 from __future__ import annotations
@@ -81,6 +85,10 @@ def adaptive_gauss(f, a, b, spec: QuadratureSpec | None = None, breakpoints=()):
         return val.reshape(lefts.size, -1), err.reshape(lefts.size, -1), val.ndim == 1
 
     edges = np.array([a] + sorted(p for p in set(float(p) for p in breakpoints) if a < p < b) + [b])
+    if edges.size - 1 > spec.max_panels:
+        raise QuadratureError(
+            f"{edges.size - 1} seeded panels exceed the budget of {spec.max_panels}", panels=0
+        )
     left, right = edges[:-1], edges[1:]
     val, err, scalar = evaluate(left, right)
 
@@ -89,8 +97,7 @@ def adaptive_gauss(f, a, b, spec: QuadratureSpec | None = None, breakpoints=()):
         # integrals additionally converge at the roundoff floor of their
         # panel-sum magnitude.
         vals, errs = val.sum(axis=0), err.sum(axis=0)
-        tol = spec.abs_tol + spec.rel_tol * np.max(np.abs(vals))
-        bound = max(tol, 100.0 * np.finfo(float).eps * np.max(np.abs(val).sum(axis=0)))
+        bound = _bound(spec, vals, np.abs(val).sum(axis=0))
         if np.all(errs <= bound):
             break
         room = spec.max_panels - left.size
@@ -116,3 +123,68 @@ def adaptive_gauss(f, a, b, spec: QuadratureSpec | None = None, breakpoints=()):
     if scalar:
         return vals[0], errs[0], left.size
     return vals, errs, left.size
+
+
+def _bound(spec: QuadratureSpec, value, magnitude) -> float:
+    """Error bound for an integral ``value`` whose panel values sum to ``magnitude`` in size."""
+    tol = spec.abs_tol + spec.rel_tol * np.max(np.abs(value))
+    return max(tol, 100.0 * np.finfo(float).eps * np.max(magnitude))
+
+
+def _wynn(sums):
+    """Last two extrapolants of Wynn's epsilon table over partial sums of shape (n, m).
+
+    Each even column of the table holds extrapolants; the last two entries
+    of the deepest column with two finite entries are returned, per
+    component (a component whose sums stop changing keeps the shallower
+    column that last had them).
+    """
+    best = sums[-1].copy(), sums[-2].copy()
+    odd, even = np.zeros((sums.shape[0] + 1,) + sums.shape[1:], dtype=sums.dtype), sums
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while even.shape[0] >= 4:
+            odd = odd[1:-1] + 1.0 / np.diff(even, axis=0)
+            even = even[1:-1] + 1.0 / np.diff(odd, axis=0)
+            ok = np.all(np.isfinite(even[-2:]), axis=0)
+            best[0][ok], best[1][ok] = even[-1, ok], even[-2, ok]
+    return best
+
+
+def oscillatory_tail(f, a, half_period, spec: QuadratureSpec | None = None):
+    """Integrate an oscillating ``f`` over [a, inf) by extrapolated half-period sums.
+
+    The half-periods [a + j*half_period, a + (j + 1)*half_period] are
+    integrated with the rule pair of :func:`adaptive_gauss`, one panel each,
+    in batches of 8, then 16, then 40 more (one integrand call per batch,
+    never more panels than ``spec.max_panels``).  The partial sums are
+    extrapolated with Wynn's epsilon algorithm; the spread of the last two
+    extrapolants is the error estimate, held to the bound of
+    :func:`adaptive_gauss`.  ``f`` is called as there.
+
+    Returns ``(value, error_estimate, panels)``.  Raises QuadratureError,
+    carrying the last extrapolant and its spread, if the budget runs out.
+    """
+    if spec is None:
+        spec = QuadratureSpec()
+    if not (0.0 < half_period < np.inf):
+        raise ParameterError(f"half_period must be positive and finite, got {half_period}")
+    terms, value, err, shape = [], None, None, ()  # half-period integrals
+    for batch in (8, 16, 40):
+        lefts = a + half_period * np.arange(len(terms), min(len(terms) + batch, spec.max_panels))
+        if lefts.size == 0:
+            break
+        val, _ = _panel(f, lefts, lefts + half_period)
+        terms.extend(val)
+        if len(terms) < 2:
+            continue
+        shape, part = val.shape[1:], np.reshape(terms, (len(terms), -1))
+        value, previous = _wynn(np.cumsum(part, axis=0))
+        err = np.abs(value - previous)
+        if np.all(err <= _bound(spec, value, np.abs(part).sum(axis=0))):
+            return value.reshape(shape), err.reshape(shape), len(terms)
+    raise QuadratureError(
+        f"no convergence of the oscillatory tail within {len(terms)} half-periods",
+        value=None if value is None else value.reshape(shape),
+        error_estimate=None if err is None else err.reshape(shape),
+        panels=len(terms),
+    )

@@ -472,11 +472,130 @@ def test_lateral_sommerfeld_integrand_call_gate(sapphire_system, monkeypatch, r_
     assert calls[0] <= most
 
 
-def test_lateral_sommerfeld_budget_still_runs_out(sapphire_system, monkeypatch):
-    # rho/dz = 5000 exhausts the default panel budget, in a few hundred calls
+class _QuasiStaticKernel:
+    """Stand-in for a _Kernel with its k -> infinity coefficients.
+
+    beta = beta_m = ik, p = p0/(ik), s = s0/(ik): fed to _radial_integrand it
+    gives the quasi-static limit of the Sommerfeld integrand.
+    """
+
+    def __init__(self, kernel):
+        self.p0 = 2.0 / (kernel.omega**2 * (kernel.eps_u + kernel.eps_l))
+        self.s0 = 2.0 * kernel.mu_u * kernel.mu_l / (kernel.mu_u + kernel.mu_l)
+
+    def __call__(self, k):
+        ik = 1j * k
+        return ik, ik, None, None, self.p0 / ik, self.s0 / ik
+
+
+def _quasi_static_integrals(limit, rho, dz):
+    """Components of the integral of the quasi-static integrand, from the
+    Laplace-Hankel table: int J_n(k rho) e^{-k dz} k^m dk for m = 0, 2."""
+    dist = np.hypot(rho, dz)
+    i0, i2 = 1.0 / dist, (dist - dz) ** 2 / (rho**2 * dist)
+    k0, k1, k2 = (2.0 * dz**2 - rho**2) / dist**5, 3.0 * rho * dz / dist**5, 3.0 * rho**2 / dist**5
+    p0, s0 = limit.p0, limit.s0
+    return {
+        "xx": 0.5 * (s0 * (i0 + i2) - p0 * (k0 - k2)),
+        "yy": 0.5 * (s0 * (i0 - i2) - p0 * (k0 + k2)),
+        "zz": p0 * k0,
+        "xz": p0 * k1,
+        "zx": p0 * k1,
+    }
+
+
+@pytest.mark.parametrize("aspect", [500.0, 5000.0])
+def test_lateral_sommerfeld_green_matches_mpmath_quadosc(sapphire_system, aspect):
+    # Independent route at large rho/dz: the integrand minus its quasi-static
+    # limit, by tanh-sinh up to 10/rho and mpmath.quadosc beyond, plus the
+    # limit's integral from the Laplace-Hankel table.
+    omega, rho = 0.5, 1e-3
+    dz = rho / aspect
+    pos = AtomPositions([rho, 0.0, 0.4 * dz], [0.0, 0.0, -0.6 * dz])  # r_a - r_b along +x
+    kernel = _Kernel(sapphire_system, omega)
+    limit = _QuasiStaticKernel(kernel)
+    closed = _quasi_static_integrals(limit, rho, dz)
+    full, static = _radial_integrand(kernel, pos), _radial_integrand(limit, pos)
+    # In these units the result is about 1e3, so quadosc's absolute tolerance
+    # at 4 digits (about 1e-8) is 1e-11 of it; the residual is about 5e-8 of it.
+    unit = 1e-3 * max(abs(v) for v in closed.values())
+    rows = {}
+
+    def row(k):
+        k = float(k)
+        if k not in rows:
+            rows[k] = (full(np.array([k]))[0] - static(np.array([k]))[0]) / unit
+        return rows[k]
+
+    k_head = 10.0 / rho
+    points = [0.0, *kernel.k_breaks, *np.linspace(max(kernel.k_breaks), k_head, 8)[1:]]
+    ref = np.zeros(len(COMPONENTS), dtype=complex)
+    for i, name in enumerate(COMPONENTS):
+        head = mpmath.quad(lambda k: mpmath.mpc(row(k)[i]), points)
+        with mpmath.workdps(4):
+            tail = mpmath.quadosc(lambda k: mpmath.mpc(row(k)[i]), [k_head, mpmath.inf], omega=rho)
+        ref[i] = closed[name] + (complex(head) + complex(tail)) * unit
+
+    green = sommerfeld_green(sapphire_system, omega, pos, local_field=False)
+    got = np.array([green[_COMPONENT_INDEX[name]] for name in COMPONENTS])
+    assert np.max(np.abs(got - ref)) <= 1e-8 * np.max(np.abs(ref))
+
+
+def test_lateral_sommerfeld_green_at_aspect_1e4(sapphire_system, monkeypatch):
+    # rho/dz = 1e4: the closed form carries the near field and the residual
+    # tail is extrapolated, in a handful of integrand calls
     calls = _count_integrand_calls(monkeypatch)
-    pos = AtomPositions([0.0, 0.0, 1e-4], [1.0, 0.0, -1e-4]).scaled(1e-3)
-    with pytest.raises(QuadratureError) as excinfo:
-        sommerfeld_green(sapphire_system, 0.5, pos)
-    assert excinfo.value.panels == QuadratureSpec().max_panels
-    assert calls[0] <= 400
+    pos = AtomPositions([0.0, 0.0, 0.5e-4], [1.0, 0.0, -0.5e-4]).scaled(1e-3)
+    green = sommerfeld_green(sapphire_system, 0.5, pos)
+    assert np.all(np.isfinite(green))
+    assert calls[0] <= 10
+
+
+@pytest.mark.parametrize("aspect", [5000.0, 1e4])
+def test_lateral_retardation_falls_as_scale_squared(sapphire_system, aspect):
+    # the deviation from the closed near-field form is the retardation
+    # correction, of relative size (n omega R)^2
+    pos = AtomPositions([0.0, 0.0, 0.5 / aspect], [1.0, 0.0, -0.5 / aspect])
+    scales = (1e-2, 1e-3, 1e-4)
+    devs = []
+    for s in scales:
+        shrunk = pos.scaled(s)
+        green = sommerfeld_green(sapphire_system, 0.5, shrunk, QuadratureSpec(rel_tol=1e-12))
+        closed = nonretarded_green(sapphire_system, 0.5, shrunk)
+        devs.append(np.max(np.abs(green - closed)) / np.max(np.abs(closed)))
+    orders = np.diff(np.log(devs)) / np.diff(np.log(scales))
+    assert np.all(np.abs(orders - 2.0) < 0.01), orders
+
+
+@pytest.mark.parametrize("aspect", [500.0, 5000.0])
+def test_matched_vacuum_at_large_aspect_equals_free_space(vacuum_system, aspect):
+    # the tail extrapolation against the textbook retarded tensor
+    pos = AtomPositions([0.0, 0.0, 0.5 / aspect], [1.0, 0.0, -0.5 / aspect])
+    got = sommerfeld_green(vacuum_system, 0.5, pos)
+    want = free_space_green(pos.r_vec, 0.5)
+    assert np.max(np.abs(got - want)) <= 1e-7 * np.max(np.abs(want))
+
+
+def test_on_axis_sommerfeld_green_matches_mpmath_quadrature(sapphire_system):
+    # rho = 0: no Bessel oscillation and no tail extrapolation; the residual
+    # runs out to where e^{-k dz} has decayed
+    dz, omega = 0.1, 0.8
+    pos = AtomPositions([0.0, 0.0, 0.4 * dz], [0.0, 0.0, -0.6 * dz])
+    kernel = _Kernel(sapphire_system, omega)
+    integrand = _radial_integrand(kernel, pos)
+    k_split = max(kernel.k_breaks)
+    k_end = 50.0 * np.log(10.0) / dz
+    points = [0.0, *kernel.k_breaks, *np.arange(k_split + 2.0 / dz, k_end, 2.0 / dz), k_end]
+    ref, errors = np.zeros(len(COMPONENTS), dtype=complex), []
+    for i in range(len(COMPONENTS)):
+        value, error = mpmath.quad(
+            lambda k: mpmath.mpc(integrand(np.array([float(k)]))[0][i]), points, maxdegree=10, error=True
+        )
+        ref[i] = complex(value)
+        errors.append(float(error))
+    assert max(errors) <= 1e-12 * np.max(np.abs(ref))  # the reference itself converged
+    green = sommerfeld_green(sapphire_system, omega, pos, local_field=False)
+    got = np.array([green[_COMPONENT_INDEX[name]] for name in COMPONENTS])
+    assert np.max(np.abs(got - ref)) <= 1e-8 * np.max(np.abs(ref))
+    assert green[0, 2] == green[2, 0] == 0.0
+    assert green[0, 0] == green[1, 1]

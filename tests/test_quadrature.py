@@ -3,7 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from scipy.special import itj0y0, j0, sici
+
 from vdwsurf import ParameterError, QuadratureError, QuadratureSpec, adaptive_gauss, quadrature
+from vdwsurf.quadrature import oscillatory_tail
 
 
 def test_polynomial_is_exact():
@@ -165,3 +168,67 @@ def test_closed_forms_within_the_error_estimate(exp_terms, coeffs, lo, length):
     )
     val, err, _ = adaptive_gauss(f, lo, hi)
     assert abs(val - exact) <= max(err, 1e-12 * abs(exact))
+
+
+@pytest.mark.parametrize("max_panels", [1, 2, 3])
+def test_seeded_panels_count_against_the_budget(max_panels):
+    # three breakpoints seed four panels: more than the budget allows
+    with pytest.raises(QuadratureError) as excinfo:
+        adaptive_gauss(
+            lambda x: x * x, 0.0, 1.0, QuadratureSpec(max_panels=max_panels), breakpoints=[0.25, 0.5, 0.75]
+        )
+    assert excinfo.value.panels <= max_panels
+    val, _, panels = adaptive_gauss(
+        lambda x: x * x, 0.0, 1.0, QuadratureSpec(max_panels=4), breakpoints=[0.25, 0.5, 0.75]
+    )
+    assert_allclose(val, 1.0 / 3.0, rtol=1e-14)
+    assert panels == 4
+
+
+def _tails(x):
+    return np.stack([np.sin(x) / x, j0(x), np.exp(-0.1 * x) * np.cos(x)], axis=-1)
+
+
+def test_oscillatory_tail_closed_forms():
+    a, b = 2.0, 0.1
+    exact = [
+        np.pi / 2.0 - sici(a)[0],
+        1.0 - itj0y0(a)[0],
+        np.exp(-b * a) * (b * np.cos(a) - np.sin(a)) / (1.0 + b * b),
+    ]
+    val, err, panels = oscillatory_tail(_tails, a, np.pi, QuadratureSpec(rel_tol=1e-12))
+    assert val.shape == err.shape == (3,)
+    assert_allclose(val, exact, rtol=0.0, atol=1e-12)
+    assert np.all(err <= 1e-12 * np.max(np.abs(val)))
+    assert panels in (8, 24, 64)
+    # a scalar integrand gives scalars, as adaptive_gauss does
+    val, err, _ = oscillatory_tail(lambda x: np.sin(x) / x, a, np.pi)
+    assert np.ndim(val) == np.ndim(err) == 0
+    assert_allclose(val, exact[0], rtol=1e-8)
+
+
+def test_oscillatory_tail_batches_go_through_panel_within_the_budget(monkeypatch):
+    # half-periods are evaluated by quadrature._panel in batches of 8, 16
+    # and 40, never past max_panels
+    batches = []
+    panel = quadrature._panel
+
+    def counted(f, lefts, rights):
+        batches.append(lefts.size)
+        return panel(f, lefts, rights)
+
+    monkeypatch.setattr(quadrature, "_panel", counted)
+    _, _, panels = oscillatory_tail(_tails, 2.0, np.pi, QuadratureSpec(rel_tol=1e-14))
+    assert batches == [8, 16, 40][: len(batches)] and sum(batches) == panels
+    batches.clear()
+    with pytest.raises(QuadratureError) as excinfo:
+        oscillatory_tail(_tails, 2.0, np.pi, QuadratureSpec(rel_tol=1e-14, max_panels=10))
+    assert excinfo.value.panels == sum(batches) == 10
+    assert batches == [8, 2]
+    assert excinfo.value.value.shape == excinfo.value.error_estimate.shape == (3,)
+
+
+def test_oscillatory_tail_rejects_bad_half_period():
+    for half_period in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ParameterError):
+            oscillatory_tail(_tails, 2.0, half_period)
