@@ -10,6 +10,7 @@ logging verbosity; nothing else is read from the environment.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -21,7 +22,8 @@ from pathlib import Path
 from .config import RunConfig, load_config, resolve_config_path
 from .errors import ConfigError, ParameterError, QuadratureError, VdwError
 from .greens import AtomPositions, nonretarded_limit_check
-from .spectra import find_peaks, scan_enhancement, scan_spectrum
+from .interaction import resonant_terms
+from .spectra import _find_peaks, _spectrum_table, scan_enhancement
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -63,20 +65,13 @@ def _out_path(cfg: RunConfig, args, default: str) -> tuple:
     return path, fmt
 
 
+_SPECTRUM_HEADER = ["omega_over_ref", "u_resonant", "u_resonant_no_lf", "g", "g_no_lf", "u_offresonant"]
+
+
 def cmd_spectrum(cfg: RunConfig, args) -> int:
-    rows = scan_spectrum(cfg.system, cfg.atom_a, cfg.atom_b, cfg.scan, cfg.quadrature)
-    header = ["omega_over_ref", "u_resonant", "u_resonant_no_lf", "g", "g_no_lf"]
-    if cfg.scan.include_offresonant:
-        header.append("u_offresonant")
-    nan = float("nan")
-    table = []
-    for row in rows:
-        cells = (row.omega, row.u_resonant, row.u_resonant_no_lf, row.g, row.g_no_lf)
-        if cfg.scan.include_offresonant:
-            cells += (nan if row.u_offresonant is None else row.u_offresonant,)
-        table.append(cells)
+    table, _ = _spectrum_table(cfg.system, cfg.atom_a, cfg.atom_b, cfg.scan, cfg.quadrature)
     path, fmt = _out_path(cfg, args, "vdw_spectrum.csv")
-    _write_table(path, fmt, header, table)
+    _write_table(path, fmt, _SPECTRUM_HEADER[: table.shape[1]], table.tolist())
     log.info("wrote %d spectrum rows to %s", len(table), path)
     return EXIT_OK
 
@@ -90,8 +85,9 @@ def cmd_enhancement(cfg: RunConfig, args) -> int:
 
 
 def cmd_peaks(cfg: RunConfig, args) -> int:
-    rows = scan_spectrum(cfg.system, cfg.atom_a, cfg.atom_b, cfg.scan, cfg.quadrature)
-    peaks = find_peaks(cfg.system, cfg.atom_b, rows)
+    terms = resonant_terms(cfg.system, cfg.scan.grid(), cfg.atom_b)
+    clean = ~terms.flagged
+    peaks = _find_peaks(cfg.system, cfg.atom_b, terms.omega[clean], abs(terms.u[clean]))
     payload = [
         {
             "location": peak.location,
@@ -145,7 +141,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="vdw",
         description="Interface-enhanced van der Waals interaction tables",

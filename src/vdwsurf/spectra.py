@@ -87,6 +87,27 @@ class PeakReport:
     kind: PeakKind
 
 
+def _spectrum_table(
+    system: HalfSpaceSystem, atom_a: Atom, atom_b: Atom, scan: ScanSpec, quad: QuadratureSpec | None = None
+) -> tuple[np.ndarray, tuple]:
+    """The scan as a 2-d float array in :class:`SpectrumRow` field order, and the row errors.
+
+    u_resonant_no_lf is NaN without ``scan.include_no_lf_curve``; the
+    u_offresonant column exists only with ``scan.include_offresonant``.  A
+    row flagged at a pole is NaN throughout and its error is the reason.
+    """
+    terms = resonant_terms(system, scan.grid(), atom_b)
+    u_no_lf = terms.u_no_lf if scan.include_no_lf_curve else np.full(terms.omega.shape, np.nan)
+    columns = [terms.omega, terms.u, u_no_lf, terms.g, terms.g_no_lf]
+    if scan.include_offresonant:
+        columns.append(np.array([
+            math.nan if error is not None
+            else offresonant_potential(system, replace(atom_a, omega0=w), atom_b, quad=quad)
+            for w, error in zip(terms.omega.tolist(), terms.errors)
+        ]))
+    return np.column_stack(columns), terms.errors
+
+
 def scan_spectrum(
     system: HalfSpaceSystem,
     atom_a: Atom,
@@ -102,22 +123,15 @@ def scan_spectrum(
     columns come from one :func:`resonant_terms` call over the grid; the
     off-resonant integral, when requested, is evaluated row by row.
     """
-    terms = resonant_terms(system, scan.grid(), atom_b)
-    u_no_lf = terms.u_no_lf if scan.include_no_lf_curve else np.full(terms.omega.shape, np.nan)
-    rows = []
-    for w, u, u_nlf, g, g_nlf, error in zip(
-        terms.omega.tolist(),
-        terms.u.tolist(),
-        u_no_lf.tolist(),
-        terms.g.tolist(),
-        terms.g_no_lf.tolist(),
-        terms.errors,
-    ):
-        u_off = None
-        if scan.include_offresonant and error is None:
-            u_off = offresonant_potential(system, replace(atom_a, omega0=w), atom_b, quad=quad)
-        rows.append(SpectrumRow(w, u, u_nlf, g, g_nlf, u_offresonant=u_off, error=error))
-    return rows
+    table, errors = _spectrum_table(system, atom_a, atom_b, scan, quad)
+    return [
+        SpectrumRow(
+            *cells[:5],
+            u_offresonant=cells[5] if scan.include_offresonant and error is None else None,
+            error=error,
+        )
+        for cells, error in zip(table.tolist(), errors)
+    ]
 
 
 def scan_enhancement(system: HalfSpaceSystem, scan: ScanSpec):
@@ -191,23 +205,33 @@ def find_peaks(
     individually.  Returns peaks ordered by location; an empty list for
     monotone input.
     """
-    clean = [(row.omega, abs(row.u_resonant)) for row in rows if row.error is None]
-    if len(clean) < 3:
+    clean = [row for row in rows if row.error is None]
+    omegas = np.array([row.omega for row in clean], dtype=float)
+    metric = np.array([abs(row.u_resonant) for row in clean], dtype=float)
+    return _find_peaks(system, atom_b, omegas, metric, refine_tol)
+
+
+def _find_peaks(
+    system: HalfSpaceSystem, atom_b: Atom, omegas: np.ndarray, metric: np.ndarray, refine_tol: float = 1e-6
+) -> list[PeakReport]:
+    """:func:`find_peaks` on columns: ``metric`` is |u_resonant| at ``omegas``.
+
+    Both arrays hold the unflagged grid points only, in frequency order.
+    """
+    if len(metric) < 3:
         return []
-    omegas = np.array([c[0] for c in clean])
-    metric = np.array([c[1] for c in clean])
-    grid_step = float(np.median(np.diff(omegas))) if len(omegas) > 1 else 0.0
+    grid_step = float(np.median(np.diff(omegas)))
 
     def evaluator(w: float) -> float:
         res = resonant_potential(system, Atom(omega0=w), atom_b)
         return abs(res.u_resonant)
 
     modes = _known_modes(system, atom_b, grid_step)
+    inner = metric[1:-1]
+    maxima = np.flatnonzero((inner > metric[:-2]) & (inner > metric[2:])) + 1
 
     raw: list[PeakReport] = []
-    for i in range(1, len(metric) - 1):
-        if not (metric[i] > metric[i - 1] and metric[i] > metric[i + 1]):
-            continue
+    for i in maxima.tolist():
         loc, height = golden_section_max(
             evaluator, float(omegas[i - 1]), float(omegas[i + 1]), refine_tol
         )

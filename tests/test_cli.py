@@ -3,21 +3,29 @@ import copy
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import vdwsurf
+from vdwsurf import interaction, spectra
 from vdwsurf.cli import (
     EXIT_CONFIG,
     EXIT_IO,
     EXIT_OK,
     EXIT_QUADRATURE,
     EXIT_VALIDATION,
+    _build_parser,
     main,
 )
-from vdwsurf.config import resolve_config_path
+from vdwsurf.config import load_config, resolve_config_path
+from vdwsurf.spectra import scan_enhancement, scan_spectrum
 
 
 def write_config(tmp_path, name="run.json", **overrides):
@@ -354,3 +362,135 @@ def test_integer_literal_beyond_the_digit_limit_exits_1_naming_the_config(tmp_pa
     err = capsys.readouterr().err
     assert err.startswith("config error:") and str(cfg) in err
     assert not out.exists()
+
+
+def test_peaks_does_not_evaluate_the_offresonant_column(tmp_path, monkeypatch):
+    # peaks reads only omega and |u_resonant|; the off-resonant integral it
+    # used to evaluate for every grid point was thrown away
+    plain = write_config(tmp_path, "plain.json")
+    with_off = write_config(
+        tmp_path,
+        "off.json",
+        scan={"omega_min": 0.7, "omega_max": 1.3, "n_points": 400, "include_offresonant": True},
+    )
+    expected = tmp_path / "plain_peaks.json"
+    assert main(["peaks", "--config", str(plain), "--out", str(expected)]) == EXIT_OK
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("peaks evaluated the off-resonant integral")
+
+    monkeypatch.setattr(spectra, "offresonant_potential", refuse)
+    monkeypatch.setattr(interaction, "adaptive_gauss", refuse)
+    out = tmp_path / "off_peaks.json"
+    assert main(["peaks", "--config", str(with_off), "--out", str(out)]) == EXIT_OK
+    assert out.read_bytes() == expected.read_bytes()
+
+
+def _row_api_table(config_path, command):
+    """The table as written by formatting the row API one row at a time."""
+    cfg = load_config(config_path)
+    if command == "spectrum":
+        rows = scan_spectrum(cfg.system, cfg.atom_a, cfg.atom_b, cfg.scan, cfg.quadrature)
+        header = ["omega_over_ref", "u_resonant", "u_resonant_no_lf", "g", "g_no_lf"]
+        if cfg.scan.include_offresonant:
+            header.append("u_offresonant")
+        table = []
+        for row in rows:
+            cells = (row.omega, row.u_resonant, row.u_resonant_no_lf, row.g, row.g_no_lf)
+            if cfg.scan.include_offresonant:
+                cells += (math.nan if row.u_offresonant is None else row.u_offresonant,)
+            table.append(cells)
+    else:
+        header = ["omega_over_ref", "g", "g_no_lf"]
+        table = scan_enhancement(cfg.system, cfg.scan)
+    if cfg.output.format == "json":
+        payload = [
+            {k: float("%.12g" % x) if math.isfinite(x) else None for k, x in zip(header, row)}
+            for row in table
+        ]
+        return json.dumps(payload, indent=2) + "\n"
+    lines = [",".join(header)]
+    lines.extend(",".join("%.12g" % x for x in row) for row in table)
+    return "\n".join(lines) + "\n"
+
+
+_POLE_GRID = (0.7, 1.3, 7)
+
+
+@pytest.mark.parametrize(
+    "fmt, no_lf_curve, offresonant, pole",
+    [
+        ("csv", True, False, False),
+        ("json", True, False, False),
+        ("csv", False, False, False),
+        ("json", False, False, False),
+        ("csv", True, True, False),
+        ("json", False, True, False),
+        ("csv", True, False, True),
+        ("json", True, True, True),
+    ],
+)
+def test_cli_tables_equal_the_row_api_byte_for_byte(tmp_path, fmt, no_lf_curve, offresonant, pole):
+    atom_b = {"omega0": 0.9, "gamma": 0.001}
+    pole_index = 2
+    if pole:
+        # undamped atom B exactly on a grid point: that row is flagged
+        atom_b = {"omega0": float(np.linspace(*_POLE_GRID)[pole_index]), "gamma": 0.0}
+    cfg = write_config(
+        tmp_path,
+        atom_b=atom_b,
+        scan={
+            "omega_min": _POLE_GRID[0],
+            "omega_max": _POLE_GRID[1],
+            "n_points": 400,
+            "include_offresonant": offresonant,
+            "include_no_lf_curve": no_lf_curve,
+        },
+        output={"path": "ignored", "format": fmt},
+    )
+    points = ["--points", "7"] if offresonant or pole else []
+    if points:
+        # the row API reads the config, so it gets the same grid there
+        data = json.loads(cfg.read_text())
+        data["scan"]["n_points"] = 7
+        cfg.write_text(json.dumps(data))
+    for command in ("spectrum", "enhancement"):
+        out = tmp_path / f"{command}.{fmt}"
+        assert main([command, "--config", str(cfg), *points, "--out", str(out)]) == EXIT_OK
+        assert out.read_text() == _row_api_table(cfg, command)
+    if pole:
+        out = tmp_path / f"spectrum.{fmt}"
+        if fmt == "json":
+            row = _strict_json(out.read_text())[pole_index]
+            cells = [v for k, v in row.items() if k != "omega_over_ref"]
+            assert cells and all(v is None for v in cells)
+        else:
+            cells = out.read_text().splitlines()[1 + pole_index].split(",")[1:]
+            assert cells and all(c == "nan" for c in cells)
+
+
+def _fresh_run(args):
+    """``main(args)`` in a new interpreter, for a parser with no history."""
+    env = dict(os.environ, PYTHONPATH=str(Path(vdwsurf.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-m", "vdwsurf", *args], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+
+
+def test_one_parser_per_process_keeps_no_state_between_calls(tmp_path):
+    assert _build_parser() is _build_parser()
+    cfg = write_config(tmp_path)
+    first, second, fresh = (tmp_path / name for name in ("first.csv", "second.csv", "fresh.csv"))
+    assert main(["spectrum", "--config", str(cfg), "--points", "7", "--out", str(first)]) == EXIT_OK
+    assert main(["spectrum", "--config", str(cfg), "--out", str(second)]) == EXIT_OK
+    assert len(first.read_text().splitlines()) == 1 + 7
+    assert len(second.read_text().splitlines()) == 1 + 400
+    _fresh_run(["spectrum", "--config", str(cfg), "--out", str(fresh)])
+    assert second.read_bytes() == fresh.read_bytes()
+
+    val, val_fresh = tmp_path / "val.csv", tmp_path / "val_fresh.csv"
+    assert main(["peaks", "--config", str(cfg), "--points", "7", "--out", str(tmp_path / "p.json")]) == EXIT_OK
+    assert main(["validate", "--config", str(cfg), "--out", str(val)]) == EXIT_OK
+    _fresh_run(["validate", "--config", str(cfg), "--out", str(val_fresh)])
+    assert val.read_bytes() == val_fresh.read_bytes()
