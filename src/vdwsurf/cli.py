@@ -117,16 +117,14 @@ def cmd_validate(cfg: RunConfig, args) -> int:
     path, _ = _out_path(cfg, args, "vdw_validate.csv")
     _write_text(path, "\n".join(lines) + "\n")
     ok = report.passed(v.tolerance)
-    log.info(
-        "validation %s (max deviation %.3e at scale %s)",
-        "PASS" if ok else "FAIL",
-        report.max_deviation(min(v.scales)) if v.scales else float("nan"),
-        min(v.scales) if v.scales else "-",
-    )
+    smallest = min(v.scales)
+    deviation = report.max_deviation(smallest)
+    verdict = "PASS" if ok else "FAIL"
+    log.info("validation %s (max deviation %.3e at scale %s)", verdict, deviation, smallest)
     if not ok:
         print(
-            f"validation FAILED: ratios at scale {min(v.scales)} deviate "
-            f"by up to {report.max_deviation(min(v.scales)):.3e} (> {v.tolerance})",
+            f"validation FAILED: ratios at scale {smallest} deviate "
+            f"by up to {deviation:.3e} (> {v.tolerance})",
             file=sys.stderr,
         )
         return EXIT_VALIDATION
@@ -174,7 +172,8 @@ def main(argv=None) -> int:
             try:
                 cfg = replace(cfg, scan=replace(cfg.scan, n_points=args.points))
             except ParameterError as exc:
-                raise ConfigError(f"--points: {exc}", field="scan.n_points") from None
+                field = "config.scan.n_points"
+                raise ConfigError(f"--points: {field}: {exc}", field=field) from None
         return _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

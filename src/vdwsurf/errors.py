@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer rule of the model types."""
+
+import math
+import numbers
 
 
 class VdwError(Exception):
@@ -6,7 +9,16 @@ class VdwError(Exception):
 
 
 class ParameterError(VdwError, ValueError):
-    """A model, geometry or scan parameter violates its contract."""
+    """A model, geometry or scan parameter violates its contract.
+
+    ``fields`` names the dataclass fields the broken rule concerns and
+    ``field`` is the first of them (None where a rule names no field).
+    """
+
+    def __init__(self, message, *fields):
+        super().__init__(message)
+        self.fields = fields
+        self.field = fields[0] if fields else None
 
 
 class UnsupportedModelError(VdwError, TypeError):
@@ -41,3 +53,8 @@ class ConfigError(VdwError, ValueError):
 
 class ValidityWarning(UserWarning):
     """The requested geometry strains the near-field (nonretarded) regime."""
+
+
+def _is_count(value, least: int, most: float = math.inf) -> bool:
+    """True for an integer (not a bool) in [least, most]."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and least <= value <= most

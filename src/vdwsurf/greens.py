@@ -20,13 +20,14 @@ reduced units of this package (c = 1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import j0, j1, jv
 
 from .errors import ParameterError, SingularityError
-from .materials import HalfSpaceSystem, _avg_eps_vanishes, local_field_factor
+from .materials import HalfSpaceSystem, _avg_eps_vanishes, _pole, local_field_factor
 from .quadrature import QuadratureSpec, adaptive_gauss, oscillatory_tail
 
 #: Tensor components that are generally nonzero in the frame whose x axis is
@@ -141,7 +142,7 @@ class _Kernel:
         with np.errstate(divide="ignore", invalid="ignore"):
             beta, beta_m, den_p, den_s, p, s = self(k)
         scale = self.omega * (abs(self.eps_u) + abs(self.eps_l) + abs(self.mu_u) + abs(self.mu_l))
-        if abs(den_p) <= 1e-14 * scale or abs(den_s) <= 1e-14 * scale:
+        if _pole(den_p, scale) or _pole(den_s, scale):
             raise SingularityError(f"interface-mode pole hit at omega={self.omega}, k={k}")
         return complex(beta), complex(beta_m), complex(p), complex(s)
 
@@ -438,6 +439,35 @@ class NonretardedLimitReport:
         if devs[0] == 0.0 or devs[1] == 0.0:
             return float("nan")
         return float(np.log(devs[1] / devs[0]) / np.log(scales[1] / scales[0]))
+
+
+@dataclass(frozen=True)
+class ValidateSpec:
+    """Frequency, geometry, scale ladder and pass tolerance of one
+    :func:`nonretarded_limit_check`, as ``vdw validate`` runs it.
+
+    Atom A at ``r_a`` sits in the upper medium, atom B at ``r_b`` in the
+    lower one.
+    """
+
+    omega: float = 0.5
+    scales: tuple[float, ...] = (0.1, 0.01, 0.001)
+    r_a: tuple[float, float, float] = (0.0, 0.0, 1.0)
+    r_b: tuple[float, float, float] = (1.0, 0.0, -1.0)
+    tolerance: float = 0.01
+
+    def __post_init__(self):
+        if not self.scales:
+            raise ParameterError("scales must not be empty", "scales")
+        positive = {"omega": self.omega, "tolerance": self.tolerance}
+        positive.update((f"scales[{i}]", s) for i, s in enumerate(self.scales))
+        for name, value in positive.items():
+            if not (0.0 < value < math.inf):
+                raise ParameterError(f"{name} must be positive and finite, got {value}", name)
+        if not (self.r_a[2] > 0.0):
+            raise ParameterError(f"r_a[2] must be > 0 (upper medium), got {self.r_a[2]!r}", "r_a[2]")
+        if not (self.r_b[2] < 0.0):
+            raise ParameterError(f"r_b[2] must be < 0 (lower medium), got {self.r_b[2]!r}", "r_b[2]")
 
 
 def nonretarded_limit_check(

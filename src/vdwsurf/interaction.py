@@ -25,6 +25,7 @@ from .materials import (
     MaterialKind,
     _avg_eps_vanishes,
     _cavity_pole,
+    _pole,
     local_field_factor,
     surface_mode_frequency,
 )
@@ -57,15 +58,15 @@ class Atom:
     def __post_init__(self):
         for name in ("omega0", "gamma", "alpha0", "dipole_weight", "offres_sign"):
             if not math.isfinite(getattr(self, name)):
-                raise ParameterError(f"atom {name} must be finite, got {getattr(self, name)}")
+                raise ParameterError(f"atom {name} must be finite, got {getattr(self, name)}", name)
         if not (self.omega0 > 0.0):
-            raise ParameterError(f"transition frequency must be positive, got {self.omega0}")
+            raise ParameterError(f"transition frequency must be positive, got {self.omega0}", "omega0")
         if not (self.gamma >= 0.0):
-            raise ParameterError(f"linewidth must be >= 0, got {self.gamma}")
+            raise ParameterError(f"linewidth must be >= 0, got {self.gamma}", "gamma")
         if not (self.alpha0 > 0.0):
-            raise ParameterError(f"static polarizability must be positive, got {self.alpha0}")
+            raise ParameterError(f"static polarizability must be positive, got {self.alpha0}", "alpha0")
         if not (self.dipole_weight > 0.0):
-            raise ParameterError(f"dipole weight must be positive, got {self.dipole_weight}")
+            raise ParameterError(f"dipole weight must be positive, got {self.dipole_weight}", "dipole_weight")
 
 
 @dataclass(frozen=True)
@@ -136,7 +137,7 @@ def _polarizability(atom: Atom, w2, iw, poles: _Poles | None = None):
     w02 = atom.omega0 * atom.omega0
     den = w02 - w2 - iw * atom.gamma
     if poles is not None:
-        poles.check(abs(den) <= 1e-12 * w02, "undamped polarizability pole at omega = {!r}")
+        poles.check(_pole(den, w02), "undamped polarizability pole at omega = {!r}")
     return atom.alpha0 * w02 / den
 
 

@@ -32,11 +32,18 @@ class MaterialKind(Enum):
     LORENTZ = "lorentz"
 
 
-def _finite_complex(z) -> complex:
+def _finite_complex(z, name: str) -> complex:
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ParameterError(f"non-finite material parameter {z!r}")
+        raise ParameterError(f"non-finite material parameter {name} = {z!r}", name)
     return z
+
+
+def _check_oscillator(eta, eps0) -> None:
+    if not (eps0 > eta >= 1.0):
+        raise ParameterError(
+            f"oscillator model needs eps0 > eta >= 1, got eta={eta}, eps0={eps0}", "eta", "eps0"
+        )
 
 
 @dataclass(frozen=True)
@@ -62,23 +69,20 @@ class Material:
     gamma: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "eps_const", _finite_complex(self.eps_const))
-        object.__setattr__(self, "mu_const", _finite_complex(self.mu_const))
+        object.__setattr__(self, "eps_const", _finite_complex(self.eps_const, "eps_const"))
+        object.__setattr__(self, "mu_const", _finite_complex(self.mu_const, "mu_const"))
         if self.kind is MaterialKind.LORENTZ:
             for name in ("eta", "eps0", "omega_t", "gamma"):
                 if not math.isfinite(getattr(self, name)):
-                    raise ParameterError(f"oscillator {name} must be finite, got {getattr(self, name)}")
-            if not (self.eps0 > self.eta >= 1.0):
-                raise ParameterError(
-                    f"oscillator model needs eps0 > eta >= 1, got eta={self.eta}, eps0={self.eps0}"
-                )
+                    raise ParameterError(f"oscillator {name} must be finite, got {getattr(self, name)}", name)
+            _check_oscillator(self.eta, self.eps0)
             if not (self.omega_t > 0.0):
-                raise ParameterError(f"oscillator resonance must be positive, got {self.omega_t}")
+                raise ParameterError(f"oscillator resonance must be positive, got {self.omega_t}", "omega_t")
             if not (self.gamma >= 0.0):
-                raise ParameterError(f"oscillator damping must be >= 0, got {self.gamma}")
+                raise ParameterError(f"oscillator damping must be >= 0, got {self.gamma}", "gamma")
         elif self.kind is MaterialKind.VACUUM:
             if self.eps_const != 1.0 or self.mu_const != 1.0:
-                raise ParameterError("vacuum must have eps = mu = 1")
+                raise ParameterError("vacuum must have eps = mu = 1", "eps_const", "mu_const")
 
     # -- constructors ------------------------------------------------------
 
@@ -109,12 +113,11 @@ class Material:
         omega_t = omega_s * sqrt((eta + 1)/(eps0 + 1)); convenient when a
         measurement fixes the surface mode rather than the bulk resonance.
         """
-        if not (omega_s > 0.0):
-            raise ParameterError(f"surface-mode frequency must be positive, got {omega_s}")
-        if not (eps0 > eta >= 1.0):
+        if not (0.0 < omega_s < math.inf):
             raise ParameterError(
-                f"oscillator model needs eps0 > eta >= 1, got eta={eta}, eps0={eps0}"
+                f"surface-mode frequency must be positive and finite, got {omega_s}", "omega_s"
             )
+        _check_oscillator(eta, eps0)  # before the square root below
         omega_t = float(omega_s) * math.sqrt((eta + 1.0) / (eps0 + 1.0))
         return Material.lorentz(eta, eps0, omega_t, gamma, mu=mu)
 
@@ -184,7 +187,7 @@ class HalfSpaceSystem:
 
     def __post_init__(self):
         if not (0.0 < self.omega_max < math.inf):
-            raise ParameterError(f"omega_max must be positive and finite, got {self.omega_max}")
+            raise ParameterError(f"omega_max must be positive and finite, got {self.omega_max}", "omega_max")
 
     def avg_eps(self, omega) -> complex:
         """Average permittivity (eps_upper + eps_lower)/2 of the media in contact."""
@@ -209,14 +212,20 @@ def local_field_factor(eps) -> complex:
     return 3.0 * eps / (2.0 * eps + 1.0)
 
 
+def _pole(den, scale):
+    """True where the denominator ``den`` is within roundoff of zero against
+    the size ``scale`` of its terms (elementwise for arrays and CArrays)."""
+    return abs(den) <= _POLE_RTOL * scale
+
+
 def _cavity_pole(eps):
     """True where 2*eps + 1 is within roundoff of zero (elementwise for CArrays)."""
-    return abs(2.0 * eps + 1.0) <= _POLE_RTOL * (1.0 + 2.0 * abs(eps))
+    return _pole(2.0 * eps + 1.0, 1.0 + 2.0 * abs(eps))
 
 
 def _avg_eps_vanishes(eps_u, eps_l):
     """True where avg_eps is within roundoff of zero (elementwise for CArrays)."""
-    return abs(eps_u + eps_l) <= _POLE_RTOL * (abs(eps_u) + abs(eps_l) + 1.0)
+    return _pole(eps_u + eps_l, abs(eps_u) + abs(eps_l) + 1.0)
 
 
 def surface_mode_frequency(m: Material) -> float:

@@ -14,11 +14,12 @@ algorithm (:func:`oscillatory_tail`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, QuadratureError
+from .errors import ParameterError, QuadratureError, _is_count
 
 _LO_X, _LO_W = np.polynomial.legendre.leggauss(7)
 _HI_X, _HI_W = np.polynomial.legendre.leggauss(15)
@@ -37,12 +38,13 @@ class QuadratureSpec:
     max_panels: int = 10_000
 
     def __post_init__(self):
-        if self.rel_tol < 0.0 or self.abs_tol < 0.0:
-            raise ParameterError("tolerances must be >= 0")
+        for name in ("rel_tol", "abs_tol"):
+            if not (0.0 <= getattr(self, name) < math.inf):
+                raise ParameterError(f"{name} must be >= 0 and finite, got {getattr(self, name)}", name)
         if self.rel_tol == 0.0 and self.abs_tol == 0.0:
-            raise ParameterError("at least one of rel_tol/abs_tol must be positive")
-        if self.max_panels < 1:
-            raise ParameterError("max_panels must be >= 1")
+            raise ParameterError("at least one of rel_tol/abs_tol must be positive", "rel_tol", "abs_tol")
+        if not _is_count(self.max_panels, 1):
+            raise ParameterError(f"max_panels must be an integer >= 1, got {self.max_panels!r}", "max_panels")
 
 
 def _panel(f, lefts, rights):

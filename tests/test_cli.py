@@ -192,6 +192,12 @@ def test_bad_points_override(tmp_path):
     assert main(["spectrum", "--config", str(cfg), "--points", "1"]) == EXIT_CONFIG
 
 
+def test_points_override_error_names_the_config_field(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    assert main(["spectrum", "--config", str(cfg), "--points", "1"]) == EXIT_CONFIG
+    assert "config.scan.n_points" in capsys.readouterr().err
+
+
 def test_io_error_exit_code(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "no_such_dir" / "x.csv"

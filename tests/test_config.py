@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from vdwsurf import ConfigError, MaterialKind
+from vdwsurf import ConfigError, MaterialKind, ParameterError, QuadratureSpec, ScanSpec
 from vdwsurf.config import (
+    ValidateSpec,
     bundled_config_names,
     load_config,
     parse_config,
@@ -234,3 +235,22 @@ def test_huge_scan_is_rejected_before_allocating(n_points):
 def test_largest_scan_is_accepted():
     cfg = parse_config(minimal_config(scan={"omega_min": 0.7, "omega_max": 1.3, "n_points": 1_000_000}))
     assert cfg.scan.n_points == 1_000_000
+
+
+@pytest.mark.parametrize(
+    "cls, kwargs, field",
+    [
+        (QuadratureSpec, {"rel_tol": float("nan")}, "rel_tol"),
+        (QuadratureSpec, {"rel_tol": float("inf")}, "rel_tol"),
+        (QuadratureSpec, {"max_panels": 2.5}, "max_panels"),
+        (ScanSpec, {"omega_min": 0.7, "omega_max": float("inf")}, "omega_max"),
+        (ScanSpec, {"omega_min": 0.7, "omega_max": 1.3, "n_points": 2.5}, "n_points"),
+        (ValidateSpec, {"scales": ()}, "scales"),
+        (ValidateSpec, {"omega": -1.0}, "omega"),
+    ],
+)
+def test_model_types_reject_what_the_config_rejects_naming_the_field(cls, kwargs, field):
+    # the config loader reads these types' rules; the API path meets the same ones
+    with pytest.raises(ParameterError) as info:
+        cls(**kwargs)
+    assert info.value.field == field

@@ -105,6 +105,19 @@ class TestFresnel:
         tp, _ = fresnel_t(sys_, 1.0, 30.0)
         assert abs(tp) > 10.0
 
+    def test_denominator_within_the_shared_pole_rule_is_rejected(self):
+        # vacuum over a lossless eps = -2: den_p vanishes at k = sqrt(2)*omega
+        # and grows as about 2.1*(k - sqrt(2)) beside it, against the kernel's
+        # scale omega*(|eps_u| + |eps_l| + |mu_u| + |mu_l|) = 5
+        sys_ = HalfSpaceSystem(upper=Material.vacuum(), lower=Material.constant(-2.0))
+        near = np.sqrt(2.0) + 2.4e-13  # |den_p| about 1e-13 of the scale
+        with pytest.raises(SingularityError):
+            fresnel_t(sys_, 1.0, near)
+        with pytest.raises(SingularityError):
+            kspace_green(sys_, 1.0, near, 0.5, -0.5)
+        tp, _ = fresnel_t(sys_, 1.0, np.sqrt(2.0) + 1e-11)  # about 4e-12 of the scale
+        assert abs(tp) > 1e10
+
     def test_invalid_arguments(self, vacuum_system):
         with pytest.raises(ParameterError):
             fresnel_t(vacuum_system, -1.0, 0.5)
