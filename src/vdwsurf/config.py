@@ -19,14 +19,13 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
-import math
 import types
 import typing
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError, ParameterError, _is_finite
 from .greens import ValidateSpec
 from .interaction import Atom
 from .materials import HalfSpaceSystem, Material, preset
@@ -78,13 +77,9 @@ def _config_error(exc: ParameterError, path: str) -> ConfigError:
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path} must be a number, got {value!r}", field=path)
-    try:
-        number = float(value)
-    except OverflowError:  # an integer literal beyond the float range
-        number = math.inf
-    if not math.isfinite(number):
+    if not _is_finite(value):  # inf, NaN or an integer literal beyond the float range
         raise ConfigError(f"{path} must be finite, got {value!r}", field=path)
-    return number
+    return float(value)
 
 
 def _integer(value, path: str) -> int:

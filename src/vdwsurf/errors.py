@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the integer rule of the model types."""
+"""Exception types shared across the package, and the number rules of the model types."""
 
 import math
 import numbers
@@ -58,3 +58,24 @@ class ValidityWarning(UserWarning):
 def _is_count(value, least: int, most: float = math.inf) -> bool:
     """True for an integer (not a bool) in [least, most]."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool) and least <= value <= most
+
+
+def _is_finite(value) -> bool:
+    """True for a real number that is finite as a float.
+
+    An integer beyond the float range is not: ``math.isfinite`` raises
+    OverflowError on it, and it compares below ``math.inf``.
+    """
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _shown(value) -> str:
+    """``repr(value)`` for a message, or the size of an integer too long to print."""
+    try:
+        return repr(value)
+    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+        sign = "a negative" if value < 0 else "an"
+        return f"{sign} integer of about {value.bit_length() * math.log10(2.0):.0f} digits"

@@ -20,13 +20,12 @@ reduced units of this package (c = 1).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import j0, j1, jv
+from scipy.special import j0, j1
 
-from .errors import ParameterError, SingularityError
+from .errors import ParameterError, SingularityError, _is_finite, _shown
 from .materials import HalfSpaceSystem, _avg_eps_vanishes, _pole, local_field_factor
 from .quadrature import QuadratureSpec, adaptive_gauss, oscillatory_tail
 
@@ -77,6 +76,28 @@ class AtomPositions:
         if not (s > 0.0):
             raise ParameterError(f"scale must be positive, got {s}")
         return AtomPositions(s * self.r_a, s * self.r_b)
+
+
+#: Below this argument J2 comes from its series: there the recurrence
+#: 2*J1(u)/u - J0(u) cancels to a relative error of eps/u^2, and in the
+#: subnormal range its absolute error reaches 1.
+_J2_SERIES_BELOW = 5e-3
+
+
+def _bessel_j012(u):
+    """``(J0(u), J1(u), J2(u))`` on a float array u >= 0, J2 from the other two.
+
+    J2 = 2*J1/u - J0 from ``_J2_SERIES_BELOW`` up and u^2/8 - u^4/96 below
+    it, exactly 0 at u = 0: both branches agree with J2 to about 1e-16
+    absolute.  scipy's general-order ``jv(2, u)`` costs several times
+    ``j0`` and ``j1`` together.
+    """
+    b0, b1 = j0(u), j1(u)
+    small = u < _J2_SERIES_BELOW
+    if not small.any():  # most calls: every abscissa is past the first panels
+        return b0, b1, 2.0 * b1 / u - b0
+    u2 = u * u
+    return b0, b1, np.where(small, u2 * (0.125 - u2 / 96.0), 2.0 * b1 / np.maximum(u, _J2_SERIES_BELOW) - b0)
 
 
 def _upward_root(z):
@@ -177,7 +198,7 @@ def _quasi_static(kernel: _Kernel, pos: AtomPositions):
     def integrand(k):
         k = np.asarray(k, dtype=float)
         u = k * rho
-        b0, b1, b2 = j0(u), j1(u), jv(2, u)
+        b0, b1, b2 = _bessel_j012(u)
         pk2, envelope = p0 * k * k, np.exp(-k * dz)
         xx = 0.5 * (s0 * (b0 + b2) - pk2 * (b0 - b2)) * envelope
         yy = 0.5 * (s0 * (b0 - b2) - pk2 * (b0 + b2)) * envelope
@@ -239,7 +260,7 @@ def _radial_integrand(kernel: _Kernel, pos: AtomPositions):
         beta, beta_m, _, _, p, s = kernel(k)
         phase = np.exp(1j * (beta * z_a - beta_m * z_b))
         u = k * rho
-        b0, b1, b2 = j0(u), j1(u), jv(2, u)
+        b0, b1, b2 = _bessel_j012(u)
         pbb = p * beta * beta_m
         xx = 0.5j * k * (pbb * (b0 - b2) + s * (b0 + b2)) * phase
         yy = 0.5j * k * (pbb * (b0 + b2) + s * (b0 - b2)) * phase
@@ -462,8 +483,12 @@ class ValidateSpec:
         positive = {"omega": self.omega, "tolerance": self.tolerance}
         positive.update((f"scales[{i}]", s) for i, s in enumerate(self.scales))
         for name, value in positive.items():
-            if not (0.0 < value < math.inf):
-                raise ParameterError(f"{name} must be positive and finite, got {value}", name)
+            if not (value > 0.0 and _is_finite(value)):
+                raise ParameterError(f"{name} must be positive and finite, got {_shown(value)}", name)
+        for name, vec in (("r_a", self.r_a), ("r_b", self.r_b)):
+            for i, x in enumerate(vec):
+                if not _is_finite(x):
+                    raise ParameterError(f"{name}[{i}] must be finite, got {_shown(x)}", f"{name}[{i}]")
         if not (self.r_a[2] > 0.0):
             raise ParameterError(f"r_a[2] must be > 0 (upper medium), got {self.r_a[2]!r}", "r_a[2]")
         if not (self.r_b[2] < 0.0):

@@ -9,14 +9,20 @@ ground-state atom B in the lower one.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._carray import abs_squared, operand
-from .errors import ParameterError, SingularityError, UnsupportedModelError, ValidityWarning
+from .errors import (
+    ParameterError,
+    SingularityError,
+    UnsupportedModelError,
+    ValidityWarning,
+    _is_finite,
+    _shown,
+)
 from .greens import AtomPositions
 from .materials import (
     RESONANCE_POLE,
@@ -57,8 +63,8 @@ class Atom:
 
     def __post_init__(self):
         for name in ("omega0", "gamma", "alpha0", "dipole_weight", "offres_sign"):
-            if not math.isfinite(getattr(self, name)):
-                raise ParameterError(f"atom {name} must be finite, got {getattr(self, name)}", name)
+            if not _is_finite(getattr(self, name)):
+                raise ParameterError(f"atom {name} must be finite, got {_shown(getattr(self, name))}", name)
         if not (self.omega0 > 0.0):
             raise ParameterError(f"transition frequency must be positive, got {self.omega0}", "omega0")
         if not (self.gamma >= 0.0):

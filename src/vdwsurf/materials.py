@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from ._carray import operand, to_complex
-from .errors import ParameterError, SingularityError, UnsupportedModelError
+from .errors import ParameterError, SingularityError, UnsupportedModelError, _is_finite, _shown
 
 
 #: Reason reported when an undamped oscillator is evaluated at its resonance.
@@ -33,16 +33,17 @@ class MaterialKind(Enum):
 
 
 def _finite_complex(z, name: str) -> complex:
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ParameterError(f"non-finite material parameter {name} = {z!r}", name)
-    return z
+    if not (_is_finite(z.real) and _is_finite(z.imag)):
+        raise ParameterError(f"non-finite material parameter {name} = {_shown(z)}", name)
+    return complex(z)
 
 
 def _check_oscillator(eta, eps0) -> None:
-    if not (eps0 > eta >= 1.0):
+    if not (_is_finite(eta) and _is_finite(eps0) and eps0 > eta >= 1.0):
         raise ParameterError(
-            f"oscillator model needs eps0 > eta >= 1, got eta={eta}, eps0={eps0}", "eta", "eps0"
+            f"oscillator model needs finite eps0 > eta >= 1, got eta={_shown(eta)}, eps0={_shown(eps0)}",
+            "eta",
+            "eps0",
         )
 
 
@@ -73,8 +74,10 @@ class Material:
         object.__setattr__(self, "mu_const", _finite_complex(self.mu_const, "mu_const"))
         if self.kind is MaterialKind.LORENTZ:
             for name in ("eta", "eps0", "omega_t", "gamma"):
-                if not math.isfinite(getattr(self, name)):
-                    raise ParameterError(f"oscillator {name} must be finite, got {getattr(self, name)}", name)
+                value = getattr(self, name)
+                if not _is_finite(value):
+                    raise ParameterError(f"oscillator {name} must be finite, got {_shown(value)}", name)
+                object.__setattr__(self, name, float(value))
             _check_oscillator(self.eta, self.eps0)
             if not (self.omega_t > 0.0):
                 raise ParameterError(f"oscillator resonance must be positive, got {self.omega_t}", "omega_t")
@@ -99,10 +102,10 @@ class Material:
         return Material(
             MaterialKind.LORENTZ,
             mu_const=mu,
-            eta=float(eta),
-            eps0=float(eps0),
-            omega_t=float(omega_t),
-            gamma=float(gamma),
+            eta=eta,
+            eps0=eps0,
+            omega_t=omega_t,
+            gamma=gamma,
         )
 
     @staticmethod
@@ -113,9 +116,9 @@ class Material:
         omega_t = omega_s * sqrt((eta + 1)/(eps0 + 1)); convenient when a
         measurement fixes the surface mode rather than the bulk resonance.
         """
-        if not (0.0 < omega_s < math.inf):
+        if not (omega_s > 0.0 and _is_finite(omega_s)):
             raise ParameterError(
-                f"surface-mode frequency must be positive and finite, got {omega_s}", "omega_s"
+                f"surface-mode frequency must be positive and finite, got {_shown(omega_s)}", "omega_s"
             )
         _check_oscillator(eta, eps0)  # before the square root below
         omega_t = float(omega_s) * math.sqrt((eta + 1.0) / (eps0 + 1.0))
@@ -186,8 +189,10 @@ class HalfSpaceSystem:
     omega_max: float = 10.0
 
     def __post_init__(self):
-        if not (0.0 < self.omega_max < math.inf):
-            raise ParameterError(f"omega_max must be positive and finite, got {self.omega_max}", "omega_max")
+        if not (self.omega_max > 0.0 and _is_finite(self.omega_max)):
+            raise ParameterError(
+                f"omega_max must be positive and finite, got {_shown(self.omega_max)}", "omega_max"
+            )
 
     def avg_eps(self, omega) -> complex:
         """Average permittivity (eps_upper + eps_lower)/2 of the media in contact."""

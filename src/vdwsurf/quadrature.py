@@ -14,12 +14,11 @@ algorithm (:func:`oscillatory_tail`).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, QuadratureError, _is_count
+from .errors import ParameterError, QuadratureError, _is_count, _is_finite, _shown
 
 _LO_X, _LO_W = np.polynomial.legendre.leggauss(7)
 _HI_X, _HI_W = np.polynomial.legendre.leggauss(15)
@@ -39,12 +38,15 @@ class QuadratureSpec:
 
     def __post_init__(self):
         for name in ("rel_tol", "abs_tol"):
-            if not (0.0 <= getattr(self, name) < math.inf):
-                raise ParameterError(f"{name} must be >= 0 and finite, got {getattr(self, name)}", name)
+            value = getattr(self, name)
+            if not (value >= 0.0 and _is_finite(value)):
+                raise ParameterError(f"{name} must be >= 0 and finite, got {_shown(value)}", name)
         if self.rel_tol == 0.0 and self.abs_tol == 0.0:
             raise ParameterError("at least one of rel_tol/abs_tol must be positive", "rel_tol", "abs_tol")
         if not _is_count(self.max_panels, 1):
-            raise ParameterError(f"max_panels must be an integer >= 1, got {self.max_panels!r}", "max_panels")
+            raise ParameterError(
+                f"max_panels must be an integer >= 1, got {_shown(self.max_panels)}", "max_panels"
+            )
 
 
 def _panel(f, lefts, rights):

@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ParameterError, _is_count
+from .errors import ParameterError, _is_count, _is_finite, _shown
 from .interaction import (
     Atom,
     offresonant_potential,
@@ -53,15 +53,15 @@ class ScanSpec:
     def __post_init__(self):
         if not (0.0 < self.omega_min < self.omega_max):
             raise ParameterError(
-                f"need 0 < omega_min < omega_max, got [{self.omega_min}, {self.omega_max}]",
+                f"need 0 < omega_min < omega_max, got [{_shown(self.omega_min)}, {_shown(self.omega_max)}]",
                 "omega_min",
                 "omega_max",
             )
-        if not (self.omega_max < math.inf):
-            raise ParameterError(f"omega_max must be finite, got {self.omega_max}", "omega_max")
+        if not _is_finite(self.omega_max):
+            raise ParameterError(f"omega_max must be finite, got {_shown(self.omega_max)}", "omega_max")
         if not _is_count(self.n_points, 2, MAX_SCAN_POINTS):
             raise ParameterError(
-                f"n_points must be an integer in [2, {MAX_SCAN_POINTS}], got {self.n_points!r}", "n_points"
+                f"n_points must be an integer in [2, {MAX_SCAN_POINTS}], got {_shown(self.n_points)}", "n_points"
             )
 
     def grid(self) -> np.ndarray:

@@ -2,7 +2,16 @@ import json
 
 import pytest
 
-from vdwsurf import ConfigError, MaterialKind, ParameterError, QuadratureSpec, ScanSpec
+from vdwsurf import (
+    Atom,
+    ConfigError,
+    HalfSpaceSystem,
+    Material,
+    MaterialKind,
+    ParameterError,
+    QuadratureSpec,
+    ScanSpec,
+)
 from vdwsurf.config import (
     ValidateSpec,
     bundled_config_names,
@@ -237,6 +246,10 @@ def test_largest_scan_is_accepted():
     assert cfg.scan.n_points == 1_000_000
 
 
+SURFACE_MODE = {"eta": 2.71, "eps0": 6.57, "omega_s": 1.0, "gamma": 0.01}
+VACUUM = Material.vacuum()
+
+
 @pytest.mark.parametrize(
     "cls, kwargs, field",
     [
@@ -247,6 +260,22 @@ def test_largest_scan_is_accepted():
         (ScanSpec, {"omega_min": 0.7, "omega_max": 1.3, "n_points": 2.5}, "n_points"),
         (ValidateSpec, {"scales": ()}, "scales"),
         (ValidateSpec, {"omega": -1.0}, "omega"),
+        # an integer beyond the float range is not finite, and one beyond
+        # the digit limit of str() still gets a message
+        (Atom, {"omega0": 10**400}, "omega0"),
+        (ScanSpec, {"omega_min": 0.7, "omega_max": 10**400}, "omega_max"),
+        (ValidateSpec, {"omega": 10**400}, "omega"),
+        (QuadratureSpec, {"rel_tol": 10**400}, "rel_tol"),
+        (ScanSpec, {"omega_min": 0.7, "omega_max": 1.3, "n_points": 10**5000}, "n_points"),
+        (QuadratureSpec, {"max_panels": -(10**5000)}, "max_panels"),
+        (ScanSpec, {"omega_min": -(10**5000), "omega_max": 1.0}, "omega_min"),
+        (ValidateSpec, {"omega": -(10**5000)}, "omega"),
+        (ValidateSpec, {"r_a": (10**400, 0.0, 1.0)}, "r_a[0]"),
+        (Material.constant, {"eps": 10**400}, "eps_const"),
+        (Material.lorentz, {"eta": 10**400, "eps0": 6.57, "omega_t": 0.7, "gamma": 0.0}, "eta"),
+        (Material.lorentz_from_surface_mode, {**SURFACE_MODE, "omega_s": -(10**5000)}, "omega_s"),
+        (Material.lorentz_from_surface_mode, {**SURFACE_MODE, "eta": 10**400, "eps0": 10**401}, "eta"),
+        (HalfSpaceSystem, {"upper": VACUUM, "lower": VACUUM, "omega_max": 10**400}, "omega_max"),
     ],
 )
 def test_model_types_reject_what_the_config_rejects_naming_the_field(cls, kwargs, field):
@@ -254,3 +283,7 @@ def test_model_types_reject_what_the_config_rejects_naming_the_field(cls, kwargs
     with pytest.raises(ParameterError) as info:
         cls(**kwargs)
     assert info.value.field == field
+
+
+def test_huge_panel_budget_is_valid():
+    assert QuadratureSpec(max_panels=10**5000).max_panels == 10**5000

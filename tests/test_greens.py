@@ -24,7 +24,15 @@ from vdwsurf import (
     sommerfeld_green,
     transmission_green,
 )
-from vdwsurf.greens import COMPONENTS, _COMPONENT_INDEX, _Kernel, _radial_integrand, _upward_root
+from vdwsurf.greens import (
+    COMPONENTS,
+    _COMPONENT_INDEX,
+    _J2_SERIES_BELOW,
+    _Kernel,
+    _bessel_j012,
+    _radial_integrand,
+    _upward_root,
+)
 from vdwsurf.quadrature import adaptive_gauss
 
 
@@ -482,6 +490,7 @@ def test_lateral_sommerfeld_integrand_call_gate(sapphire_system, monkeypatch, r_
     calls = _count_integrand_calls(monkeypatch)
     green = sommerfeld_green(sapphire_system, 0.5, AtomPositions(r_a, r_b).scaled(scale))
     assert np.all(np.isfinite(green))
+    assert calls[0] >= 1  # the count reaches the integrand actually used
     assert calls[0] <= most
 
 
@@ -561,6 +570,7 @@ def test_lateral_sommerfeld_green_at_aspect_1e4(sapphire_system, monkeypatch):
     pos = AtomPositions([0.0, 0.0, 0.5e-4], [1.0, 0.0, -0.5e-4]).scaled(1e-3)
     green = sommerfeld_green(sapphire_system, 0.5, pos)
     assert np.all(np.isfinite(green))
+    assert calls[0] >= 1
     assert calls[0] <= 10
 
 
@@ -612,3 +622,39 @@ def test_on_axis_sommerfeld_green_matches_mpmath_quadrature(sapphire_system):
     assert np.max(np.abs(got - ref)) <= 1e-8 * np.max(np.abs(ref))
     assert green[0, 2] == green[2, 0] == 0.0
     assert green[0, 0] == green[1, 1]
+
+
+@pytest.mark.parametrize(
+    "u",
+    [
+        0.0,
+        5e-324,
+        1e-310,
+        1e-300,
+        1e-8,
+        np.nextafter(_J2_SERIES_BELOW, 0.0),
+        _J2_SERIES_BELOW,
+        np.nextafter(_J2_SERIES_BELOW, 1.0),
+        0.5,
+        2.0,
+        5.1356,
+        30.0,
+        1e3,
+    ],
+)
+def test_bessel_j2_matches_mpmath(u):
+    # J2 from J0 and J1: the series below the threshold, the recurrence
+    # above it, and no 2*J1(u)/u - J0(u) cancellation at subnormal u
+    b2 = _bessel_j012(np.array([u]))[2][0]
+    assert abs(b2 - float(mpmath.besselj(2, u))) <= 1e-15
+    if u == 0.0:
+        assert b2 == 0.0
+
+
+@pytest.mark.parametrize("rho", [1e-320, 1e-310])
+def test_subnormal_rho_gives_the_on_axis_tensor(sapphire_system, rho):
+    # k*rho is subnormal over the whole path, where J2 must come out ~0
+    z_a, z_b, omega = 0.04, -0.06, 0.8
+    on_axis = sommerfeld_green(sapphire_system, omega, AtomPositions([0.0, 0.0, z_a], [0.0, 0.0, z_b]))
+    got = sommerfeld_green(sapphire_system, omega, AtomPositions([rho, 0.0, z_a], [0.0, 0.0, z_b]))
+    assert np.max(np.abs(got - on_axis)) <= 1e-12 * np.max(np.abs(on_axis))
