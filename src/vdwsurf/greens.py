@@ -47,16 +47,16 @@ class AtomPositions:
     r_b: np.ndarray
 
     def __post_init__(self):
-        r_a = np.asarray(self.r_a, dtype=float).reshape(3)
-        r_b = np.asarray(self.r_b, dtype=float).reshape(3)
-        object.__setattr__(self, "r_a", r_a)
-        object.__setattr__(self, "r_b", r_b)
-        if not (r_a[2] > 0.0 > r_b[2]):
-            raise ParameterError(
-                f"atoms must sit on opposite sides of the interface: z_a={r_a[2]}, z_b={r_b[2]}"
-            )
-        if not np.all(np.isfinite(r_a)) or not np.all(np.isfinite(r_b)):
-            raise ParameterError("positions must be finite")
+        for name in ("r_a", "r_b"):
+            coords = np.asarray(getattr(self, name), dtype=object).reshape(3)
+            for i, x in enumerate(coords):
+                if not _is_finite(x):
+                    raise ParameterError(f"{name}[{i}] must be finite, got {_shown(x)}", f"{name}[{i}]")
+            object.__setattr__(self, name, coords.astype(float))
+        if not (self.r_a[2] > 0.0):
+            raise ParameterError(f"r_a[2] must be > 0 (upper medium), got {float(self.r_a[2])!r}", "r_a[2]")
+        if not (self.r_b[2] < 0.0):
+            raise ParameterError(f"r_b[2] must be < 0 (lower medium), got {float(self.r_b[2])!r}", "r_b[2]")
 
     @property
     def r_vec(self) -> np.ndarray:
@@ -73,8 +73,8 @@ class AtomPositions:
         return float(np.hypot(*(self.r_a[:2] - self.r_b[:2])))
 
     def scaled(self, s: float) -> "AtomPositions":
-        if not (s > 0.0):
-            raise ParameterError(f"scale must be positive, got {s}")
+        if not (s > 0.0 and _is_finite(s)):
+            raise ParameterError(f"scale must be positive and finite, got {_shown(s)}", "scale")
         return AtomPositions(s * self.r_a, s * self.r_b)
 
 
@@ -179,38 +179,6 @@ class _Kernel:
                 )
 
 
-def _quasi_static(kernel: _Kernel, pos: AtomPositions):
-    """The k -> infinity limit of :func:`_radial_integrand`, and the s part of its integral.
-
-    For large k, beta and beta_m tend to ik, p to p0/(ik) with
-    p0 = 2/(omega^2 (eps_u + eps_l)) and s to s0/(ik) with
-    s0 = 2 mu_u mu_l/(mu_u + mu_l), and the phase to e^{-k dz}.  Through the
-    Laplace-Hankel integrals the p part of this limit integrates to
-    p0 (3 rr - I)/R^3, the closed near-field form, and the s part to
-    s0/2 (1/R +- rho^2/((R + dz)^2 R)) on xx and yy, which is returned as
-    the pair ``(s_xx, s_yy)`` next to the limit integrand.
-    """
-    z_a, z_b, rho = pos.r_a[2], pos.r_b[2], pos.rho
-    dz = z_a - z_b
-    p0 = 2.0 / (kernel.omega**2 * (kernel.eps_u + kernel.eps_l))
-    s0 = 2.0 * kernel.mu_u * kernel.mu_l / (kernel.mu_u + kernel.mu_l)
-
-    def integrand(k):
-        k = np.asarray(k, dtype=float)
-        u = k * rho
-        b0, b1, b2 = _bessel_j012(u)
-        pk2, envelope = p0 * k * k, np.exp(-k * dz)
-        xx = 0.5 * (s0 * (b0 + b2) - pk2 * (b0 - b2)) * envelope
-        yy = 0.5 * (s0 * (b0 - b2) - pk2 * (b0 + b2)) * envelope
-        zz = pk2 * b0 * envelope
-        xz = pk2 * b1 * envelope
-        return np.stack([xx, yy, zz, xz, xz], axis=-1)
-
-    dist = np.hypot(rho, dz)
-    j2 = rho * rho / ((dist + dz) ** 2 * dist)  # (R - dz)^2/(rho^2 R), 0 on axis
-    return integrand, (0.5 * s0 * (1.0 / dist + j2), 0.5 * s0 * (1.0 / dist - j2))
-
-
 def _local_field(eps_u, eps_l) -> complex:
     """Product D_u*D_l of the two media's Onsager cavity factors."""
     return local_field_factor(eps_u) * local_field_factor(eps_l)
@@ -247,26 +215,34 @@ def kspace_green(system: HalfSpaceSystem, omega: float, k: float, z_a: float, z_
     return 2j * np.pi * np.exp(1j * (beta * z_a - beta_m * z_b)) * dyad
 
 
-def _radial_integrand(kernel: _Kernel, pos: AtomPositions):
-    """Vectorized k-integrand of the five independent tensor components.
+def _radial_integrand(kernel: _Kernel, pos: AtomPositions, p0, s0):
+    """Vectorized k-integrand of the five independent tensor components
+    minus its k -> infinity limit.
 
-    This is the angular integral of :func:`kspace_green` times k/(2*pi)^2,
-    in the frame whose x axis is the in-plane separation.
+    The integrand is the angular integral of :func:`kspace_green` times
+    k/(2*pi)^2, in the frame whose x axis is the in-plane separation.  As
+    k -> infinity, beta and beta_m tend to ik, p to p0/(ik), s to s0/(ik)
+    and the phase to e^{-k dz}; that limit is subtracted from the
+    coefficient of each Bessel combination.  p0 = s0 = 0 subtracts nothing.
     """
     z_a, z_b, rho = pos.r_a[2], pos.r_b[2], pos.rho
+    dz = z_a - z_b
 
     def integrand(k):
         k = np.asarray(k, dtype=float)
         beta, beta_m, _, _, p, s = kernel(k)
         phase = np.exp(1j * (beta * z_a - beta_m * z_b))
-        u = k * rho
-        b0, b1, b2 = _bessel_j012(u)
-        pbb = p * beta * beta_m
-        xx = 0.5j * k * (pbb * (b0 - b2) + s * (b0 + b2)) * phase
-        yy = 0.5j * k * (pbb * (b0 + b2) + s * (b0 - b2)) * phase
-        zz = 1j * k * p * k * k * b0 * phase
-        xz = p * beta * k * k * b1 * phase
-        zx = p * k * k * beta_m * b1 * phase
+        b0, b1, b2 = _bessel_j012(k * rho)
+        ik, k2, envelope = 1j * k, k * k, np.exp(-k * dz)
+        pk2, p0k2 = p * k2 * phase, p0 * k2 * envelope
+        cp = 0.5 * (ik * p * beta * beta_m * phase + p0k2)
+        cs = 0.5 * (ik * s * phase - s0 * envelope)
+        minus, plus = b0 - b2, b0 + b2
+        xx = cp * minus + cs * plus
+        yy = cp * plus + cs * minus
+        zz = (ik * pk2 - p0k2) * b0
+        xz = (beta * pk2 - p0k2) * b1
+        zx = (beta_m * pk2 - p0k2) * b1
         return np.stack([xx, yy, zz, xz, zx], axis=-1)
 
     return integrand
@@ -282,40 +258,49 @@ def sommerfeld_green(
     """Transmission Green function by radial-wavenumber integration.
 
     The angular integral is done analytically (J0/J1/J2 kernels).  The
-    integrand's k -> infinity limit is integrated in closed form: its p part
-    is :func:`nonretarded_green` without local fields, its s part a small
-    1/R correction.  Only the retardation residual is integrated numerically
-    along the real k axis, to ``quad``'s rel_tol against the largest
-    component of residual or closed form: adaptively over a propagating
-    segment up to the largest Re(n*omega) and a head up to
-    K0 = max(20*k_split, 10/rho), and beyond K0, while the e^{-k dz}
+    integrand's k -> infinity limit is integrated in closed form (Laplace-
+    Hankel integrals): its p part is :func:`nonretarded_green` without local
+    fields, its s part s0/2 (1/R +- rho^2/((R + dz)^2 R)) on xx and yy with
+    s0 = 2 mu_u mu_l/(mu_u + mu_l).  Only the retardation residual is
+    integrated numerically along the real k axis, to ``quad``'s rel_tol
+    against the largest component of residual or closed form: adaptively
+    over a propagating segment up to the largest Re(n*omega) and a head up
+    to K0 = max(20*k_split, 10/rho), and beyond K0, while the e^{-k dz}
     envelope has not decayed, as an extrapolated sum over half-periods
     pi/rho of the Bessel oscillation.  With ``local_field`` the result
     carries the Onsager cavity factor of each medium.
 
     Raises QuadratureError when the panel budget is exhausted and
-    SingularityError when a lossless interface mode sits on the path.
+    SingularityError when a lossless interface mode sits on the path or
+    eps_u + eps_l or mu_u + mu_l vanishes.
     """
     kernel = _Kernel(system, omega)
     if quad is None:
         quad = QuadratureSpec()
     kernel.check_path_poles()
     z_a, z_b, rho = pos.r_a[2], pos.r_b[2], pos.rho
+    dz = z_a - z_b
 
     in_frame = AtomPositions([rho, 0.0, z_a], [0.0, 0.0, z_b])
     frame = nonretarded_green(system, omega, in_frame, local_field=False)
-    limit, (s_xx, s_yy) = _quasi_static(kernel, pos)
-    frame[0, 0] += s_xx
-    frame[1, 1] += s_yy
-    integrand = _radial_integrand(kernel, pos)
-
-    def residual(k):
-        return integrand(k) - limit(k)
+    mu_u, mu_l = kernel.mu_u, kernel.mu_l
+    if _pole(mu_u + mu_l, abs(mu_u) + abs(mu_l)):
+        raise SingularityError(f"mu_u + mu_l vanishes at omega = {omega!r}")
+    # The limits of ik*p and ik*s divide by eps_u + eps_l and mu_u + mu_l, so
+    # they are formed here, past both pole checks, not in _Kernel, which
+    # fresnel_t and kspace_green also build for media where these vanish.
+    p0 = 2.0 / (omega**2 * (kernel.eps_u + kernel.eps_l))
+    s0 = 2.0 * mu_u * mu_l / (mu_u + mu_l)
+    dist = np.hypot(rho, dz)
+    j2 = rho * rho / ((dist + dz) ** 2 * dist)  # (R - dz)^2/(rho^2 R), 0 on axis
+    frame[0, 0] += 0.5 * s0 * (1.0 / dist + j2)
+    frame[1, 1] += 0.5 * s0 * (1.0 / dist - j2)
+    residual = _radial_integrand(kernel, pos, p0, s0)
 
     spec = replace(quad, abs_tol=quad.abs_tol + quad.rel_tol * np.max(np.abs(frame)))
     k_split = max(kernel.k_breaks)
     # beyond k_end the envelope e^{-k dz} is below eps^2 of its value at k_split
-    k_end = k_split - 2.0 * np.log(np.finfo(float).eps) / (z_a - z_b)
+    k_end = k_split - 2.0 * np.log(np.finfo(float).eps) / dz
     k0 = min(max(20.0 * k_split, 10.0 / rho if rho > 0.0 else np.inf), k_end)
     # panel edges k_split + omega*1e-3*4^j below K0, dense next to the light line
     seeds = k_split + omega * 1e-3 * 4.0 ** np.arange(np.log((k0 - k_split) / (omega * 1e-3)) / np.log(4.0))
@@ -485,14 +470,7 @@ class ValidateSpec:
         for name, value in positive.items():
             if not (value > 0.0 and _is_finite(value)):
                 raise ParameterError(f"{name} must be positive and finite, got {_shown(value)}", name)
-        for name, vec in (("r_a", self.r_a), ("r_b", self.r_b)):
-            for i, x in enumerate(vec):
-                if not _is_finite(x):
-                    raise ParameterError(f"{name}[{i}] must be finite, got {_shown(x)}", f"{name}[{i}]")
-        if not (self.r_a[2] > 0.0):
-            raise ParameterError(f"r_a[2] must be > 0 (upper medium), got {self.r_a[2]!r}", "r_a[2]")
-        if not (self.r_b[2] < 0.0):
-            raise ParameterError(f"r_b[2] must be < 0 (lower medium), got {self.r_b[2]!r}", "r_b[2]")
+        AtomPositions(self.r_a, self.r_b)  # the position rules, fields named alike
 
 
 def nonretarded_limit_check(

@@ -169,6 +169,15 @@ def test_validate_fails_at_large_scale(tmp_path, capsys):
     assert "FAILED" in capsys.readouterr().err
 
 
+def test_permeability_pole_exits_1_with_an_error_line(tmp_path, capsys):
+    # mu_u + mu_l = 0 is a pole of the Sommerfeld integrand's quasi-static limit
+    lower = {"kind": "constant", "eps": [2.0, 0.1], "mu": -1.0}
+    cfg = write_config(tmp_path, system={"upper": "vacuum", "lower": lower, "omega_max": 3.0})
+    rc = main(["validate", "--config", str(cfg), "--out", str(tmp_path / "v.csv")])
+    assert rc == EXIT_CONFIG
+    assert any(line.startswith("error:") for line in capsys.readouterr().err.splitlines())
+
+
 def test_quadrature_failure_exit_code(tmp_path):
     cfg = write_config(tmp_path, quadrature={"rel_tol": 1e-13, "max_panels": 2})
     rc = main(["validate", "--config", str(cfg), "--out", str(tmp_path / "v.csv")])

@@ -4,6 +4,7 @@ import pytest
 
 from vdwsurf import (
     Atom,
+    AtomPositions,
     ConfigError,
     HalfSpaceSystem,
     Material,
@@ -276,6 +277,10 @@ VACUUM = Material.vacuum()
         (Material.lorentz_from_surface_mode, {**SURFACE_MODE, "omega_s": -(10**5000)}, "omega_s"),
         (Material.lorentz_from_surface_mode, {**SURFACE_MODE, "eta": 10**400, "eps0": 10**401}, "eta"),
         (HalfSpaceSystem, {"upper": VACUUM, "lower": VACUUM, "omega_max": 10**400}, "omega_max"),
+        (AtomPositions, {"r_a": [0, 0, 10**400], "r_b": [0, 0, -1]}, "r_a[2]"),
+        (AtomPositions, {"r_a": [0, 0, 1], "r_b": [-(10**5000), 0, -1]}, "r_b[0]"),
+        (AtomPositions([0, 0, 1], [0, 0, -1]).scaled, {"s": 10**400}, "scale"),
+        (AtomPositions([0, 0, 1], [0, 0, -1]).scaled, {"s": -(10**5000)}, "scale"),
     ],
 )
 def test_model_types_reject_what_the_config_rejects_naming_the_field(cls, kwargs, field):

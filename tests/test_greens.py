@@ -126,6 +126,14 @@ class TestFresnel:
         tp, _ = fresnel_t(sys_, 1.0, np.sqrt(2.0) + 1e-11)  # about 4e-12 of the scale
         assert abs(tp) > 1e10
 
+    @pytest.mark.parametrize("lower", [Material.constant(-1.0), Material.constant(2.0 + 0.1j, mu=-1.0)])
+    def test_finite_where_the_quasi_static_limit_has_a_pole(self, lower):
+        # eps_u + eps_l = 0 or mu_u + mu_l = 0 is a pole of the Sommerfeld
+        # integrand's k -> infinity limit only, not of the kernel at finite k
+        sys_ = HalfSpaceSystem(upper=Material.vacuum(), lower=lower)
+        assert np.all(np.isfinite(fresnel_t(sys_, 1.0, 0.5)))
+        assert np.all(np.isfinite(kspace_green(sys_, 1.0, 0.5, 0.3, -0.2)))
+
     def test_invalid_arguments(self, vacuum_system):
         with pytest.raises(ParameterError):
             fresnel_t(vacuum_system, -1.0, 0.5)
@@ -281,6 +289,14 @@ class TestSommerfeld:
         with pytest.raises(SingularityError):
             sommerfeld_green(sys_, 1.0, POS)
 
+    @pytest.mark.parametrize("mu_l", [-1.0, -1.0 - 1e-13, -1.0 + 1e-13])
+    def test_permeability_pole_rejected(self, mu_l):
+        # mu_u + mu_l within the pole rule of 0: the s part of the
+        # quasi-static limit, 2 mu_u mu_l/(mu_u + mu_l), has a pole
+        sys_ = HalfSpaceSystem(upper=Material.vacuum(), lower=Material.constant(2.0 + 0.1j, mu=mu_l))
+        with pytest.raises(SingularityError):
+            sommerfeld_green(sys_, 0.8, POS)
+
     def test_budget_error_propagates(self, sapphire_system):
         with pytest.raises(QuadratureError):
             sommerfeld_green(
@@ -338,7 +354,7 @@ def test_radial_integrand_is_angular_integral_of_kspace_kernel(sapphire_system):
     omega = 0.8
     pos = AtomPositions([0.0, 0.0, 0.3], [0.7, 0.0, -0.4])
     ks = np.array([0.3, 1.7, 6.0])  # propagating in both media, then evanescent
-    got = _radial_integrand(_Kernel(sapphire_system, omega), pos)(ks)
+    got = _radial_integrand(_Kernel(sapphire_system, omega), pos, 0.0, 0.0)(ks)
     n = 64
     for k, row in zip(ks, got):
         kernel = kspace_green(sapphire_system, omega, k, pos.r_a[2], pos.r_b[2])
@@ -430,7 +446,7 @@ def test_sommerfeld_green_matches_mpmath_quadrature(sapphire_system, aspect, ome
     rho = aspect * dz
     pos = AtomPositions([rho, 0.0, 0.4 * dz], [0.0, 0.0, -0.6 * dz])  # r_a - r_b along +x
     kernel = _Kernel(sapphire_system, omega)
-    integrand = _radial_integrand(kernel, pos)
+    integrand = _radial_integrand(kernel, pos, 0.0, 0.0)
     rows = {}
 
     def row(k):
@@ -460,8 +476,8 @@ def _count_integrand_calls(monkeypatch):
 
     calls = [0]
 
-    def counted_radial_integrand(kernel, pos):
-        integrand = _radial_integrand(kernel, pos)
+    def counted_radial_integrand(*args):
+        integrand = _radial_integrand(*args)
 
         def counted(k):
             calls[0] += 1
@@ -494,29 +510,29 @@ def test_lateral_sommerfeld_integrand_call_gate(sapphire_system, monkeypatch, r_
     assert calls[0] <= most
 
 
-class _QuasiStaticKernel:
-    """Stand-in for a _Kernel with its k -> infinity coefficients.
+def test_one_bessel_triple_per_integrand_call(sapphire_system, monkeypatch):
+    # the limit is subtracted per coefficient, so J0, J1 and J2 are
+    # evaluated once per abscissa, not again for the limit
+    import vdwsurf.greens as greens
 
-    beta = beta_m = ik, p = p0/(ik), s = s0/(ik): fed to _radial_integrand it
-    gives the quasi-static limit of the Sommerfeld integrand.
-    """
+    calls, bessel = _count_integrand_calls(monkeypatch), [0]
 
-    def __init__(self, kernel):
-        self.p0 = 2.0 / (kernel.omega**2 * (kernel.eps_u + kernel.eps_l))
-        self.s0 = 2.0 * kernel.mu_u * kernel.mu_l / (kernel.mu_u + kernel.mu_l)
+    def counted_bessel(u):
+        bessel[0] += 1
+        return _bessel_j012(u)
 
-    def __call__(self, k):
-        ik = 1j * k
-        return ik, ik, None, None, self.p0 / ik, self.s0 / ik
+    monkeypatch.setattr(greens, "_bessel_j012", counted_bessel)
+    sommerfeld_green(sapphire_system, 0.8, POS)
+    assert calls[0] >= 1
+    assert bessel[0] == calls[0]
 
 
-def _quasi_static_integrals(limit, rho, dz):
+def _quasi_static_integrals(p0, s0, rho, dz):
     """Components of the integral of the quasi-static integrand, from the
     Laplace-Hankel table: int J_n(k rho) e^{-k dz} k^m dk for m = 0, 2."""
     dist = np.hypot(rho, dz)
     i0, i2 = 1.0 / dist, (dist - dz) ** 2 / (rho**2 * dist)
     k0, k1, k2 = (2.0 * dz**2 - rho**2) / dist**5, 3.0 * rho * dz / dist**5, 3.0 * rho**2 / dist**5
-    p0, s0 = limit.p0, limit.s0
     return {
         "xx": 0.5 * (s0 * (i0 + i2) - p0 * (k0 - k2)),
         "yy": 0.5 * (s0 * (i0 - i2) - p0 * (k0 + k2)),
@@ -535,9 +551,11 @@ def test_lateral_sommerfeld_green_matches_mpmath_quadosc(sapphire_system, aspect
     dz = rho / aspect
     pos = AtomPositions([rho, 0.0, 0.4 * dz], [0.0, 0.0, -0.6 * dz])  # r_a - r_b along +x
     kernel = _Kernel(sapphire_system, omega)
-    limit = _QuasiStaticKernel(kernel)
-    closed = _quasi_static_integrals(limit, rho, dz)
-    full, static = _radial_integrand(kernel, pos), _radial_integrand(limit, pos)
+    # ik*p and ik*s of the kernel as k -> infinity
+    p0 = 2.0 / (omega**2 * (kernel.eps_u + kernel.eps_l))
+    s0 = 2.0 * kernel.mu_u * kernel.mu_l / (kernel.mu_u + kernel.mu_l)
+    closed = _quasi_static_integrals(p0, s0, rho, dz)
+    residual = _radial_integrand(kernel, pos, p0, s0)
     # In these units the result is about 1e3, so quadosc's absolute tolerance
     # at 4 digits (about 1e-8) is 1e-11 of it; the residual is about 5e-8 of it.
     unit = 1e-3 * max(abs(v) for v in closed.values())
@@ -546,7 +564,7 @@ def test_lateral_sommerfeld_green_matches_mpmath_quadosc(sapphire_system, aspect
     def row(k):
         k = float(k)
         if k not in rows:
-            rows[k] = (full(np.array([k]))[0] - static(np.array([k]))[0]) / unit
+            rows[k] = residual(np.array([k]))[0] / unit
         return rows[k]
 
     k_head = 10.0 / rho
@@ -605,7 +623,7 @@ def test_on_axis_sommerfeld_green_matches_mpmath_quadrature(sapphire_system):
     dz, omega = 0.1, 0.8
     pos = AtomPositions([0.0, 0.0, 0.4 * dz], [0.0, 0.0, -0.6 * dz])
     kernel = _Kernel(sapphire_system, omega)
-    integrand = _radial_integrand(kernel, pos)
+    integrand = _radial_integrand(kernel, pos, 0.0, 0.0)
     k_split = max(kernel.k_breaks)
     k_end = 50.0 * np.log(10.0) / dz
     points = [0.0, *kernel.k_breaks, *np.arange(k_split + 2.0 / dz, k_end, 2.0 / dz), k_end]
