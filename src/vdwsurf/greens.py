@@ -23,17 +23,26 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import j0, j1
 
 from .errors import ParameterError, SingularityError, _is_finite, _shown
 from .materials import HalfSpaceSystem, _avg_eps_vanishes, _pole, local_field_factor
-from .quadrature import QuadratureSpec, adaptive_gauss, oscillatory_tail
+from .quadrature import QuadratureSpec, _adaptive_many, _result, _tail_many
 
 #: Tensor components that are generally nonzero in the frame whose x axis is
 #: the in-plane separation direction (everything else vanishes by symmetry).
 COMPONENTS = ("xx", "yy", "zz", "xz", "zx")
 
 _COMPONENT_INDEX = {"xx": (0, 0), "yy": (1, 1), "zz": (2, 2), "xz": (0, 2), "zx": (2, 0)}
+
+
+def _coordinates(name: str, value) -> np.ndarray:
+    """``value`` as three floats; ParameterError naming ``name[i]`` unless each is finite as a float."""
+    coords = np.asarray(value, dtype=object).reshape(3)
+    for i, x in enumerate(coords):
+        if not _is_finite(x):
+            raise ParameterError(f"{name}[{i}] must be finite, got {_shown(x)}", f"{name}[{i}]")
+    return coords.astype(float)
+
 
 @dataclass(frozen=True, eq=False)
 class AtomPositions:
@@ -48,11 +57,7 @@ class AtomPositions:
 
     def __post_init__(self):
         for name in ("r_a", "r_b"):
-            coords = np.asarray(getattr(self, name), dtype=object).reshape(3)
-            for i, x in enumerate(coords):
-                if not _is_finite(x):
-                    raise ParameterError(f"{name}[{i}] must be finite, got {_shown(x)}", f"{name}[{i}]")
-            object.__setattr__(self, name, coords.astype(float))
+            object.__setattr__(self, name, _coordinates(name, getattr(self, name)))
         if not (self.r_a[2] > 0.0):
             raise ParameterError(f"r_a[2] must be > 0 (upper medium), got {float(self.r_a[2])!r}", "r_a[2]")
         if not (self.r_b[2] < 0.0):
@@ -90,8 +95,11 @@ def _bessel_j012(u):
     J2 = 2*J1/u - J0 from ``_J2_SERIES_BELOW`` up and u^2/8 - u^4/96 below
     it, exactly 0 at u = 0: both branches agree with J2 to about 1e-16
     absolute.  scipy's general-order ``jv(2, u)`` costs several times
-    ``j0`` and ``j1`` together.
+    ``j0`` and ``j1`` together.  scipy is imported here, not with the
+    package: the resonant path never needs it.
     """
+    from scipy.special import j0, j1
+
     b0, b1 = j0(u), j1(u)
     small = u < _J2_SERIES_BELOW
     if not small.any():  # most calls: every abscissa is past the first panels
@@ -114,7 +122,7 @@ def _upward_root(z):
 
 def near_field_tensor(r_vec) -> np.ndarray:
     """Instantaneous dipole tensor (3*rr - I)/r^3 for a separation vector."""
-    r_vec = np.asarray(r_vec, dtype=float).reshape(3)
+    r_vec = _coordinates("r_vec", r_vec)
     r = np.linalg.norm(r_vec)
     if r == 0.0:
         raise ParameterError("zero separation")
@@ -215,7 +223,7 @@ def kspace_green(system: HalfSpaceSystem, omega: float, k: float, z_a: float, z_
     return 2j * np.pi * np.exp(1j * (beta * z_a - beta_m * z_b)) * dyad
 
 
-def _radial_integrand(kernel: _Kernel, pos: AtomPositions, p0, s0):
+def _radial_integrand(kernel: _Kernel, positions, p0, s0):
     """Vectorized k-integrand of the five independent tensor components
     minus its k -> infinity limit.
 
@@ -224,16 +232,22 @@ def _radial_integrand(kernel: _Kernel, pos: AtomPositions, p0, s0):
     k -> infinity, beta and beta_m tend to ik, p to p0/(ik), s to s0/(ik)
     and the phase to e^{-k dz}; that limit is subtracted from the
     coefficient of each Bessel combination.  p0 = s0 = 0 subtracts nothing.
+
+    ``positions`` is one AtomPositions, called as ``integrand(k)``, or a
+    sequence of them, called as ``integrand(k, which)`` with which[i] the
+    index of the position that k[i] belongs to.
     """
-    z_a, z_b, rho = pos.r_a[2], pos.r_b[2], pos.rho
+    if isinstance(positions, AtomPositions):
+        positions = (positions,)
+    z_a, z_b, rho = np.reshape([(pos.r_a[2], pos.r_b[2], pos.rho) for pos in positions], (-1, 3)).T
     dz = z_a - z_b
 
-    def integrand(k):
+    def integrand(k, which=0):
         k = np.asarray(k, dtype=float)
         beta, beta_m, _, _, p, s = kernel(k)
-        phase = np.exp(1j * (beta * z_a - beta_m * z_b))
-        b0, b1, b2 = _bessel_j012(k * rho)
-        ik, k2, envelope = 1j * k, k * k, np.exp(-k * dz)
+        phase = np.exp(1j * (beta * z_a[which] - beta_m * z_b[which]))
+        b0, b1, b2 = _bessel_j012(k * rho[which])
+        ik, k2, envelope = 1j * k, k * k, np.exp(-k * dz[which])
         pk2, p0k2 = p * k2 * phase, p0 * k2 * envelope
         cp = 0.5 * (ik * p * beta * beta_m * phase + p0k2)
         cs = 0.5 * (ik * s * phase - s0 * envelope)
@@ -274,15 +288,31 @@ def sommerfeld_green(
     SingularityError when a lossless interface mode sits on the path or
     eps_u + eps_l or mu_u + mu_l vanishes.
     """
+    return _sommerfeld_many(system, omega, [pos], quad, local_field)[0]
+
+
+def _sommerfeld_many(
+    system: HalfSpaceSystem,
+    omega: float,
+    positions,
+    quad: QuadratureSpec | None = None,
+    local_field: bool = True,
+) -> list:
+    """:func:`sommerfeld_green` at each of ``positions``, with every integral in one loop.
+
+    The kernel depends on omega only, so one residual integrand serves all
+    positions.  Each position's head and propagating segment are two jobs of
+    one adaptive loop, and its tail is a job of one tail loop; each job keeps
+    the tolerance of its own position.  Every tensor, and the error raised
+    (the first in position order, and per position head, tail, then
+    propagating segment), is what :func:`sommerfeld_green` gives alone.
+    """
     kernel = _Kernel(system, omega)
     if quad is None:
         quad = QuadratureSpec()
     kernel.check_path_poles()
-    z_a, z_b, rho = pos.r_a[2], pos.r_b[2], pos.rho
-    dz = z_a - z_b
-
-    in_frame = AtomPositions([rho, 0.0, z_a], [0.0, 0.0, z_b])
-    frame = nonretarded_green(system, omega, in_frame, local_field=False)
+    in_frame = [AtomPositions([pos.rho, 0.0, pos.r_a[2]], [0.0, 0.0, pos.r_b[2]]) for pos in positions]
+    frames = [nonretarded_green(system, omega, pos, local_field=False) for pos in in_frame]
     mu_u, mu_l = kernel.mu_u, kernel.mu_l
     if _pole(mu_u + mu_l, abs(mu_u) + abs(mu_l)):
         raise SingularityError(f"mu_u + mu_l vanishes at omega = {omega!r}")
@@ -291,45 +321,65 @@ def sommerfeld_green(
     # fresnel_t and kspace_green also build for media where these vanish.
     p0 = 2.0 / (omega**2 * (kernel.eps_u + kernel.eps_l))
     s0 = 2.0 * mu_u * mu_l / (mu_u + mu_l)
-    dist = np.hypot(rho, dz)
-    j2 = rho * rho / ((dist + dz) ** 2 * dist)  # (R - dz)^2/(rho^2 R), 0 on axis
-    frame[0, 0] += 0.5 * s0 * (1.0 / dist + j2)
-    frame[1, 1] += 0.5 * s0 * (1.0 / dist - j2)
-    residual = _radial_integrand(kernel, pos, p0, s0)
-
-    spec = replace(quad, abs_tol=quad.abs_tol + quad.rel_tol * np.max(np.abs(frame)))
     k_split = max(kernel.k_breaks)
-    # beyond k_end the envelope e^{-k dz} is below eps^2 of its value at k_split
-    k_end = k_split - 2.0 * np.log(np.finfo(float).eps) / dz
-    k0 = min(max(20.0 * k_split, 10.0 / rho if rho > 0.0 else np.inf), k_end)
-    # panel edges k_split + omega*1e-3*4^j below K0, dense next to the light line
-    seeds = k_split + omega * 1e-3 * 4.0 ** np.arange(np.log((k0 - k_split) / (omega * 1e-3)) / np.log(4.0))
-    flat = adaptive_gauss(residual, k_split, k0, spec, breakpoints=seeds)[0]
-    if k0 < k_end:
-        flat = flat + oscillatory_tail(residual, k0, np.pi / rho, spec)[0]
-    # A separate call: under one shared tolerance, bisection crowds into the
-    # integrable 1/beta peak at a light line and rounds abscissae onto it.
-    if k_split > 0.0:
-        flat = flat + adaptive_gauss(residual, 0.0, k_split, spec, breakpoints=kernel.k_breaks[:-1])[0]
 
-    for name, value in zip(COMPONENTS, flat):
-        frame[_COMPONENT_INDEX[name]] += value
+    gauss, gauss_at, tails, tails_at, has_tail = [], [], [], [], []  # jobs and their positions
+    for pos, frame in zip(positions, frames):
+        z_a, z_b, rho = pos.r_a[2], pos.r_b[2], pos.rho
+        dz = z_a - z_b
+        dist = np.hypot(rho, dz)
+        j2 = rho * rho / ((dist + dz) ** 2 * dist)  # (R - dz)^2/(rho^2 R), 0 on axis
+        frame[0, 0] += 0.5 * s0 * (1.0 / dist + j2)
+        frame[1, 1] += 0.5 * s0 * (1.0 / dist - j2)
+        spec = replace(quad, abs_tol=quad.abs_tol + quad.rel_tol * np.max(np.abs(frame)))
+        # beyond k_end the envelope e^{-k dz} is below eps^2 of its value at k_split
+        k_end = k_split - 2.0 * np.log(np.finfo(float).eps) / dz
+        k0 = min(max(20.0 * k_split, 10.0 / rho if rho > 0.0 else np.inf), k_end)
+        # panel edges k_split + omega*1e-3*4^j below K0, dense next to the light line
+        seeds = k_split + omega * 1e-3 * 4.0 ** np.arange(
+            np.log((k0 - k_split) / (omega * 1e-3)) / np.log(4.0)
+        )
+        gauss.append((k_split, k0, spec, seeds))
+        gauss_at.append(pos)
+        has_tail.append(k0 < k_end)
+        if has_tail[-1]:
+            tails.append((k0, np.pi / rho, spec))
+            tails_at.append(pos)
+        # A separate job: under one shared tolerance, bisection crowds into
+        # the integrable 1/beta peak at a light line and rounds abscissae onto it.
+        if k_split > 0.0:
+            gauss.append((0.0, k_split, spec, kernel.k_breaks[:-1]))
+            gauss_at.append(pos)
+    gauss = iter(_adaptive_many(_radial_integrand(kernel, gauss_at, p0, s0), gauss))
+    tails = iter(_tail_many(_radial_integrand(kernel, tails_at, p0, s0), tails))
 
-    # Rotate from the frame aligned with the in-plane separation back to lab axes.
-    dx, dy = pos.r_a[0] - pos.r_b[0], pos.r_a[1] - pos.r_b[1]
-    if dx * dx + dy * dy > 0.0:
-        phi = np.arctan2(dy, dx)
-        c, s = np.cos(phi), np.sin(phi)
-        rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-        green = rot @ frame @ rot.T
-    else:
-        green = frame
+    greens = []
+    for pos, frame, tail in zip(positions, frames, has_tail):
+        flat = _result(next(gauss))[0]
+        if tail:
+            flat = flat + _result(next(tails))[0]
+        if k_split > 0.0:
+            flat = flat + _result(next(gauss))[0]
 
-    if local_field:
-        green = green * _local_field(kernel.eps_u, kernel.eps_l)
-    if not np.all(np.isfinite(green)):
-        raise SingularityError("non-finite Green tensor")
-    return green
+        for name, value in zip(COMPONENTS, flat):
+            frame[_COMPONENT_INDEX[name]] += value
+
+        # Rotate from the frame aligned with the in-plane separation back to lab axes.
+        dx, dy = pos.r_a[0] - pos.r_b[0], pos.r_a[1] - pos.r_b[1]
+        if dx * dx + dy * dy > 0.0:
+            phi = np.arctan2(dy, dx)
+            c, s = np.cos(phi), np.sin(phi)
+            rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+            green = rot @ frame @ rot.T
+        else:
+            green = frame
+
+        if local_field:
+            green = green * _local_field(kernel.eps_u, kernel.eps_l)
+        if not np.all(np.isfinite(green)):
+            raise SingularityError("non-finite Green tensor")
+        greens.append(green)
+    return greens
 
 
 def transmission_green(
@@ -347,8 +397,7 @@ def transmission_green(
     mirror system (media swapped, z negated) and conjugated back with
     diag(1, 1, -1).
     """
-    r_obs = np.asarray(r_obs, dtype=float).reshape(3)
-    r_src = np.asarray(r_src, dtype=float).reshape(3)
+    r_obs, r_src = _coordinates("r_obs", r_obs), _coordinates("r_src", r_src)
     if r_obs[2] > 0.0 > r_src[2]:
         return sommerfeld_green(system, omega, AtomPositions(r_obs, r_src), quad, local_field)
     if r_src[2] > 0.0 > r_obs[2]:
@@ -487,17 +536,20 @@ def nonretarded_limit_check(
     ratio retarded/nonretarded is recorded.  Components that vanish in the
     closed form (relative magnitude below 1e-12) are skipped.  The report
     passes when all ratios at the smallest scale sit within tolerance of 1.
+    The Sommerfeld integrals of every scale run in one adaptive loop; each
+    tensor, and any error raised, is that of :func:`sommerfeld_green` at the
+    scale, and the first scale's error is raised first.
     """
     scales = tuple(float(s) for s in scales)
+    shrunk = [pos.scaled(s) for s in scales]
+    retarded = _sommerfeld_many(system, omega, shrunk, quad, local_field) if shrunk else []
     rows = []
-    for s in scales:
-        shrunk = pos.scaled(s)
-        retarded = sommerfeld_green(system, omega, shrunk, quad, local_field)
-        closed = nonretarded_green(system, omega, shrunk, local_field)
+    for s, scaled, green in zip(scales, shrunk, retarded):
+        closed = nonretarded_green(system, omega, scaled, local_field)
         floor = 1e-12 * np.max(np.abs(closed))
         for name in COMPONENTS:
             idx = _COMPONENT_INDEX[name]
             if abs(closed[idx]) <= floor:
                 continue
-            rows.append(LimitRatio(scale=s, component=name, ratio=complex(retarded[idx] / closed[idx])))
+            rows.append(LimitRatio(scale=s, component=name, ratio=complex(green[idx] / closed[idx])))
     return NonretardedLimitReport(omega=omega, scales=scales, rows=tuple(rows))

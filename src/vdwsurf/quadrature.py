@@ -10,6 +10,12 @@ tolerance or the panel budget is exhausted.
 Oscillatory integrands on a half-line are summed over half-periods with the
 same rule pair, and the partial sums are extrapolated with Wynn's epsilon
 algorithm (:func:`oscillatory_tail`).
+
+Each loop carries many independent integrals ("jobs") of one integrand at
+once, as vectorized cubature interfaces do: every job is refined by its own
+tolerance and budget exactly as it would be alone, and each sweep evaluates
+the new panels of all unfinished jobs in the same integrand calls.  The
+public functions are the one-job case.
 """
 
 from __future__ import annotations
@@ -54,13 +60,36 @@ def _panel(f, lefts, rights):
 
     ``f`` is called once, on both rules' abscissae of every panel; the
     results have shape (p,) for a scalar integrand and (p, m) otherwise.
+    Each panel's rule sums are a product of their own, so they come out the
+    same whatever other panels share the batch (one matrix product over the
+    batch rounds differently from one batch size to the next).
     """
     mid = 0.5 * (lefts + rights)
     half = 0.5 * (rights - lefts)
     y = np.asarray(f((mid[:, None] + half[:, None] * _X).ravel()))
-    y = y.reshape((lefts.size, _X.size) + y.shape[1:])
-    lo, hi = np.tensordot(_W, y, axes=(1, 1)) * half.reshape((-1,) + (1,) * (y.ndim - 2))
+    sums = np.matmul(_W, y.reshape(lefts.size, _X.size, -1)) * half[:, None, None]  # (p, 2, m)
+    lo, hi = (sums[:, i].reshape((lefts.size,) + y.shape[1:]) for i in (0, 1))
     return hi, np.abs(hi - lo)
+
+
+def _evaluate(f, owner, lefts, rights):
+    """(value, error) of each panel [lefts[i], rights[i]] of job owner[i].
+
+    One ``_panel`` call per ``_CHUNK`` panels, whichever jobs they belong
+    to; ``f(x, job)`` receives the job of each abscissa.
+    """
+    parts = []
+    for i in range(0, lefts.size, _CHUNK):
+        jobs = np.repeat(owner[i : i + _CHUNK], _X.size)
+        parts.append(_panel(lambda x: f(x, jobs), lefts[i : i + _CHUNK], rights[i : i + _CHUNK]))
+    return tuple(np.concatenate(x) for x in zip(*parts))
+
+
+def _result(outcome):
+    """A job's ``(value, error_estimate, panels)``; raises the QuadratureError it ended with."""
+    if isinstance(outcome, QuadratureError):
+        raise outcome
+    return outcome
 
 
 def adaptive_gauss(f, a, b, spec: QuadratureSpec | None = None, breakpoints=()):
@@ -76,57 +105,82 @@ def adaptive_gauss(f, a, b, spec: QuadratureSpec | None = None, breakpoints=()):
     """
     if spec is None:
         spec = QuadratureSpec()
-    a, b = float(a), float(b)
-    if not b > a:
-        raise ParameterError(f"empty integration interval [{a}, {b}]")
+    return _result(_adaptive_many(lambda x, job: f(x), [(a, b, spec, breakpoints)])[0])
 
-    def evaluate(lefts, rights):
-        # (p, m) values and errors, _CHUNK panels per call, and whether f is scalar
-        parts = [
-            _panel(f, lefts[i : i + _CHUNK], rights[i : i + _CHUNK]) for i in range(0, lefts.size, _CHUNK)
-        ]
-        val, err = (np.concatenate(x) for x in zip(*parts))
-        return val.reshape(lefts.size, -1), err.reshape(lefts.size, -1), val.ndim == 1
 
-    edges = np.array([a] + sorted(p for p in set(float(p) for p in breakpoints) if a < p < b) + [b])
-    if edges.size - 1 > spec.max_panels:
-        raise QuadratureError(
-            f"{edges.size - 1} seeded panels exceed the budget of {spec.max_panels}", panels=0
-        )
-    left, right = edges[:-1], edges[1:]
-    val, err, scalar = evaluate(left, right)
+def _adaptive_many(f, jobs):
+    """Integrate independent jobs ``(a, b, spec, breakpoints)`` of one integrand in one loop.
 
-    while True:
-        # rel_tol is measured against the largest component; cancelling
-        # integrals additionally converge at the roundoff floor of their
-        # panel-sum magnitude.
-        vals, errs = val.sum(axis=0), err.sum(axis=0)
-        bound = _bound(spec, vals, np.abs(val).sum(axis=0))
-        if np.all(errs <= bound):
-            break
-        room = spec.max_panels - left.size
-        if room <= 0:
-            raise QuadratureError(
-                f"no convergence within {spec.max_panels} panels "
-                f"(error estimate {errs.max():.3e}, tolerance {bound:.3e})",
-                value=vals[0] if scalar else vals,
-                error_estimate=errs[0] if scalar else errs,
-                panels=left.size,
+    ``f(x, job)`` maps abscissae of shape (n,), and the index of the job each
+    belongs to, to values of shape (n,) or (n, m).  Every job is bisected
+    by its own bound, budget and split rule, as :func:`adaptive_gauss`
+    bisects it alone, so it ends with the same panels; each sweep evaluates
+    the new panels of all unfinished jobs together.  Returns per job
+    ``(value, error_estimate, panels)`` or the QuadratureError that
+    :func:`adaptive_gauss` raises for it alone.
+    """
+    outcomes = [None] * len(jobs)
+    pending = []  # (job, its kept (left, right, val, err) or None, new lefts, new rights)
+    for j, (a, b, spec, breakpoints) in enumerate(jobs):
+        a, b = float(a), float(b)
+        if not b > a:
+            raise ParameterError(f"empty integration interval [{a}, {b}]")
+        edges = np.array([a] + sorted(p for p in set(float(p) for p in breakpoints) if a < p < b) + [b])
+        if edges.size - 1 > spec.max_panels:
+            outcomes[j] = QuadratureError(
+                f"{edges.size - 1} seeded panels exceed the budget of {spec.max_panels}", panels=0
             )
-        # Split the shortest worst-first prefix without which every
-        # component would meet the bound, within the remaining budget.
-        order = np.argsort(-err.max(axis=1), kind="stable")
-        short = np.any(errs - np.cumsum(err[order], axis=0) > bound, axis=1)
-        split, keep = np.split(order, [min(np.count_nonzero(short) + 1, room)])
-        mid = 0.5 * (left[split] + right[split])
-        lefts, rights = np.concatenate([left[split], mid]), np.concatenate([mid, right[split]])
-        new_val, new_err, _ = evaluate(lefts, rights)
-        left, right = np.concatenate([left[keep], lefts]), np.concatenate([right[keep], rights])
-        val, err = np.concatenate([val[keep], new_val]), np.concatenate([err[keep], new_err])
+        else:
+            pending.append((j, None, edges[:-1], edges[1:]))
 
-    if scalar:
-        return vals[0], errs[0], left.size
-    return vals, errs, left.size
+    while pending:
+        sizes = [lefts.size for _, _, lefts, _ in pending]
+        values, errors = _evaluate(
+            f,
+            np.repeat([j for j, *_ in pending], sizes),
+            np.concatenate([lefts for _, _, lefts, _ in pending]),
+            np.concatenate([rights for *_, rights in pending]),
+        )
+        scalar = values.ndim == 1
+        values, errors = values.reshape(sum(sizes), -1), errors.reshape(sum(sizes), -1)
+        swept, pending, end = pending, [], 0
+        for j, kept, lefts, rights in swept:
+            start, end = end, end + lefts.size
+            new_val, new_err = values[start:end], errors[start:end]
+            if kept is None:
+                left, right, val, err = lefts, rights, new_val, new_err
+            else:
+                left, right = np.concatenate([kept[0], lefts]), np.concatenate([kept[1], rights])
+                val, err = np.concatenate([kept[2], new_val]), np.concatenate([kept[3], new_err])
+            spec = jobs[j][2]
+            # rel_tol is measured against the largest component; cancelling
+            # integrals additionally converge at the roundoff floor of their
+            # panel-sum magnitude.
+            vals, errs = val.sum(axis=0), err.sum(axis=0)
+            bound = _bound(spec, vals, np.abs(val).sum(axis=0))
+            if np.all(errs <= bound):
+                outcomes[j] = (vals[0], errs[0], left.size) if scalar else (vals, errs, left.size)
+                continue
+            room = spec.max_panels - left.size
+            if room <= 0:
+                outcomes[j] = QuadratureError(
+                    f"no convergence within {spec.max_panels} panels "
+                    f"(error estimate {errs.max():.3e}, tolerance {bound:.3e})",
+                    value=vals[0] if scalar else vals,
+                    error_estimate=errs[0] if scalar else errs,
+                    panels=left.size,
+                )
+                continue
+            # Split the shortest worst-first prefix without which every
+            # component would meet the bound, within the remaining budget.
+            order = np.argsort(-err.max(axis=1), kind="stable")
+            short = np.any(errs - np.cumsum(err[order], axis=0) > bound, axis=1)
+            count = min(np.count_nonzero(short) + 1, room)
+            split, keep = order[:count], order[count:]
+            mid = 0.5 * (left[split] + right[split])
+            kept = left[keep], right[keep], val[keep], err[keep]
+            pending.append((j, kept, np.concatenate([left[split], mid]), np.concatenate([mid, right[split]])))
+    return outcomes
 
 
 def _bound(spec: QuadratureSpec, value, magnitude) -> float:
@@ -170,25 +224,67 @@ def oscillatory_tail(f, a, half_period, spec: QuadratureSpec | None = None):
     """
     if spec is None:
         spec = QuadratureSpec()
-    if not (0.0 < half_period < np.inf):
-        raise ParameterError(f"half_period must be positive and finite, got {half_period}")
-    terms, value, err, shape = [], None, None, ()  # half-period integrals
+    return _result(_tail_many(lambda x, job: f(x), [(a, half_period, spec)])[0])
+
+
+def _tail_many(f, jobs):
+    """Extrapolated half-period sums of independent jobs ``(a, half_period, spec)`` in one loop.
+
+    ``f`` is called as by :func:`_adaptive_many`.  Each batch of every
+    unfinished job goes into the same integrand calls, and Wynn's table runs
+    once per batch on the partial sums of all jobs that hold the same number
+    of terms.  Returns per job what :func:`oscillatory_tail` returns for it
+    alone, or the QuadratureError it raises.
+    """
+    for _, half_period, _ in jobs:
+        if not (0.0 < half_period < np.inf):
+            raise ParameterError(f"half_period must be positive and finite, got {half_period}")
+    outcomes = [None] * len(jobs)
+    terms = [np.empty((0, 0))] * len(jobs)  # (half-periods, components) integrals per job
+    last = [(None, None)] * len(jobs)  # last extrapolant and its spread
+    shape = ()
     for batch in (8, 16, 40):
-        lefts = a + half_period * np.arange(len(terms), min(len(terms) + batch, spec.max_panels))
-        if lefts.size == 0:
+        running, lefts = [], []
+        for j, (a, half_period, spec) in enumerate(jobs):
+            if outcomes[j] is not None:
+                continue
+            done = len(terms[j])
+            left = a + half_period * np.arange(done, min(done + batch, spec.max_panels))
+            if left.size:  # else the budget is spent
+                running.append(j)
+                lefts.append(left)
+        if not running:
             break
-        val, _ = _panel(f, lefts, lefts + half_period)
-        terms.extend(val)
-        if len(terms) < 2:
-            continue
-        shape, part = val.shape[1:], np.reshape(terms, (len(terms), -1))
-        value, previous = _wynn(np.cumsum(part, axis=0))
-        err = np.abs(value - previous)
-        if np.all(err <= _bound(spec, value, np.abs(part).sum(axis=0))):
-            return value.reshape(shape), err.reshape(shape), len(terms)
-    raise QuadratureError(
-        f"no convergence of the oscillatory tail within {len(terms)} half-periods",
-        value=None if value is None else value.reshape(shape),
-        error_estimate=None if err is None else err.reshape(shape),
-        panels=len(terms),
-    )
+        sizes = [left.size for left in lefts]
+        val, _ = _evaluate(
+            f,
+            np.repeat(running, sizes),
+            np.concatenate(lefts),
+            np.concatenate([left + jobs[j][1] for j, left in zip(running, lefts)]),
+        )
+        shape, val, end = val.shape[1:], val.reshape(sum(sizes), -1), 0
+        for j, size in zip(running, sizes):
+            start, end = end, end + size
+            terms[j] = np.concatenate([terms[j], val[start:end]]) if len(terms[j]) else val[start:end]
+        groups = {}  # term count -> jobs
+        for j in running:
+            if len(terms[j]) >= 2:
+                groups.setdefault(len(terms[j]), []).append(j)
+        for count, group in groups.items():
+            part = np.concatenate([terms[j] for j in group], axis=1)
+            value, previous = _wynn(np.cumsum(part, axis=0))
+            err, magnitude, end = np.abs(value - previous), np.abs(part).sum(axis=0), 0
+            for j in group:
+                start, end = end, end + terms[j].shape[1]
+                last[j] = v, e = value[start:end], err[start:end]
+                if np.all(e <= _bound(jobs[j][2], v, magnitude[start:end])):
+                    outcomes[j] = v.reshape(shape), e.reshape(shape), count
+    for j, (value, err) in enumerate(last):
+        if outcomes[j] is None:
+            outcomes[j] = QuadratureError(
+                f"no convergence of the oscillatory tail within {len(terms[j])} half-periods",
+                value=None if value is None else value.reshape(shape),
+                error_estimate=None if err is None else err.reshape(shape),
+                panels=len(terms[j]),
+            )
+    return outcomes

@@ -509,3 +509,29 @@ def test_one_parser_per_process_keeps_no_state_between_calls(tmp_path):
     assert main(["validate", "--config", str(cfg), "--out", str(val)]) == EXIT_OK
     _fresh_run(["validate", "--config", str(cfg), "--out", str(val_fresh)])
     assert val.read_bytes() == val_fresh.read_bytes()
+
+
+def test_resonant_commands_do_not_import_scipy(tmp_path):
+    # scipy serves only the Sommerfeld integrand (vdw validate): importing
+    # the package and the resonant commands must not pay for loading it
+    script = """
+import sys, vdwsurf, vdwsurf.cli
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.startswith("scipy"))
+
+if scipy_modules():
+    sys.exit("loaded by the import: %s" % scipy_modules()[:5])
+for command in ("spectrum", "enhancement", "peaks"):
+    if vdwsurf.cli.main([command, "--config", "fig2", "--out", sys.argv[1] + command]) != 0:
+        sys.exit(command + " failed")
+if scipy_modules():
+    sys.exit("loaded by the resonant commands: %s" % scipy_modules()[:5])
+sys.exit(vdwsurf.cli.main(["validate", "--config", "fig2", "--out", sys.argv[1] + "validate"]))
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(vdwsurf.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "fig2-")], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert (tmp_path / "fig2-validate").read_text().startswith("scale,component,ratio_re,ratio_im")

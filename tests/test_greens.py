@@ -321,6 +321,21 @@ def test_inverse_distance_identity():
         assert_allclose(val, 1.0 / dist, rtol=1e-8)
 
 
+@pytest.mark.parametrize(
+    "call, field",
+    [
+        (lambda system: transmission_green(system, 0.5, [0, 0, 10**400], [0, 0, -1]), "r_obs[2]"),
+        (lambda system: transmission_green(system, 0.5, [0, 0, 1], [-(10**5000), 0, -1]), "r_src[0]"),
+        (lambda system: near_field_tensor([0, 0, 10**400]), "r_vec[2]"),
+        (lambda system: near_field_tensor([float("nan"), 0.0, 1.0]), "r_vec[0]"),
+    ],
+)
+def test_coordinates_beyond_the_float_range_name_the_coordinate(sapphire_system, call, field):
+    with pytest.raises(ParameterError) as info:
+        call(sapphire_system)
+    assert info.value.field == field
+
+
 class TestLimitCheck:
     def test_vacuum_ratios_are_unity_plus_quadratic(self, vacuum_system):
         report = nonretarded_limit_check(vacuum_system, 0.3, POS, [0.1, 0.01])
@@ -479,9 +494,9 @@ def _count_integrand_calls(monkeypatch):
     def counted_radial_integrand(*args):
         integrand = _radial_integrand(*args)
 
-        def counted(k):
+        def counted(k, *which):
             calls[0] += 1
-            return integrand(k)
+            return integrand(k, *which)
 
         return counted
 
@@ -508,6 +523,66 @@ def test_lateral_sommerfeld_integrand_call_gate(sapphire_system, monkeypatch, r_
     assert np.all(np.isfinite(green))
     assert calls[0] >= 1  # the count reaches the integrand actually used
     assert calls[0] <= most
+
+
+@pytest.mark.parametrize("aspect", [0.0, 0.5, 50.0, 500.0])
+def test_every_scale_in_one_loop_equals_each_scale_alone(sapphire_system, aspect):
+    # nonretarded_limit_check integrates all scales' jobs together; each
+    # tensor is the one sommerfeld_green computes for that scale alone
+    from vdwsurf.greens import _sommerfeld_many
+
+    if aspect == 0.0:
+        pos = AtomPositions([0.0, 0.0, 0.5], [0.0, 0.0, -0.5])
+    else:
+        pos = AtomPositions([0.0, 0.0, 0.5 / aspect], [0.6, 0.8, -0.5 / aspect])
+    scales, omega = (0.1, 0.01, 0.001), 0.5
+    shrunk = [pos.scaled(s) for s in scales]
+    alone = [sommerfeld_green(sapphire_system, omega, p) for p in shrunk]
+    together = _sommerfeld_many(sapphire_system, omega, shrunk)
+    for got, want in zip(together, alone):
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    report = nonretarded_limit_check(sapphire_system, omega, pos, scales)
+    for row in report.rows:
+        i = scales.index(row.scale)
+        idx = _COMPONENT_INDEX[row.component]
+        want = alone[i][idx] / nonretarded_green(sapphire_system, omega, shrunk[i])[idx]
+        assert abs(row.ratio - want) <= 1e-14 * abs(want)
+
+
+def test_fig2_validate_integrand_call_gate(monkeypatch):
+    # every scale's head, propagating segment and tail share the integrand
+    # calls of one loop: 11 calls for the three scales (20 one scale at a time)
+    from vdwsurf.config import load_config, resolve_config_path
+    from vdwsurf.greens import ValidateSpec
+
+    cfg = load_config(resolve_config_path("fig2"))
+    spec = ValidateSpec()
+    calls = _count_integrand_calls(monkeypatch)
+    pos = AtomPositions(spec.r_a, spec.r_b)
+    report = nonretarded_limit_check(cfg.system, spec.omega, pos, spec.scales, cfg.quadrature)
+    assert report.passed(spec.tolerance)
+    assert 1 <= calls[0] <= 11
+
+
+@pytest.mark.parametrize("max_panels, scales", [(2, (0.1, 0.01, 0.001)), (12, (0.01, 0.1, 0.001))])
+def test_limit_check_raises_the_first_failing_scale_error(sapphire_system, max_panels, scales):
+    # the error raised is the one the first failing scale raises alone:
+    # with 2 panels every scale's seeds exceed the budget; with 12 scale
+    # 0.01 converges, 0.1 runs out in the loop and 0.001 in its seeds
+    pos = AtomPositions([0.0, 0.0, 0.01], [1.0, 0.0, -0.01])
+    quad = QuadratureSpec(rel_tol=1e-10, max_panels=max_panels)
+    alone = []
+    for s in scales:
+        try:
+            sommerfeld_green(sapphire_system, 0.5, pos.scaled(s), quad)
+        except QuadratureError as exc:
+            alone.append(exc)
+    assert len(alone) >= 2 and len({str(exc) for exc in alone}) == len(alone)
+    with pytest.raises(QuadratureError) as info:
+        nonretarded_limit_check(sapphire_system, 0.5, pos, scales, quad)
+    first = alone[0]
+    assert str(info.value) == str(first) and info.value.panels == first.panels
+    assert np.array_equal(info.value.value, first.value) or info.value.value is first.value is None
 
 
 def test_one_bessel_triple_per_integrand_call(sapphire_system, monkeypatch):

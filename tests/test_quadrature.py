@@ -232,3 +232,143 @@ def test_oscillatory_tail_rejects_bad_half_period():
     for half_period in (0.0, -1.0, np.inf, np.nan):
         with pytest.raises(ParameterError):
             oscillatory_tail(_tails, 2.0, half_period)
+
+
+def _alone(run):
+    """``run()``'s result, or the QuadratureError it raises."""
+    try:
+        return run()
+    except QuadratureError as exc:
+        return exc
+
+
+def _assert_same_outcome(got, want):
+    # bit for bit: a job in the shared loop sees the same abscissae, values
+    # and split decisions as it does alone
+    assert type(got) is type(want)
+    if isinstance(want, QuadratureError):
+        assert str(got) == str(want) and got.panels == want.panels
+        got, want = (got.value, got.error_estimate), (want.value, want.error_estimate)
+    else:
+        assert got[2] == want[2]
+    for a, b in zip(got, want):
+        assert (a is None and b is None) or np.array_equal(a, b)
+
+
+_JOB = st.fixed_dictionaries(
+    {
+        "rate": st.floats(min_value=-3.0, max_value=3.0),
+        "freq": st.floats(min_value=0.5, max_value=60.0),
+        "lo": st.floats(min_value=-2.0, max_value=2.0),
+        "length": st.floats(min_value=0.1, max_value=5.0),
+        "rel_tol": st.sampled_from([1e-4, 1e-8, 1e-12, 1e-14]),
+        "abs_tol": st.sampled_from([0.0, 1e-12, 1e-3]),
+        "max_panels": st.integers(min_value=1, max_value=60),
+        "breakpoints": st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=4),
+    }
+)
+
+
+@given(jobs=st.lists(_JOB, min_size=1, max_size=5))
+@settings(max_examples=60, deadline=None)
+def test_many_jobs_equal_each_job_alone(jobs):
+    rate = np.array([job["rate"] for job in jobs])
+    freq = np.array([job["freq"] for job in jobs])
+
+    def f(x, which):
+        return np.stack([np.exp(rate[which] * x), np.cos(freq[which] * x)], axis=-1)
+
+    specs = []
+    for job in jobs:
+        a, b = job["lo"], job["lo"] + job["length"]
+        spec = QuadratureSpec(rel_tol=job["rel_tol"], abs_tol=job["abs_tol"], max_panels=job["max_panels"])
+        specs.append((a, b, spec, [a + t * (b - a) for t in job["breakpoints"]]))
+    outcomes = quadrature._adaptive_many(f, specs)
+    assert len(outcomes) == len(jobs)
+    for j, (outcome, (a, b, spec, breakpoints)) in enumerate(zip(outcomes, specs)):
+        want = _alone(lambda: adaptive_gauss(lambda x: f(x, j), a, b, spec, breakpoints))
+        _assert_same_outcome(outcome, want)
+
+
+def test_a_job_out_of_budget_does_not_stop_its_neighbours():
+    def f(x, which):
+        return np.where(which == 1, _oscillating(x), np.sin(20.0 * x))
+
+    jobs = [
+        (0.0, 3.0, QuadratureSpec(rel_tol=1e-12), ()),
+        (0.0, 10.0, QuadratureSpec(rel_tol=1e-14, max_panels=3), ()),
+        (0.0, 3.0, QuadratureSpec(rel_tol=1e-12), [1.0, 2.0]),
+        (0.0, 1.0, QuadratureSpec(max_panels=1), [0.25, 0.5]),  # seeds over budget
+    ]
+    outcomes = quadrature._adaptive_many(f, jobs)
+    assert isinstance(outcomes[1], QuadratureError) and outcomes[1].panels == 3
+    assert isinstance(outcomes[3], QuadratureError) and outcomes[3].panels == 0
+    for j in (0, 2):
+        assert_allclose(outcomes[j][0], (1.0 - np.cos(60.0)) / 20.0, rtol=1e-11)
+    for j, (a, b, spec, breakpoints) in enumerate(jobs):
+        want = _alone(lambda: adaptive_gauss(lambda x: f(x, np.full(x.shape, j)), a, b, spec, breakpoints))
+        _assert_same_outcome(outcomes[j], want)
+
+
+def test_a_tail_out_of_budget_does_not_stop_its_neighbours():
+    def f(x, which):
+        return _tails(x) * np.where(which == 1, 2.0, 1.0)[:, None]
+
+    jobs = [
+        (2.0, np.pi, QuadratureSpec(rel_tol=1e-12)),
+        (2.0, np.pi, QuadratureSpec(rel_tol=1e-14, max_panels=10)),
+        (3.0, np.pi, QuadratureSpec(rel_tol=1e-10)),
+        (2.0, np.pi, QuadratureSpec(max_panels=1)),  # one term: nothing to extrapolate
+    ]
+    outcomes = quadrature._tail_many(f, jobs)
+    assert isinstance(outcomes[1], QuadratureError) and outcomes[1].panels == 10
+    assert isinstance(outcomes[3], QuadratureError) and outcomes[3].panels == 1
+    assert outcomes[3].value is None
+    for j, (a, half_period, spec) in enumerate(jobs):
+        want = _alone(lambda: oscillatory_tail(lambda x: f(x, np.full(x.shape, j)), a, half_period, spec))
+        _assert_same_outcome(outcomes[j], want)
+    assert not isinstance(outcomes[0], QuadratureError) and not isinstance(outcomes[2], QuadratureError)
+
+
+def test_many_jobs_share_integrand_calls_of_at_most_64_panels(monkeypatch):
+    # every batch goes through quadrature._panel, and one call carries
+    # panels of several jobs but never more than 64
+    batches, calls = [], []
+    panel = quadrature._panel
+
+    def counted(f, lefts, rights):
+        batches.append(lefts.size)
+        return panel(f, lefts, rights)
+
+    def f(x, which):
+        calls.append((x.size, np.unique(which).size))
+        return np.sin((100.0 + 100.0 * which) * x)
+
+    monkeypatch.setattr(quadrature, "_panel", counted)
+    jobs = [(0.0, 10.0, QuadratureSpec(rel_tol=1e-12), ())] * 5
+    outcomes = quadrature._adaptive_many(f, jobs)
+    panels = [outcome[2] for outcome in outcomes]
+    assert [size for size, _ in calls] == [22 * n for n in batches]
+    assert max(batches) == 64 and sum(batches) == sum(2 * p - 1 for p in panels)
+    assert max(jobs for _, jobs in calls) > 1
+    assert len(calls) < sum(len(_alone_calls(j)) for j in range(5))
+    for j, outcome in enumerate(outcomes):
+        w = 100.0 + 100.0 * j
+        assert_allclose(outcome[0], (1.0 - np.cos(10.0 * w)) / w, rtol=1e-10)
+
+    batches.clear()
+    jobs = [(2.0, np.pi, QuadratureSpec(rel_tol=1e-14))] * 3
+    tails = quadrature._tail_many(lambda x, which: _tails(x) * (1.0 + which)[:, None], jobs)
+    assert max(batches) <= 64 and sum(batches) == sum(t[2] for t in tails)
+    assert batches[:2] == [24, 48]  # 8, then 16 half-periods of each of the three jobs
+
+
+def _alone_calls(j):
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        return np.sin((100.0 + 100.0 * j) * x)
+
+    adaptive_gauss(f, 0.0, 10.0, QuadratureSpec(rel_tol=1e-12))
+    return calls
