@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ParameterError, SingularityError, _is_finite, _shown
 from .materials import HalfSpaceSystem, _avg_eps_vanishes, _pole, local_field_factor
-from .quadrature import QuadratureSpec, _adaptive_many, _result, _tail_many
+from .quadrature import QuadratureSpec, _integrate_many, _result
 
 #: Tensor components that are generally nonzero in the frame whose x axis is
 #: the in-plane separation direction (everything else vanishes by symmetry).
@@ -233,12 +233,10 @@ def _radial_integrand(kernel: _Kernel, positions, p0, s0):
     and the phase to e^{-k dz}; that limit is subtracted from the
     coefficient of each Bessel combination.  p0 = s0 = 0 subtracts nothing.
 
-    ``positions`` is one AtomPositions, called as ``integrand(k)``, or a
-    sequence of them, called as ``integrand(k, which)`` with which[i] the
-    index of the position that k[i] belongs to.
+    ``positions`` is a sequence of AtomPositions; ``integrand(k, which)``
+    takes which[i] as the index of the position that k[i] belongs to, and
+    ``integrand(k)`` evaluates at the first.
     """
-    if isinstance(positions, AtomPositions):
-        positions = (positions,)
     z_a, z_b, rho = np.reshape([(pos.r_a[2], pos.r_b[2], pos.rho) for pos in positions], (-1, 3)).T
     dz = z_a - z_b
 
@@ -301,11 +299,11 @@ def _sommerfeld_many(
     """:func:`sommerfeld_green` at each of ``positions``, with every integral in one loop.
 
     The kernel depends on omega only, so one residual integrand serves all
-    positions.  Each position's head and propagating segment are two jobs of
-    one adaptive loop, and its tail is a job of one tail loop; each job keeps
-    the tolerance of its own position.  Every tensor, and the error raised
-    (the first in position order, and per position head, tail, then
-    propagating segment), is what :func:`sommerfeld_green` gives alone.
+    positions.  Each position's head, tail and propagating segment are jobs
+    of one integration loop, each with the tolerance of its own position.
+    Every tensor, and the error raised (the first in position order, and
+    per position head, tail, then propagating segment), is what
+    :func:`sommerfeld_green` gives alone.
     """
     kernel = _Kernel(system, omega)
     if quad is None:
@@ -323,7 +321,7 @@ def _sommerfeld_many(
     s0 = 2.0 * mu_u * mu_l / (mu_u + mu_l)
     k_split = max(kernel.k_breaks)
 
-    gauss, gauss_at, tails, tails_at, has_tail = [], [], [], [], []  # jobs and their positions
+    jobs = []  # per position: head, tail, propagating segment
     for pos, frame in zip(positions, frames):
         z_a, z_b, rho = pos.r_a[2], pos.r_b[2], pos.rho
         dz = z_a - z_b
@@ -339,27 +337,21 @@ def _sommerfeld_many(
         seeds = k_split + omega * 1e-3 * 4.0 ** np.arange(
             np.log((k0 - k_split) / (omega * 1e-3)) / np.log(4.0)
         )
-        gauss.append((k_split, k0, spec, seeds))
-        gauss_at.append(pos)
-        has_tail.append(k0 < k_end)
-        if has_tail[-1]:
-            tails.append((k0, np.pi / rho, spec))
-            tails_at.append(pos)
+        own = [(k_split, k0, spec, seeds)]
+        if k0 < k_end:
+            own.append((k0, np.inf, spec, np.pi / rho))
         # A separate job: under one shared tolerance, bisection crowds into
         # the integrable 1/beta peak at a light line and rounds abscissae onto it.
         if k_split > 0.0:
-            gauss.append((0.0, k_split, spec, kernel.k_breaks[:-1]))
-            gauss_at.append(pos)
-    gauss = iter(_adaptive_many(_radial_integrand(kernel, gauss_at, p0, s0), gauss))
-    tails = iter(_tail_many(_radial_integrand(kernel, tails_at, p0, s0), tails))
+            own.append((0.0, k_split, spec, kernel.k_breaks[:-1]))
+        jobs.append(own)
+    integrand = _radial_integrand(kernel, [pos for pos, own in zip(positions, jobs) for _ in own], p0, s0)
+    outcomes = iter(_integrate_many(integrand, [job for own in jobs for job in own]))
 
     greens = []
-    for pos, frame, tail in zip(positions, frames, has_tail):
-        flat = _result(next(gauss))[0]
-        if tail:
-            flat = flat + _result(next(tails))[0]
-        if k_split > 0.0:
-            flat = flat + _result(next(gauss))[0]
+    for pos, frame, own in zip(positions, frames, jobs):
+        first, *rest = [_result(next(outcomes))[0] for _ in own]
+        flat = sum(rest, first)
 
         for name, value in zip(COMPONENTS, flat):
             frame[_COMPONENT_INDEX[name]] += value
@@ -536,7 +528,7 @@ def nonretarded_limit_check(
     ratio retarded/nonretarded is recorded.  Components that vanish in the
     closed form (relative magnitude below 1e-12) are skipped.  The report
     passes when all ratios at the smallest scale sit within tolerance of 1.
-    The Sommerfeld integrals of every scale run in one adaptive loop; each
+    The Sommerfeld integrals of every scale run in one integration loop; each
     tensor, and any error raised, is that of :func:`sommerfeld_green` at the
     scale, and the first scale's error is raised first.
     """

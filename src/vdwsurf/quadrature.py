@@ -9,17 +9,19 @@ tolerance or the panel budget is exhausted.
 
 Oscillatory integrands on a half-line are summed over half-periods with the
 same rule pair, and the partial sums are extrapolated with Wynn's epsilon
-algorithm (:func:`oscillatory_tail`).
+algorithm (:func:`oscillatory_tail`); such a tail takes its new panels from
+a fixed schedule of half-periods instead of from bisection.
 
-Each loop carries many independent integrals ("jobs") of one integrand at
-once, as vectorized cubature interfaces do: every job is refined by its own
-tolerance and budget exactly as it would be alone, and each sweep evaluates
-the new panels of all unfinished jobs in the same integrand calls.  The
-public functions are the one-job case.
+One loop carries many independent integrals ("jobs") of one integrand at
+once, as vectorized cubature interfaces do: every job, bisected or tail, is
+refined by its own tolerance and budget exactly as it would be alone, and
+each sweep evaluates the new panels of all unfinished jobs in the same
+integrand calls.  The public functions are the one-job case.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,17 +74,28 @@ def _panel(f, lefts, rights):
     return hi, np.abs(hi - lo)
 
 
-def _evaluate(f, owner, lefts, rights):
-    """(value, error) of each panel [lefts[i], rights[i]] of job owner[i].
+def _evaluate(f, parts):
+    """Value shape, and (value, error) of the panels of each part ``(job, lefts, rights)``.
 
     One ``_panel`` call per ``_CHUNK`` panels, whichever jobs they belong
-    to; ``f(x, job)`` receives the job of each abscissa.
+    to; ``f(x, job)`` receives the job of each abscissa.  Each part's values
+    and errors come back as (panels, components) arrays.
     """
-    parts = []
+    sizes = [lefts.size for _, lefts, _ in parts]
+    owner = np.repeat([j for j, _, _ in parts], sizes)
+    lefts = np.concatenate([lefts for _, lefts, _ in parts])
+    rights = np.concatenate([rights for *_, rights in parts])
+    chunks = []
     for i in range(0, lefts.size, _CHUNK):
         jobs = np.repeat(owner[i : i + _CHUNK], _X.size)
-        parts.append(_panel(lambda x: f(x, jobs), lefts[i : i + _CHUNK], rights[i : i + _CHUNK]))
-    return tuple(np.concatenate(x) for x in zip(*parts))
+        chunks.append(_panel(lambda x: f(x, jobs), lefts[i : i + _CHUNK], rights[i : i + _CHUNK]))
+    values, errors = (np.concatenate(x) for x in zip(*chunks))
+    shape, values, errors = values.shape[1:], values.reshape(lefts.size, -1), errors.reshape(lefts.size, -1)
+    slices, end = [], 0
+    for size in sizes:
+        start, end = end, end + size
+        slices.append((values[start:end], errors[start:end]))
+    return shape, slices
 
 
 def _result(outcome):
@@ -103,56 +116,114 @@ def adaptive_gauss(f, a, b, spec: QuadratureSpec | None = None, breakpoints=()):
     (m,) (or are scalars for a scalar integrand).  Raises QuadratureError,
     carrying the best value and achieved estimate, if the budget runs out.
     """
+    # an infinite limit gives NaN panels (and in a job, b = inf marks a tail)
+    if np.inf in (abs(a), abs(b)):
+        raise ParameterError(f"integration interval [{a}, {b}] must be finite")
     if spec is None:
         spec = QuadratureSpec()
-    return _result(_adaptive_many(lambda x, job: f(x), [(a, b, spec, breakpoints)])[0])
+    return _result(_integrate_many(lambda x, job: f(x), [(a, b, spec, breakpoints)])[0])
 
 
-def _adaptive_many(f, jobs):
-    """Integrate independent jobs ``(a, b, spec, breakpoints)`` of one integrand in one loop.
+def oscillatory_tail(f, a, half_period, spec: QuadratureSpec | None = None):
+    """Integrate an oscillating ``f`` over [a, inf) by extrapolated half-period sums.
 
-    ``f(x, job)`` maps abscissae of shape (n,), and the index of the job each
-    belongs to, to values of shape (n,) or (n, m).  Every job is bisected
-    by its own bound, budget and split rule, as :func:`adaptive_gauss`
-    bisects it alone, so it ends with the same panels; each sweep evaluates
-    the new panels of all unfinished jobs together.  Returns per job
-    ``(value, error_estimate, panels)`` or the QuadratureError that
-    :func:`adaptive_gauss` raises for it alone.
+    The half-periods [a + j*half_period, a + (j + 1)*half_period] are
+    integrated with the rule pair of :func:`adaptive_gauss`, one panel each,
+    in batches of 8, then 16, then 40 more (one integrand call per batch,
+    never more panels than ``spec.max_panels``).  The partial sums are
+    extrapolated with Wynn's epsilon algorithm; the spread of the last two
+    extrapolants is the error estimate, held to the bound of
+    :func:`adaptive_gauss`.  ``f`` is called as there.
+
+    Returns ``(value, error_estimate, panels)``.  Raises QuadratureError,
+    carrying the last extrapolant and its spread, if the budget runs out.
+    """
+    if spec is None:
+        spec = QuadratureSpec()
+    return _result(_integrate_many(lambda x, job: f(x), [(a, np.inf, spec, half_period)])[0])
+
+
+_BATCHES = (8, 16, 40)  # half-periods a tail takes in its first, second and third sweep
+
+
+def _integrate_many(f, jobs):
+    """Integrate independent jobs ``(a, b, spec, extra)`` of one integrand in one loop.
+
+    A job with finite ``b`` is bisected from the breakpoints ``extra`` as
+    :func:`adaptive_gauss` bisects it alone, so it ends with the same
+    panels.  A job with ``b = inf`` is the tail from ``a`` with half-period
+    ``extra``: it takes the half-periods of :func:`oscillatory_tail` in
+    consecutive sweeps, and after each sweep Wynn's table runs once on the
+    partial sums of all tails that hold the same number of terms.
+    ``f(x, job)`` maps abscissae of shape (n,), and the index of the job
+    each belongs to, to values of shape (n,) or (n, m).  Each sweep
+    evaluates the new panels of every unfinished job together.  Returns per
+    job ``(value, error_estimate, panels)`` or the QuadratureError that the
+    one-job function raises for it alone.
     """
     outcomes = [None] * len(jobs)
-    pending = []  # (job, its kept (left, right, val, err) or None, new lefts, new rights)
-    for j, (a, b, spec, breakpoints) in enumerate(jobs):
+    # a bisected job's kept (left, right, val, err) or None and its new
+    # (lefts, rights); a tail's half-period integrals
+    state = {}
+    for j, (a, b, spec, extra) in enumerate(jobs):
+        if b == np.inf:
+            if not (0.0 < extra < np.inf):
+                raise ParameterError(f"half_period must be positive and finite, got {extra}")
+            state[j] = np.empty((0, 0))
+            continue
         a, b = float(a), float(b)
         if not b > a:
             raise ParameterError(f"empty integration interval [{a}, {b}]")
-        edges = np.array([a] + sorted(p for p in set(float(p) for p in breakpoints) if a < p < b) + [b])
+        edges = np.array([a] + sorted(p for p in set(float(p) for p in extra) if a < p < b) + [b])
         if edges.size - 1 > spec.max_panels:
             outcomes[j] = QuadratureError(
                 f"{edges.size - 1} seeded panels exceed the budget of {spec.max_panels}", panels=0
             )
         else:
-            pending.append((j, None, edges[:-1], edges[1:]))
-
-    while pending:
-        sizes = [lefts.size for _, _, lefts, _ in pending]
-        values, errors = _evaluate(
-            f,
-            np.repeat([j for j, *_ in pending], sizes),
-            np.concatenate([lefts for _, _, lefts, _ in pending]),
-            np.concatenate([rights for *_, rights in pending]),
-        )
-        scalar = values.ndim == 1
-        values, errors = values.reshape(sum(sizes), -1), errors.reshape(sum(sizes), -1)
-        swept, pending, end = pending, [], 0
-        for j, kept, lefts, rights in swept:
-            start, end = end, end + lefts.size
-            new_val, new_err = values[start:end], errors[start:end]
+            state[j] = None, edges[:-1], edges[1:]
+    last = {}  # tail -> its last extrapolant and spread
+    shape = ()
+    for sweep in itertools.count():
+        parts = []
+        for j, held in state.items():
+            if outcomes[j] is not None:
+                continue
+            a, b, spec, half_period = jobs[j]
+            if b < np.inf:
+                parts.append((j, *held[1:]))
+                continue
+            done = len(held)
+            batch = _BATCHES[sweep] if sweep < len(_BATCHES) else 0
+            left = a + half_period * np.arange(done, min(done + batch, spec.max_panels))
+            if left.size:
+                parts.append((j, left, left + half_period))
+                continue
+            # the budget or the schedule is spent
+            value, err = last.get(j, (None, None))
+            outcomes[j] = QuadratureError(
+                f"no convergence of the oscillatory tail within {done} half-periods",
+                value=None if value is None else value.reshape(shape),
+                error_estimate=None if err is None else err.reshape(shape),
+                panels=done,
+            )
+        if not parts:
+            break
+        shape, slices = _evaluate(f, parts)
+        scalar = shape == ()
+        groups = {}  # term count -> tails
+        for (j, lefts, rights), (new_val, new_err) in zip(parts, slices):
+            spec = jobs[j][2]
+            if jobs[j][1] == np.inf:
+                state[j] = np.concatenate([state[j], new_val]) if len(state[j]) else new_val
+                if len(state[j]) >= 2:
+                    groups.setdefault(len(state[j]), []).append(j)
+                continue
+            kept = state[j][0]
             if kept is None:
                 left, right, val, err = lefts, rights, new_val, new_err
             else:
                 left, right = np.concatenate([kept[0], lefts]), np.concatenate([kept[1], rights])
                 val, err = np.concatenate([kept[2], new_val]), np.concatenate([kept[3], new_err])
-            spec = jobs[j][2]
             # rel_tol is measured against the largest component; cancelling
             # integrals additionally converge at the roundoff floor of their
             # panel-sum magnitude.
@@ -179,7 +250,16 @@ def _adaptive_many(f, jobs):
             split, keep = order[:count], order[count:]
             mid = 0.5 * (left[split] + right[split])
             kept = left[keep], right[keep], val[keep], err[keep]
-            pending.append((j, kept, np.concatenate([left[split], mid]), np.concatenate([mid, right[split]])))
+            state[j] = kept, np.concatenate([left[split], mid]), np.concatenate([mid, right[split]])
+        for count, group in groups.items():
+            part = np.concatenate([state[j] for j in group], axis=1)
+            value, previous = _wynn(np.cumsum(part, axis=0))
+            err, magnitude, end = np.abs(value - previous), np.abs(part).sum(axis=0), 0
+            for j in group:
+                start, end = end, end + state[j].shape[1]
+                last[j] = v, e = value[start:end], err[start:end]
+                if np.all(e <= _bound(jobs[j][2], v, magnitude[start:end])):
+                    outcomes[j] = v.reshape(shape), e.reshape(shape), count
     return outcomes
 
 
@@ -206,85 +286,3 @@ def _wynn(sums):
             ok = np.all(np.isfinite(even[-2:]), axis=0)
             best[0][ok], best[1][ok] = even[-1, ok], even[-2, ok]
     return best
-
-
-def oscillatory_tail(f, a, half_period, spec: QuadratureSpec | None = None):
-    """Integrate an oscillating ``f`` over [a, inf) by extrapolated half-period sums.
-
-    The half-periods [a + j*half_period, a + (j + 1)*half_period] are
-    integrated with the rule pair of :func:`adaptive_gauss`, one panel each,
-    in batches of 8, then 16, then 40 more (one integrand call per batch,
-    never more panels than ``spec.max_panels``).  The partial sums are
-    extrapolated with Wynn's epsilon algorithm; the spread of the last two
-    extrapolants is the error estimate, held to the bound of
-    :func:`adaptive_gauss`.  ``f`` is called as there.
-
-    Returns ``(value, error_estimate, panels)``.  Raises QuadratureError,
-    carrying the last extrapolant and its spread, if the budget runs out.
-    """
-    if spec is None:
-        spec = QuadratureSpec()
-    return _result(_tail_many(lambda x, job: f(x), [(a, half_period, spec)])[0])
-
-
-def _tail_many(f, jobs):
-    """Extrapolated half-period sums of independent jobs ``(a, half_period, spec)`` in one loop.
-
-    ``f`` is called as by :func:`_adaptive_many`.  Each batch of every
-    unfinished job goes into the same integrand calls, and Wynn's table runs
-    once per batch on the partial sums of all jobs that hold the same number
-    of terms.  Returns per job what :func:`oscillatory_tail` returns for it
-    alone, or the QuadratureError it raises.
-    """
-    for _, half_period, _ in jobs:
-        if not (0.0 < half_period < np.inf):
-            raise ParameterError(f"half_period must be positive and finite, got {half_period}")
-    outcomes = [None] * len(jobs)
-    terms = [np.empty((0, 0))] * len(jobs)  # (half-periods, components) integrals per job
-    last = [(None, None)] * len(jobs)  # last extrapolant and its spread
-    shape = ()
-    for batch in (8, 16, 40):
-        running, lefts = [], []
-        for j, (a, half_period, spec) in enumerate(jobs):
-            if outcomes[j] is not None:
-                continue
-            done = len(terms[j])
-            left = a + half_period * np.arange(done, min(done + batch, spec.max_panels))
-            if left.size:  # else the budget is spent
-                running.append(j)
-                lefts.append(left)
-        if not running:
-            break
-        sizes = [left.size for left in lefts]
-        val, _ = _evaluate(
-            f,
-            np.repeat(running, sizes),
-            np.concatenate(lefts),
-            np.concatenate([left + jobs[j][1] for j, left in zip(running, lefts)]),
-        )
-        shape, val, end = val.shape[1:], val.reshape(sum(sizes), -1), 0
-        for j, size in zip(running, sizes):
-            start, end = end, end + size
-            terms[j] = np.concatenate([terms[j], val[start:end]]) if len(terms[j]) else val[start:end]
-        groups = {}  # term count -> jobs
-        for j in running:
-            if len(terms[j]) >= 2:
-                groups.setdefault(len(terms[j]), []).append(j)
-        for count, group in groups.items():
-            part = np.concatenate([terms[j] for j in group], axis=1)
-            value, previous = _wynn(np.cumsum(part, axis=0))
-            err, magnitude, end = np.abs(value - previous), np.abs(part).sum(axis=0), 0
-            for j in group:
-                start, end = end, end + terms[j].shape[1]
-                last[j] = v, e = value[start:end], err[start:end]
-                if np.all(e <= _bound(jobs[j][2], v, magnitude[start:end])):
-                    outcomes[j] = v.reshape(shape), e.reshape(shape), count
-    for j, (value, err) in enumerate(last):
-        if outcomes[j] is None:
-            outcomes[j] = QuadratureError(
-                f"no convergence of the oscillatory tail within {len(terms[j])} half-periods",
-                value=None if value is None else value.reshape(shape),
-                error_estimate=None if err is None else err.reshape(shape),
-                panels=len(terms[j]),
-            )
-    return outcomes

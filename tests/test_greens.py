@@ -369,7 +369,7 @@ def test_radial_integrand_is_angular_integral_of_kspace_kernel(sapphire_system):
     omega = 0.8
     pos = AtomPositions([0.0, 0.0, 0.3], [0.7, 0.0, -0.4])
     ks = np.array([0.3, 1.7, 6.0])  # propagating in both media, then evanescent
-    got = _radial_integrand(_Kernel(sapphire_system, omega), pos, 0.0, 0.0)(ks)
+    got = _radial_integrand(_Kernel(sapphire_system, omega), [pos], 0.0, 0.0)(ks)
     n = 64
     for k, row in zip(ks, got):
         kernel = kspace_green(sapphire_system, omega, k, pos.r_a[2], pos.r_b[2])
@@ -461,7 +461,7 @@ def test_sommerfeld_green_matches_mpmath_quadrature(sapphire_system, aspect, ome
     rho = aspect * dz
     pos = AtomPositions([rho, 0.0, 0.4 * dz], [0.0, 0.0, -0.6 * dz])  # r_a - r_b along +x
     kernel = _Kernel(sapphire_system, omega)
-    integrand = _radial_integrand(kernel, pos, 0.0, 0.0)
+    integrand = _radial_integrand(kernel, [pos], 0.0, 0.0)
     rows = {}
 
     def row(k):
@@ -564,6 +564,28 @@ def test_fig2_validate_integrand_call_gate(monkeypatch):
     assert 1 <= calls[0] <= 11
 
 
+@pytest.mark.parametrize("aspect", [0.5, 5.0])
+def test_tail_shares_the_head_sweep_integrand_call(sapphire_system, monkeypatch, aspect):
+    # the tail's first half-periods go into the head's first sweep, so a
+    # tensor that converges there takes one integrand call (two with a
+    # separate tail loop)
+    import vdwsurf.greens as greens
+
+    calls = _count_integrand_calls(monkeypatch)
+    integrate, jobs = greens._integrate_many, []
+
+    def recorded(f, many):
+        jobs.extend(many)
+        return integrate(f, many)
+
+    monkeypatch.setattr(greens, "_integrate_many", recorded)
+    pos = AtomPositions([0.0, 0.0, 1e-3], [aspect * 2e-3, 0.0, -1e-3])
+    green = sommerfeld_green(sapphire_system, 0.5, pos)
+    assert np.all(np.isfinite(green))
+    assert any(b == np.inf for _, b, _, _ in jobs)  # the tensor has a tail
+    assert calls[0] == 1
+
+
 @pytest.mark.parametrize("max_panels, scales", [(2, (0.1, 0.01, 0.001)), (12, (0.01, 0.1, 0.001))])
 def test_limit_check_raises_the_first_failing_scale_error(sapphire_system, max_panels, scales):
     # the error raised is the one the first failing scale raises alone:
@@ -630,7 +652,7 @@ def test_lateral_sommerfeld_green_matches_mpmath_quadosc(sapphire_system, aspect
     p0 = 2.0 / (omega**2 * (kernel.eps_u + kernel.eps_l))
     s0 = 2.0 * kernel.mu_u * kernel.mu_l / (kernel.mu_u + kernel.mu_l)
     closed = _quasi_static_integrals(p0, s0, rho, dz)
-    residual = _radial_integrand(kernel, pos, p0, s0)
+    residual = _radial_integrand(kernel, [pos], p0, s0)
     # In these units the result is about 1e3, so quadosc's absolute tolerance
     # at 4 digits (about 1e-8) is 1e-11 of it; the residual is about 5e-8 of it.
     unit = 1e-3 * max(abs(v) for v in closed.values())
@@ -698,7 +720,7 @@ def test_on_axis_sommerfeld_green_matches_mpmath_quadrature(sapphire_system):
     dz, omega = 0.1, 0.8
     pos = AtomPositions([0.0, 0.0, 0.4 * dz], [0.0, 0.0, -0.6 * dz])
     kernel = _Kernel(sapphire_system, omega)
-    integrand = _radial_integrand(kernel, pos, 0.0, 0.0)
+    integrand = _radial_integrand(kernel, [pos], 0.0, 0.0)
     k_split = max(kernel.k_breaks)
     k_end = 50.0 * np.log(10.0) / dz
     points = [0.0, *kernel.k_breaks, *np.arange(k_split + 2.0 / dz, k_end, 2.0 / dz), k_end]

@@ -76,6 +76,14 @@ def test_empty_interval_rejected():
         adaptive_gauss(lambda x: x, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("a, b", [(0.0, np.inf), (-np.inf, 0.0), (np.inf, 1.0)])
+def test_infinite_interval_rejected(a, b):
+    # bisection of an infinite interval evaluates NaN panels until the budget
+    # runs out; a half-line is for oscillatory_tail
+    with pytest.raises(ParameterError, match="must be finite"):
+        adaptive_gauss(lambda x: np.exp(-x * x), a, b)
+
+
 def _oscillating(x):
     return np.sin(50 * x) / (1e-3 + x * x)
 
@@ -255,21 +263,42 @@ def _assert_same_outcome(got, want):
         assert (a is None and b is None) or np.array_equal(a, b)
 
 
+def _alone_job(f, j, job):
+    """What the one-job function gives for ``job = (a, b, spec, extra)`` of ``f(x, j)`` alone."""
+    a, b, spec, extra = job
+    if b == np.inf:
+        return _alone(lambda: oscillatory_tail(lambda x: f(x, np.full(x.shape, j)), a, extra, spec))
+    return _alone(lambda: adaptive_gauss(lambda x: f(x, np.full(x.shape, j)), a, b, spec, extra))
+
+
+_TOLERANCES = {
+    "rel_tol": st.sampled_from([1e-4, 1e-8, 1e-12, 1e-14]),
+    "abs_tol": st.sampled_from([0.0, 1e-12, 1e-3]),
+}
 _JOB = st.fixed_dictionaries(
     {
         "rate": st.floats(min_value=-3.0, max_value=3.0),
         "freq": st.floats(min_value=0.5, max_value=60.0),
         "lo": st.floats(min_value=-2.0, max_value=2.0),
         "length": st.floats(min_value=0.1, max_value=5.0),
-        "rel_tol": st.sampled_from([1e-4, 1e-8, 1e-12, 1e-14]),
-        "abs_tol": st.sampled_from([0.0, 1e-12, 1e-3]),
         "max_panels": st.integers(min_value=1, max_value=60),
         "breakpoints": st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=4),
+        **_TOLERANCES,
+    }
+)
+# a tail over [lo, inf) in half-periods of its cosine, under a decaying exponential
+_TAIL = st.fixed_dictionaries(
+    {
+        "rate": st.floats(min_value=-3.0, max_value=-0.05),
+        "freq": st.floats(min_value=0.5, max_value=60.0),
+        "lo": st.floats(min_value=0.0, max_value=2.0),
+        "max_panels": st.integers(min_value=1, max_value=70),
+        **_TOLERANCES,
     }
 )
 
 
-@given(jobs=st.lists(_JOB, min_size=1, max_size=5))
+@given(jobs=st.lists(st.one_of(_JOB, _TAIL), min_size=1, max_size=5))
 @settings(max_examples=60, deadline=None)
 def test_many_jobs_equal_each_job_alone(jobs):
     rate = np.array([job["rate"] for job in jobs])
@@ -280,14 +309,17 @@ def test_many_jobs_equal_each_job_alone(jobs):
 
     specs = []
     for job in jobs:
-        a, b = job["lo"], job["lo"] + job["length"]
         spec = QuadratureSpec(rel_tol=job["rel_tol"], abs_tol=job["abs_tol"], max_panels=job["max_panels"])
-        specs.append((a, b, spec, [a + t * (b - a) for t in job["breakpoints"]]))
-    outcomes = quadrature._adaptive_many(f, specs)
+        a = job["lo"]
+        if "length" in job:
+            b = a + job["length"]
+            specs.append((a, b, spec, [a + t * (b - a) for t in job["breakpoints"]]))
+        else:
+            specs.append((a, np.inf, spec, np.pi / job["freq"]))
+    outcomes = quadrature._integrate_many(f, specs)
     assert len(outcomes) == len(jobs)
-    for j, (outcome, (a, b, spec, breakpoints)) in enumerate(zip(outcomes, specs)):
-        want = _alone(lambda: adaptive_gauss(lambda x: f(x, j), a, b, spec, breakpoints))
-        _assert_same_outcome(outcome, want)
+    for j, (outcome, job) in enumerate(zip(outcomes, specs)):
+        _assert_same_outcome(outcome, _alone_job(f, j, job))
 
 
 def test_a_job_out_of_budget_does_not_stop_its_neighbours():
@@ -300,14 +332,13 @@ def test_a_job_out_of_budget_does_not_stop_its_neighbours():
         (0.0, 3.0, QuadratureSpec(rel_tol=1e-12), [1.0, 2.0]),
         (0.0, 1.0, QuadratureSpec(max_panels=1), [0.25, 0.5]),  # seeds over budget
     ]
-    outcomes = quadrature._adaptive_many(f, jobs)
+    outcomes = quadrature._integrate_many(f, jobs)
     assert isinstance(outcomes[1], QuadratureError) and outcomes[1].panels == 3
     assert isinstance(outcomes[3], QuadratureError) and outcomes[3].panels == 0
     for j in (0, 2):
         assert_allclose(outcomes[j][0], (1.0 - np.cos(60.0)) / 20.0, rtol=1e-11)
-    for j, (a, b, spec, breakpoints) in enumerate(jobs):
-        want = _alone(lambda: adaptive_gauss(lambda x: f(x, np.full(x.shape, j)), a, b, spec, breakpoints))
-        _assert_same_outcome(outcomes[j], want)
+    for j, job in enumerate(jobs):
+        _assert_same_outcome(outcomes[j], _alone_job(f, j, job))
 
 
 def test_a_tail_out_of_budget_does_not_stop_its_neighbours():
@@ -315,19 +346,19 @@ def test_a_tail_out_of_budget_does_not_stop_its_neighbours():
         return _tails(x) * np.where(which == 1, 2.0, 1.0)[:, None]
 
     jobs = [
-        (2.0, np.pi, QuadratureSpec(rel_tol=1e-12)),
-        (2.0, np.pi, QuadratureSpec(rel_tol=1e-14, max_panels=10)),
-        (3.0, np.pi, QuadratureSpec(rel_tol=1e-10)),
-        (2.0, np.pi, QuadratureSpec(max_panels=1)),  # one term: nothing to extrapolate
+        (2.0, np.inf, QuadratureSpec(rel_tol=1e-12), np.pi),
+        (2.0, np.inf, QuadratureSpec(rel_tol=1e-14, max_panels=10), np.pi),
+        (3.0, np.inf, QuadratureSpec(rel_tol=1e-10), np.pi),
+        (2.0, np.inf, QuadratureSpec(max_panels=1), np.pi),  # one term: nothing to extrapolate
+        (1.0, 40.0, QuadratureSpec(rel_tol=1e-12), ()),  # bisected in the same sweeps
     ]
-    outcomes = quadrature._tail_many(f, jobs)
+    outcomes = quadrature._integrate_many(f, jobs)
     assert isinstance(outcomes[1], QuadratureError) and outcomes[1].panels == 10
     assert isinstance(outcomes[3], QuadratureError) and outcomes[3].panels == 1
     assert outcomes[3].value is None
-    for j, (a, half_period, spec) in enumerate(jobs):
-        want = _alone(lambda: oscillatory_tail(lambda x: f(x, np.full(x.shape, j)), a, half_period, spec))
-        _assert_same_outcome(outcomes[j], want)
-    assert not isinstance(outcomes[0], QuadratureError) and not isinstance(outcomes[2], QuadratureError)
+    for j, job in enumerate(jobs):
+        _assert_same_outcome(outcomes[j], _alone_job(f, j, job))
+    assert not any(isinstance(outcomes[j], QuadratureError) for j in (0, 2, 4))
 
 
 def test_many_jobs_share_integrand_calls_of_at_most_64_panels(monkeypatch):
@@ -346,7 +377,7 @@ def test_many_jobs_share_integrand_calls_of_at_most_64_panels(monkeypatch):
 
     monkeypatch.setattr(quadrature, "_panel", counted)
     jobs = [(0.0, 10.0, QuadratureSpec(rel_tol=1e-12), ())] * 5
-    outcomes = quadrature._adaptive_many(f, jobs)
+    outcomes = quadrature._integrate_many(f, jobs)
     panels = [outcome[2] for outcome in outcomes]
     assert [size for size, _ in calls] == [22 * n for n in batches]
     assert max(batches) == 64 and sum(batches) == sum(2 * p - 1 for p in panels)
@@ -357,8 +388,8 @@ def test_many_jobs_share_integrand_calls_of_at_most_64_panels(monkeypatch):
         assert_allclose(outcome[0], (1.0 - np.cos(10.0 * w)) / w, rtol=1e-10)
 
     batches.clear()
-    jobs = [(2.0, np.pi, QuadratureSpec(rel_tol=1e-14))] * 3
-    tails = quadrature._tail_many(lambda x, which: _tails(x) * (1.0 + which)[:, None], jobs)
+    jobs = [(2.0, np.inf, QuadratureSpec(rel_tol=1e-14), np.pi)] * 3
+    tails = quadrature._integrate_many(lambda x, which: _tails(x) * (1.0 + which)[:, None], jobs)
     assert max(batches) <= 64 and sum(batches) == sum(t[2] for t in tails)
     assert batches[:2] == [24, 48]  # 8, then 16 half-periods of each of the three jobs
 
