@@ -35,12 +35,13 @@ from .materials import (
     local_field_factor,
     surface_mode_frequency,
 )
-from .quadrature import QuadratureSpec, adaptive_gauss
+from .quadrature import QuadratureSpec, _integrate_many, _result
 
 #: Reduced Planck constant of the unit system.  Absorbed here (and only
 #: here) so that the vacuum-vacuum off-resonant potential reproduces the
 #: London integral with the same U0 normalization as the resonant part.
 HBAR_REDUCED = 1.0
+_ROWS = 2000  # off-resonant integrals per integration loop: bounds the memory of one loop
 
 
 @dataclass(frozen=True)
@@ -81,14 +82,11 @@ class PotentialResult:
 
     ``g`` is the interface enhancement over free space including the local
     field, ``g_no_localfield`` the same with both Onsager factors removed.
-    ``u_offresonant`` is filled only when the imaginary-axis part was
-    requested alongside.
     """
 
     u_resonant: float
     g: float
     g_no_localfield: float
-    u_offresonant: float | None = None
 
 
 @dataclass(frozen=True)
@@ -134,13 +132,15 @@ class _Poles:
                 self.reasons[i] = message.format(float(self.omega[i]))
 
 
-def _polarizability(atom: Atom, w2, iw, poles: _Poles | None = None):
+def _polarizability(atom: Atom, w2, iw, poles: _Poles | None = None, omega0=None):
     """alpha0*w0^2/(w0^2 - w^2 - i*w*gamma) from w2 = w^2 and iw = i*w.
 
     Like ``Material._lorentz``, this serves complex w (scalar or CArray) and
     the imaginary axis w = i*xi in real arithmetic (w2 = -xi^2, iw = -xi).
+    ``omega0``, when given, replaces the atom's w0 (an array gives one per w).
     """
-    w02 = atom.omega0 * atom.omega0
+    w0 = atom.omega0 if omega0 is None else omega0
+    w02 = w0 * w0
     den = w02 - w2 - iw * atom.gamma
     if poles is not None:
         poles.check(_pole(den, w02), "undamped polarizability pole at omega = {!r}")
@@ -305,34 +305,44 @@ def offresonant_potential(
     The R^-6 law is carried entirely by U0, so the normalized value is
     separation-free.  The semi-infinite integral is mapped onto [0, 1) by
     xi = t/(1 - t).  With ``full_output`` the achieved error estimate (same
-    units) is returned alongside.
+    units) is returned alongside.  This is the one-row case of a scan's
+    off-resonant column (``spectra.scan_spectrum``).
     """
     if r is not None and not (r > 0.0):
         raise ParameterError(f"separation must be positive, got {r}")
+    u, err = _offresonant_many(system, atom_a, atom_b, np.array([atom_a.omega0]), quad)
+    return (float(u[0]), float(err[0])) if full_output else float(u[0])
+
+
+def _offresonant_many(system: HalfSpaceSystem, atom_a: Atom, atom_b: Atom, omegas, quad: QuadratureSpec | None):
+    """(u, error estimate) arrays of :func:`offresonant_potential` with atom A's omega0 at each of ``omegas``.
+
+    One integrand serves every omega0, taken per abscissa from its job; the
+    jobs, one per omega0, go to the integration loop ``_ROWS`` at a time.
+    Raises the QuadratureError of the first omega0 that fails.
+    """
     if quad is None:
         quad = QuadratureSpec()
 
-    sign = atom_a.offres_sign
-
-    def integrand(t):
-        t = np.asarray(t, dtype=float)
+    def integrand(t, w0):
         xi = t / (1.0 - t)
         jac = 1.0 / (1.0 - t) ** 2
         # imaginary axis w = i*xi: w^2 = -xi^2 and i*w = -xi, all real
-        a_a = _polarizability(atom_a, -xi * xi, -xi)
+        a_a = _polarizability(atom_a, -xi * xi, -xi, omega0=w0)
         a_b = _polarizability(atom_b, -xi * xi, -xi)
         coupling, _ = _coupling(system.upper.eps_imag(xi), system.lower.eps_imag(xi))
         return a_a * a_b * np.real(coupling * coupling) * jac
 
-    # Seed panel edges at the atomic scales, mapped to the unit interval.
-    breaks = sorted({w / (1.0 + w) for w in (atom_a.omega0, atom_b.omega0)})
-    integral, err, _ = adaptive_gauss(integrand, 0.0, 1.0, quad, breakpoints=breaks)
+    results = np.empty((omegas.size, 2))  # integral and error estimate per omega0
+    for start in range(0, omegas.size, _ROWS):
+        block = omegas[start : start + _ROWS]
+        # Seed panel edges at the atomic scales, mapped to the unit interval.
+        jobs = [(0.0, 1.0, quad, [w / (1.0 + w) for w in (w_a, atom_b.omega0)]) for w_a in block.tolist()]
+        outcomes = _integrate_many(lambda t, which, block=block: integrand(t, block[which]), jobs)
+        results[start : start + block.size] = [_result(outcome)[:2] for outcome in outcomes]
 
     prefactor = 3.0 * HBAR_REDUCED / (2.0 * np.pi * atom_a.dipole_weight * atom_b.alpha0)
-    u = -sign * prefactor * float(integral)
-    if full_output:
-        return u, prefactor * float(err)
-    return u
+    return -atom_a.offres_sign * prefactor * results[:, 0], prefactor * results[:, 1]
 
 
 def force(system: HalfSpaceSystem, atom_a: Atom, atom_b: Atom, pos: AtomPositions):

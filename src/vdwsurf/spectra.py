@@ -10,18 +10,13 @@ mode, Onsager-cavity mode, atomic transition of the ground-state partner).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import ParameterError, _is_count, _is_finite, _shown
-from .interaction import (
-    Atom,
-    offresonant_potential,
-    resonant_potential,
-    resonant_terms,
-)
+from .interaction import Atom, _offresonant_many, resonant_potential, resonant_terms
 from .materials import (
     HalfSpaceSystem,
     MaterialKind,
@@ -106,11 +101,9 @@ def _spectrum_table(
     u_no_lf = terms.u_no_lf if scan.include_no_lf_curve else np.full(terms.omega.shape, np.nan)
     columns = [terms.omega, terms.u, u_no_lf, terms.g, terms.g_no_lf]
     if scan.include_offresonant:
-        columns.append(np.array([
-            math.nan if error is not None
-            else offresonant_potential(system, replace(atom_a, omega0=w), atom_b, quad=quad)
-            for w, error in zip(terms.omega.tolist(), terms.errors)
-        ]))
+        column = np.full(terms.omega.shape, np.nan)
+        column[~terms.flagged] = _offresonant_many(system, atom_a, atom_b, terms.omega[~terms.flagged], quad)[0]
+        columns.append(column)
     return np.column_stack(columns), terms.errors
 
 
@@ -127,7 +120,7 @@ def scan_spectrum(
     frequency.  Rows are ordered by frequency; grid points that fall exactly
     on a pole are flagged rather than aborting the scan.  The resonant
     columns come from one :func:`resonant_terms` call over the grid; the
-    off-resonant integral, when requested, is evaluated row by row.
+    off-resonant integrals, when requested, from one loop per block of rows.
     """
     table, errors = _spectrum_table(system, atom_a, atom_b, scan, quad)
     return [

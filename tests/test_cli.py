@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -182,6 +183,32 @@ def test_quadrature_failure_exit_code(tmp_path):
     cfg = write_config(tmp_path, quadrature={"rel_tol": 1e-13, "max_panels": 2})
     rc = main(["validate", "--config", str(cfg), "--out", str(tmp_path / "v.csv")])
     assert rc == EXIT_QUADRATURE
+
+
+@pytest.mark.parametrize(
+    "max_panels, message",
+    [(2, "3 seeded panels exceed the budget of 2"), (3, "no convergence within 3 panels (")],
+)
+def test_offresonant_column_failure_exits_3_with_the_first_failing_row(tmp_path, capsys, max_panels, message):
+    # every row's integral runs in one loop; the error raised is the one the
+    # first failing row raises alone
+    scan = {"omega_min": 0.7, "omega_max": 1.3, "n_points": 200, "include_offresonant": True}
+    cfg = write_config(tmp_path, scan=scan, quadrature={"max_panels": max_panels})
+    rc = main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "off.csv")])
+    assert rc == EXIT_QUADRATURE
+    err = capsys.readouterr().err
+    loaded = load_config(cfg)
+    for w in loaded.scan.grid().tolist():
+        atom_a = replace(loaded.atom_a, omega0=w)
+        try:
+            vdwsurf.offresonant_potential(loaded.system, atom_a, loaded.atom_b, quad=loaded.quadrature)
+        except vdwsurf.QuadratureError as exc:
+            first = exc
+            break
+    else:
+        pytest.fail("no row fails alone")
+    assert str(first).startswith(message)
+    assert err == f"quadrature error: {first}\n"
 
 
 def test_config_error_exit_and_message(tmp_path, capsys):
@@ -394,8 +421,8 @@ def test_peaks_does_not_evaluate_the_offresonant_column(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("peaks evaluated the off-resonant integral")
 
-    monkeypatch.setattr(spectra, "offresonant_potential", refuse)
-    monkeypatch.setattr(interaction, "adaptive_gauss", refuse)
+    monkeypatch.setattr(spectra, "_offresonant_many", refuse)
+    monkeypatch.setattr(interaction, "_integrate_many", refuse)
     out = tmp_path / "off_peaks.json"
     assert main(["peaks", "--config", str(with_off), "--out", str(out)]) == EXIT_OK
     assert out.read_bytes() == expected.read_bytes()
@@ -513,7 +540,8 @@ def test_one_parser_per_process_keeps_no_state_between_calls(tmp_path):
 
 def test_resonant_commands_do_not_import_scipy(tmp_path):
     # scipy serves only the Sommerfeld integrand (vdw validate): importing
-    # the package and the resonant commands must not pay for loading it
+    # the package, the resonant commands and the off-resonant column must
+    # not pay for loading it
     script = """
 import sys, vdwsurf, vdwsurf.cli
 
@@ -522,16 +550,24 @@ def scipy_modules():
 
 if scipy_modules():
     sys.exit("loaded by the import: %s" % scipy_modules()[:5])
-for command in ("spectrum", "enhancement", "peaks"):
-    if vdwsurf.cli.main([command, "--config", "fig2", "--out", sys.argv[1] + command]) != 0:
-        sys.exit(command + " failed")
+for i, (command, config) in enumerate(
+    (("spectrum", "fig2"), ("enhancement", "fig2"), ("peaks", "fig2"), ("spectrum", sys.argv[2]))
+):
+    if vdwsurf.cli.main([command, "--config", config, "--out", sys.argv[1] + command + str(i)]) != 0:
+        sys.exit(command + " failed on " + config)
 if scipy_modules():
     sys.exit("loaded by the resonant commands: %s" % scipy_modules()[:5])
 sys.exit(vdwsurf.cli.main(["validate", "--config", "fig2", "--out", sys.argv[1] + "validate"]))
 """
     env = dict(os.environ, PYTHONPATH=str(Path(vdwsurf.__file__).resolve().parent.parent))
+    scan = {"omega_min": 0.7, "omega_max": 1.3, "n_points": 50, "include_offresonant": True}
+    offresonant = write_config(tmp_path, "offresonant.json", scan=scan)
     proc = subprocess.run(
-        [sys.executable, "-c", script, str(tmp_path / "fig2-")], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", script, str(tmp_path / "fig2-"), str(offresonant)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
     )
     assert proc.returncode == EXIT_OK, proc.stderr
     assert (tmp_path / "fig2-validate").read_text().startswith("scale,component,ratio_re,ratio_im")

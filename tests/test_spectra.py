@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,17 +7,24 @@ from numpy.testing import assert_allclose
 
 from vdwsurf import (
     Atom,
+    HalfSpaceSystem,
+    Material,
     ParameterError,
     PeakKind,
+    QuadratureSpec,
     ScanSpec,
     cavity_mode_frequency,
     enhancement_factor,
     find_peaks,
     golden_section_max,
+    interaction,
+    offresonant_potential,
+    quadrature,
     scan_enhancement,
     scan_spectrum,
     surface_mode_frequency,
 )
+from vdwsurf.spectra import _spectrum_table
 
 FIG_SCAN = ScanSpec(omega_min=0.7, omega_max=1.3, n_points=2000)
 
@@ -79,6 +87,73 @@ class TestScanSpectrum:
         flagged = [r for r in rows if r.error is not None]
         assert len(flagged) == 1 and math.isnan(flagged[0].g)
         assert len(rows) == 3
+
+
+def _spy_jobs(monkeypatch):
+    """Record the job count and the panels per job of every integration loop the column runs."""
+    calls = []
+    loop = interaction._integrate_many
+
+    def spy(f, jobs):
+        outcomes = loop(f, jobs)
+        calls.append([outcome[2] for outcome in outcomes])
+        return outcomes
+
+    monkeypatch.setattr(interaction, "_integrate_many", spy)
+    return calls
+
+
+class TestOffresonantColumn:
+    def test_rows_equal_the_one_row_call_bit_for_bit(self, sapphire_system, monkeypatch):
+        # more rows than one block; the undamped partner puts a pole on row 1234
+        n = interaction._ROWS + 37
+        scan = ScanSpec(0.7, 1.3, n_points=n, include_offresonant=True)
+        partner = Atom(omega0=float(scan.grid()[1234]), alpha0=1.7)
+        template = Atom(omega0=1.0, alpha0=2.5, dipole_weight=0.7, offres_sign=-1.0)
+        quad = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14, max_panels=500)
+        calls = _spy_jobs(monkeypatch)
+        table, errors = _spectrum_table(sapphire_system, template, partner, scan, quad)
+        column = table[:, 5]
+        assert [i for i, e in enumerate(errors) if e is not None] == [1234]
+        assert math.isnan(column[1234])
+        # one job per unflagged row, never more per loop than the block constant
+        assert [len(c) for c in calls] == [interaction._ROWS, n - 1 - interaction._ROWS]
+        panels = [p for c in calls for p in c]
+        calls.clear()
+        for i, w in enumerate(scan.grid().tolist()):
+            if i != 1234:
+                u = offresonant_potential(sapphire_system, replace(template, omega0=w), partner, quad=quad)
+                assert column[i] == u, i
+        assert panels == [p for (p,) in calls]
+
+    def test_all_flagged_grid_runs_no_integral(self, atom_b, monkeypatch):
+        # eps_u + eps_l vanishes at every frequency
+        system = HalfSpaceSystem(upper=Material.vacuum(), lower=Material.constant(-1.0))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an integral ran for a flagged row")
+
+        monkeypatch.setattr(interaction, "_integrate_many", refuse)
+        scan = ScanSpec(0.7, 1.3, n_points=5, include_offresonant=True)
+        table, errors = _spectrum_table(system, Atom(omega0=1.0), atom_b, scan)
+        assert all(e is not None for e in errors)
+        assert np.all(np.isnan(table[:, 5]))
+
+    def test_fig2_column_takes_few_panel_calls(self, sapphire_system, atom_b, monkeypatch):
+        # one integration loop for the 200 rows: 261 _panel calls one row at a time
+        count = [0]
+        panel = quadrature._panel
+
+        def counted(*args):
+            count[0] += 1
+            return panel(*args)
+
+        monkeypatch.setattr(quadrature, "_panel", counted)
+        calls = _spy_jobs(monkeypatch)
+        scan = ScanSpec(0.7, 1.3, n_points=200, include_offresonant=True)
+        _spectrum_table(sapphire_system, Atom(omega0=1.0), atom_b, scan)
+        assert 0 < count[0] <= 12
+        assert len(calls) == 1 and sum(calls[0]) == 661
 
 
 class TestGoldenSection:
