@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ParameterError, SingularityError, _is_finite, _shown
 from .materials import HalfSpaceSystem, _avg_eps_vanishes, _pole, local_field_factor
-from .quadrature import QuadratureSpec, _integrate_many, _result
+from .quadrature import QuadratureSpec, _bisection, _integrate_many, _result, _tail
 
 #: Tensor components that are generally nonzero in the frame whose x axis is
 #: the in-plane separation direction (everything else vanishes by symmetry).
@@ -142,8 +142,8 @@ class _Kernel:
     """
 
     def __init__(self, system: HalfSpaceSystem, omega: float):
-        if not (omega > 0.0):
-            raise ParameterError(f"omega must be positive, got {omega}")
+        if not (omega > 0.0 and _is_finite(omega)):
+            raise ParameterError(f"omega must be positive and finite, got {_shown(omega)}", "omega")
         self.omega = omega
         self.eps_u, self.eps_l = system.upper.eps(omega), system.lower.eps(omega)
         self.mu_u, self.mu_l = system.upper.mu(omega), system.lower.mu(omega)
@@ -300,7 +300,8 @@ def _sommerfeld_many(
 
     The kernel depends on omega only, so one residual integrand serves all
     positions.  Each position's head, tail and propagating segment are jobs
-    of one integration loop, each with the tolerance of its own position.
+    (``_bisection``, ``_tail``, ``_bisection``) of one integration loop,
+    each with the tolerance of its own position.
     Every tensor, and the error raised (the first in position order, and
     per position head, tail, then propagating segment), is what
     :func:`sommerfeld_green` gives alone.
@@ -337,13 +338,13 @@ def _sommerfeld_many(
         seeds = k_split + omega * 1e-3 * 4.0 ** np.arange(
             np.log((k0 - k_split) / (omega * 1e-3)) / np.log(4.0)
         )
-        own = [(k_split, k0, spec, seeds)]
+        own = [_bisection(k_split, k0, spec, seeds)]
         if k0 < k_end:
-            own.append((k0, np.inf, spec, np.pi / rho))
+            own.append(_tail(k0, np.pi / rho, spec))
         # A separate job: under one shared tolerance, bisection crowds into
         # the integrable 1/beta peak at a light line and rounds abscissae onto it.
         if k_split > 0.0:
-            own.append((0.0, k_split, spec, kernel.k_breaks[:-1]))
+            own.append(_bisection(0.0, k_split, spec, kernel.k_breaks[:-1]))
         jobs.append(own)
     integrand = _radial_integrand(kernel, [pos for pos, own in zip(positions, jobs) for _ in own], p0, s0)
     outcomes = iter(_integrate_many(integrand, [job for own in jobs for job in own]))
@@ -424,8 +425,8 @@ def nonretarded_green(
     Accepts complex ``omega`` (imaginary-axis evaluation).
     """
     w = complex(omega)
-    if w == 0.0:
-        raise ParameterError("omega must be nonzero")
+    if not (w != 0.0 and _is_finite(w.real) and _is_finite(w.imag)):
+        raise ParameterError(f"omega must be nonzero and finite, got {_shown(omega)}", "omega")
     eps_u, eps_l = system.upper.eps(w), system.lower.eps(w)
     if _avg_eps_vanishes(eps_u, eps_l):
         raise SingularityError(f"average permittivity vanishes at omega = {omega!r}")

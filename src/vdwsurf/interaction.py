@@ -35,7 +35,7 @@ from .materials import (
     local_field_factor,
     surface_mode_frequency,
 )
-from .quadrature import QuadratureSpec, _integrate_many, _result
+from .quadrature import QuadratureSpec, _bisection, _integrate_many, _result
 
 #: Reduced Planck constant of the unit system.  Absorbed here (and only
 #: here) so that the vacuum-vacuum off-resonant potential reproduces the
@@ -190,8 +190,8 @@ def resonant_terms(system: HalfSpaceSystem, omega, atom_b: Atom | None = None) -
     instead (see :class:`ResonantTerms`).
     """
     omega = np.asarray(omega, dtype=float).reshape(-1)
-    if not np.all(omega > 0.0):
-        raise ParameterError("omega_a must be positive")
+    if not np.all((omega > 0.0) & np.isfinite(omega)):
+        raise ParameterError("omega must be positive and finite", "omega")
     poles = _Poles(omega)
     g, g_no_lf, u, u_no_lf = _resonant(system, omega, atom_b, poles)
     flagged = np.array([r is not None for r in poles.reasons], dtype=bool)
@@ -219,6 +219,8 @@ def polarizability(atom: Atom, omega) -> complex:
     own transition raises SingularityError.
     """
     w = complex(omega)
+    if not (_is_finite(w.real) and _is_finite(w.imag)):
+        raise ParameterError(f"omega must be finite, got {_shown(omega)}", "omega")
     return _polarizability(atom, w * w, 1j * w, _Poles(omega))
 
 
@@ -235,8 +237,8 @@ def enhancement_factor(system: HalfSpaceSystem, omega_a: float):
     without the two Onsager cavity factors.  :func:`resonant_terms`
     evaluates the same over a frequency array.
     """
-    if not (omega_a > 0.0):
-        raise ParameterError(f"omega_a must be positive, got {omega_a}")
+    if not (omega_a > 0.0 and _is_finite(omega_a)):
+        raise ParameterError(f"omega_a must be positive and finite, got {_shown(omega_a)}", "omega_a")
     g, g_no_lf, _, _ = _resonant(system, omega_a, None, _Poles(omega_a))
     return g, g_no_lf
 
@@ -337,7 +339,7 @@ def _offresonant_many(system: HalfSpaceSystem, atom_a: Atom, atom_b: Atom, omega
     for start in range(0, omegas.size, _ROWS):
         block = omegas[start : start + _ROWS]
         # Seed panel edges at the atomic scales, mapped to the unit interval.
-        jobs = [(0.0, 1.0, quad, [w / (1.0 + w) for w in (w_a, atom_b.omega0)]) for w_a in block.tolist()]
+        jobs = [_bisection(0.0, 1.0, quad, [w / (1.0 + w) for w in (w_a, atom_b.omega0)]) for w_a in block.tolist()]
         outcomes = _integrate_many(lambda t, which, block=block: integrand(t, block[which]), jobs)
         results[start : start + block.size] = [_result(outcome)[:2] for outcome in outcomes]
 

@@ -13,15 +13,15 @@ algorithm (:func:`oscillatory_tail`); such a tail takes its new panels from
 a fixed schedule of half-periods instead of from bisection.
 
 One loop carries many independent integrals ("jobs") of one integrand at
-once, as vectorized cubature interfaces do: every job, bisected or tail, is
-refined by its own tolerance and budget exactly as it would be alone, and
-each sweep evaluates the new panels of all unfinished jobs in the same
-integrand calls.  The public functions are the one-job case.
+once, as vectorized cubature interfaces do.  Each job is a generator that
+runs its own one-job algorithm (:func:`_bisection`, :func:`_tail`) on the
+values of its own panels only, so it ends exactly as it would alone; the
+loop (:func:`_integrate_many`) only batches the panels that unfinished
+jobs ask for into shared integrand calls.  The public functions run one job.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,12 +116,7 @@ def adaptive_gauss(f, a, b, spec: QuadratureSpec | None = None, breakpoints=()):
     (m,) (or are scalars for a scalar integrand).  Raises QuadratureError,
     carrying the best value and achieved estimate, if the budget runs out.
     """
-    # an infinite limit gives NaN panels (and in a job, b = inf marks a tail)
-    if np.inf in (abs(a), abs(b)):
-        raise ParameterError(f"integration interval [{a}, {b}] must be finite")
-    if spec is None:
-        spec = QuadratureSpec()
-    return _result(_integrate_many(lambda x, job: f(x), [(a, b, spec, breakpoints)])[0])
+    return _result(_integrate_many(lambda x, job: f(x), [_bisection(a, b, spec, breakpoints)])[0])
 
 
 def oscillatory_tail(f, a, half_period, spec: QuadratureSpec | None = None):
@@ -135,138 +130,139 @@ def oscillatory_tail(f, a, half_period, spec: QuadratureSpec | None = None):
     extrapolants is the error estimate, held to the bound of
     :func:`adaptive_gauss`.  ``f`` is called as there.
 
-    Returns ``(value, error_estimate, panels)``.  Raises QuadratureError,
-    carrying the last extrapolant and its spread, if the budget runs out.
+    Returns ``(value, error_estimate, panels)``, value and error shaped as
+    in :func:`adaptive_gauss` (NumPy scalars for a scalar integrand).
+    Raises QuadratureError, carrying the last extrapolant and its spread,
+    if the budget runs out.
     """
+    return _result(_integrate_many(lambda x, job: f(x), [_tail(a, half_period, spec)])[0])
+
+
+def _bisection(a, b, spec: QuadratureSpec | None = None, breakpoints=()):
+    """:func:`adaptive_gauss` as a job of :func:`_integrate_many`."""
     if spec is None:
         spec = QuadratureSpec()
-    return _result(_integrate_many(lambda x, job: f(x), [(a, np.inf, spec, half_period)])[0])
+    # an infinite limit gives NaN panels
+    if np.inf in (abs(a), abs(b)):
+        raise ParameterError(f"integration interval [{a}, {b}] must be finite")
+    a, b = float(a), float(b)
+    if not b > a:
+        raise ParameterError(f"empty integration interval [{a}, {b}]")
+    edges = np.array([a] + sorted(p for p in set(float(p) for p in breakpoints) if a < p < b) + [b])
+    if edges.size - 1 > spec.max_panels:
+        return QuadratureError(f"{edges.size - 1} seeded panels exceed the budget of {spec.max_panels}", panels=0)
+    left, right = edges[:-1], edges[1:]
+    val, err = yield left, right
+    while True:
+        # rel_tol is measured against the largest component; cancelling
+        # integrals additionally converge at the roundoff floor of their
+        # panel-sum magnitude.
+        vals, errs = val.sum(axis=0), err.sum(axis=0)
+        bound = _bound(spec, vals, np.abs(val).sum(axis=0))
+        if np.all(errs <= bound):
+            return vals, errs, left.size
+        room = spec.max_panels - left.size
+        if room <= 0:
+            message = (
+                f"no convergence within {spec.max_panels} panels "
+                f"(error estimate {errs.max():.3e}, tolerance {bound:.3e})"
+            )
+            return QuadratureError(message, value=vals, error_estimate=errs, panels=left.size)
+        # Split the shortest worst-first prefix without which every
+        # component would meet the bound, within the remaining budget.
+        order = np.argsort(-err.max(axis=1), kind="stable")
+        short = np.any(errs - np.cumsum(err[order], axis=0) > bound, axis=1)
+        count = min(np.count_nonzero(short) + 1, room)
+        split, keep = order[:count], order[count:]
+        mid = 0.5 * (left[split] + right[split])
+        lefts, rights = np.concatenate([left[split], mid]), np.concatenate([mid, right[split]])
+        new_val, new_err = yield lefts, rights
+        left, right = np.concatenate([left[keep], lefts]), np.concatenate([right[keep], rights])
+        val, err = np.concatenate([val[keep], new_val]), np.concatenate([err[keep], new_err])
 
 
 _BATCHES = (8, 16, 40)  # half-periods a tail takes in its first, second and third sweep
 
 
-def _integrate_many(f, jobs):
-    """Integrate independent jobs ``(a, b, spec, extra)`` of one integrand in one loop.
+def _tail(a, half_period, spec: QuadratureSpec | None = None):
+    """:func:`oscillatory_tail` as a job of :func:`_integrate_many`.
 
-    A job with finite ``b`` is bisected from the breakpoints ``extra`` as
-    :func:`adaptive_gauss` bisects it alone, so it ends with the same
-    panels.  A job with ``b = inf`` is the tail from ``a`` with half-period
-    ``extra``: it takes the half-periods of :func:`oscillatory_tail` in
-    consecutive sweeps, and after each sweep Wynn's table runs once on the
-    partial sums of all tails that hold the same number of terms.
-    ``f(x, job)`` maps abscissae of shape (n,), and the index of the job
-    each belongs to, to values of shape (n,) or (n, m).  Each sweep
-    evaluates the new panels of every unfinished job together.  Returns per
-    job ``(value, error_estimate, panels)`` or the QuadratureError that the
-    one-job function raises for it alone.
+    It takes the half-periods of ``_BATCHES`` in turn, within the budget,
+    and after each batch runs Wynn's table on its own partial sums.
     """
-    outcomes = [None] * len(jobs)
-    # a bisected job's kept (left, right, val, err) or None and its new
-    # (lefts, rights); a tail's half-period integrals
-    state = {}
-    for j, (a, b, spec, extra) in enumerate(jobs):
-        if b == np.inf:
-            if not (0.0 < extra < np.inf):
-                raise ParameterError(f"half_period must be positive and finite, got {extra}")
-            state[j] = np.empty((0, 0))
-            continue
-        a, b = float(a), float(b)
-        if not b > a:
-            raise ParameterError(f"empty integration interval [{a}, {b}]")
-        edges = np.array([a] + sorted(p for p in set(float(p) for p in extra) if a < p < b) + [b])
-        if edges.size - 1 > spec.max_panels:
-            outcomes[j] = QuadratureError(
-                f"{edges.size - 1} seeded panels exceed the budget of {spec.max_panels}", panels=0
-            )
-        else:
-            state[j] = None, edges[:-1], edges[1:]
-    last = {}  # tail -> its last extrapolant and spread
-    shape = ()
-    for sweep in itertools.count():
-        parts = []
-        for j, held in state.items():
-            if outcomes[j] is not None:
-                continue
-            a, b, spec, half_period = jobs[j]
-            if b < np.inf:
-                parts.append((j, *held[1:]))
-                continue
-            done = len(held)
-            batch = _BATCHES[sweep] if sweep < len(_BATCHES) else 0
-            left = a + half_period * np.arange(done, min(done + batch, spec.max_panels))
-            if left.size:
-                parts.append((j, left, left + half_period))
-                continue
-            # the budget or the schedule is spent
-            value, err = last.get(j, (None, None))
-            outcomes[j] = QuadratureError(
-                f"no convergence of the oscillatory tail within {done} half-periods",
-                value=None if value is None else value.reshape(shape),
-                error_estimate=None if err is None else err.reshape(shape),
-                panels=done,
-            )
-        if not parts:
+    if not (0.0 < half_period < np.inf):
+        raise ParameterError(f"half_period must be positive and finite, got {half_period}")
+    if spec is None:
+        spec = QuadratureSpec()
+    # the half-period integrals received and their concatenation; the last extrapolant and spread
+    terms, part, value, err = [], np.empty(0), None, None
+    for batch in _BATCHES:
+        left = a + half_period * np.arange(len(part), min(len(part) + batch, spec.max_panels))
+        if not left.size:  # the budget is spent
             break
-        shape, slices = _evaluate(f, parts)
-        scalar = shape == ()
-        groups = {}  # term count -> tails
-        for (j, lefts, rights), (new_val, new_err) in zip(parts, slices):
-            spec = jobs[j][2]
-            if jobs[j][1] == np.inf:
-                state[j] = np.concatenate([state[j], new_val]) if len(state[j]) else new_val
-                if len(state[j]) >= 2:
-                    groups.setdefault(len(state[j]), []).append(j)
-                continue
-            kept = state[j][0]
-            if kept is None:
-                left, right, val, err = lefts, rights, new_val, new_err
-            else:
-                left, right = np.concatenate([kept[0], lefts]), np.concatenate([kept[1], rights])
-                val, err = np.concatenate([kept[2], new_val]), np.concatenate([kept[3], new_err])
-            # rel_tol is measured against the largest component; cancelling
-            # integrals additionally converge at the roundoff floor of their
-            # panel-sum magnitude.
-            vals, errs = val.sum(axis=0), err.sum(axis=0)
-            bound = _bound(spec, vals, np.abs(val).sum(axis=0))
-            if np.all(errs <= bound):
-                outcomes[j] = (vals[0], errs[0], left.size) if scalar else (vals, errs, left.size)
-                continue
-            room = spec.max_panels - left.size
-            if room <= 0:
-                outcomes[j] = QuadratureError(
-                    f"no convergence within {spec.max_panels} panels "
-                    f"(error estimate {errs.max():.3e}, tolerance {bound:.3e})",
-                    value=vals[0] if scalar else vals,
-                    error_estimate=errs[0] if scalar else errs,
-                    panels=left.size,
-                )
-                continue
-            # Split the shortest worst-first prefix without which every
-            # component would meet the bound, within the remaining budget.
-            order = np.argsort(-err.max(axis=1), kind="stable")
-            short = np.any(errs - np.cumsum(err[order], axis=0) > bound, axis=1)
-            count = min(np.count_nonzero(short) + 1, room)
-            split, keep = order[:count], order[count:]
-            mid = 0.5 * (left[split] + right[split])
-            kept = left[keep], right[keep], val[keep], err[keep]
-            state[j] = kept, np.concatenate([left[split], mid]), np.concatenate([mid, right[split]])
-        for count, group in groups.items():
-            part = np.concatenate([state[j] for j in group], axis=1)
+        new_val, _ = yield left, left + half_period
+        terms.append(new_val)
+        part = np.concatenate(terms)
+        if len(part) >= 2:
             value, previous = _wynn(np.cumsum(part, axis=0))
-            err, magnitude, end = np.abs(value - previous), np.abs(part).sum(axis=0), 0
-            for j in group:
-                start, end = end, end + state[j].shape[1]
-                last[j] = v, e = value[start:end], err[start:end]
-                if np.all(e <= _bound(jobs[j][2], v, magnitude[start:end])):
-                    outcomes[j] = v.reshape(shape), e.reshape(shape), count
-    return outcomes
+            err = np.abs(value - previous)
+            if np.all(err <= _bound(spec, value, np.abs(part).sum(axis=0))):
+                return value, err, len(part)
+    message = f"no convergence of the oscillatory tail within {len(part)} half-periods"
+    return QuadratureError(message, value=value, error_estimate=err, panels=len(part))
+
+
+def _integrate_many(f, jobs):
+    """Run independent integration jobs of one integrand in one loop.
+
+    Each job is a generator made by :func:`_bisection` or :func:`_tail`
+    that runs its own one-job algorithm: it yields the ``(lefts, rights)``
+    of the panels it needs next, is sent their ``(values, errors)`` as
+    (panels, components) arrays, and returns ``(value, error_estimate,
+    panels)`` or a QuadratureError.  The loop only routes panels: it first
+    advances every job to its first request, so a ParameterError is raised
+    in job order before any integrand call; then each sweep evaluates the
+    pending panels of every unfinished job together, in ``_panel`` calls
+    of at most ``_CHUNK`` panels, and sends each job its own.  A job sees
+    the values of its own panels only, so it ends as it ends alone.
+    ``f(x, job)`` maps abscissae of shape (n,), and the index of the job
+    each belongs to, to values of shape (n,) or (n, m).  Returns per job
+    its outcome, value and error in the shape of ``f``'s values (NumPy
+    scalars for a scalar integrand).
+    """
+    outcomes, shape = [None] * len(jobs), ()
+    answers = dict.fromkeys(range(len(jobs)))  # unfinished job -> what it is sent next
+    while True:
+        parts = []
+        for j, answer in answers.items():
+            try:
+                parts.append((j, *jobs[j].send(answer)))
+            except StopIteration as stop:
+                outcomes[j] = stop.value
+        if not parts:
+            return [_shaped(outcome, shape) for outcome in outcomes]
+        shape, slices = _evaluate(f, parts)
+        answers = {j: answer for (j, _, _), answer in zip(parts, slices)}
+
+
+def _shaped(outcome, shape):
+    """A job's outcome, value and error estimate reshaped to ``shape`` (NumPy scalars for ``()``)."""
+    if isinstance(outcome, QuadratureError):
+        outcome.value, outcome.error_estimate = (
+            None if x is None else x.reshape(shape)[()] for x in (outcome.value, outcome.error_estimate)
+        )
+        return outcome
+    value, error, panels = outcome
+    return value.reshape(shape)[()], error.reshape(shape)[()], panels
+
+
+_ROUNDOFF = 100.0 * np.finfo(float).eps  # the roundoff floor of a sum, per unit of its magnitude
 
 
 def _bound(spec: QuadratureSpec, value, magnitude) -> float:
     """Error bound for an integral ``value`` whose panel values sum to ``magnitude`` in size."""
     tol = spec.abs_tol + spec.rel_tol * np.max(np.abs(value))
-    return max(tol, 100.0 * np.finfo(float).eps * np.max(magnitude))
+    return max(tol, _ROUNDOFF * np.max(magnitude))
 
 
 def _wynn(sums):
@@ -281,8 +277,9 @@ def _wynn(sums):
     odd, even = np.zeros((sums.shape[0] + 1,) + sums.shape[1:], dtype=sums.dtype), sums
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         while even.shape[0] >= 4:
-            odd = odd[1:-1] + 1.0 / np.diff(even, axis=0)
-            even = even[1:-1] + 1.0 / np.diff(odd, axis=0)
-            ok = np.all(np.isfinite(even[-2:]), axis=0)
-            best[0][ok], best[1][ok] = even[-1, ok], even[-2, ok]
+            odd = odd[1:-1] + 1.0 / (even[1:] - even[:-1])
+            even = even[1:-1] + 1.0 / (odd[1:] - odd[:-1])
+            ok = np.isfinite(even[-2:]).all(axis=0)
+            np.copyto(best[0], even[-1], where=ok)
+            np.copyto(best[1], even[-2], where=ok)
     return best

@@ -143,16 +143,21 @@ def scan_enhancement(system: HalfSpaceSystem, scan: ScanSpec):
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_MIN_REL_TOL = 4.0 * np.finfo(float).eps  # the narrowest bracket golden_section_max resolves
 
 
 def golden_section_max(f, a: float, b: float, rel_tol: float = 1e-6):
     """Locate the maximum of a unimodal ``f`` on [a, b].
 
     Returns ``(x, f(x))``; the bracket shrinks until its width is below
-    rel_tol relative to the midpoint location.
+    rel_tol relative to the midpoint location.  ``rel_tol`` must be finite
+    and at least 4 machine epsilons: a narrower bracket cannot be resolved
+    in floating point, and the search would never stop.
     """
     if not (b > a):
         raise ParameterError(f"invalid bracket [{a}, {b}]")
+    if not (_is_finite(rel_tol) and rel_tol >= _MIN_REL_TOL):
+        raise ParameterError(f"rel_tol must be finite and >= {_MIN_REL_TOL:.3g}, got {_shown(rel_tol)}", "rel_tol")
     x1 = b - _INVPHI * (b - a)
     x2 = a + _INVPHI * (b - a)
     f1, f2 = f(x1), f(x2)

@@ -582,7 +582,7 @@ def test_tail_shares_the_head_sweep_integrand_call(sapphire_system, monkeypatch,
     pos = AtomPositions([0.0, 0.0, 1e-3], [aspect * 2e-3, 0.0, -1e-3])
     green = sommerfeld_green(sapphire_system, 0.5, pos)
     assert np.all(np.isfinite(green))
-    assert any(b == np.inf for _, b, _, _ in jobs)  # the tensor has a tail
+    assert any(job.__name__ == "_tail" for job in jobs)  # the tensor has a tail
     assert calls[0] == 1
 
 

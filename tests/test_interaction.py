@@ -22,6 +22,8 @@ from vdwsurf import (
     polarizability,
     resonant_potential,
 )
+from vdwsurf import greens
+from vdwsurf.interaction import resonant_terms
 
 # Frozen by direct hand evaluation of the screened-coupling moduli for the
 # sapphire parameters (eta=2.71, eps0=6.57, gamma=0.015, surface mode at 1).
@@ -278,3 +280,32 @@ class TestForce:
             du = (u_abs(dist + h) - u_abs(dist - h)) / (2.0 * h)
             expected = -du * pos.r_vec / dist
             assert_allclose(f_a, expected, rtol=1e-6)
+
+
+_POS = AtomPositions([0.0, 0.0, 0.01], [0.02, 0.0, -0.01])
+_FREQUENCY_ENTRY_POINTS = {
+    "fresnel_t": (lambda system, w: greens.fresnel_t(system, w, 0.5), "omega"),
+    "kspace_green": (lambda system, w: greens.kspace_green(system, w, 0.5, 0.01, -0.01), "omega"),
+    "sommerfeld_green": (lambda system, w: greens.sommerfeld_green(system, w, _POS), "omega"),
+    "nonretarded_limit_check": (lambda system, w: greens.nonretarded_limit_check(system, w, _POS, (0.1,)), "omega"),
+    "nonretarded_green": (lambda system, w: greens.nonretarded_green(system, w, _POS), "omega"),
+    "enhancement_factor": (lambda system, w: enhancement_factor(system, w), "omega_a"),
+    "resonant_terms": (lambda system, w: resonant_terms(system, [0.5, w]), "omega"),
+    "polarizability": (lambda system, w: polarizability(Atom(omega0=0.8, gamma=0.0), w), "omega"),
+}
+
+
+_NON_FINITE = [(entry, w) for entry in sorted(_FREQUENCY_ENTRY_POINTS) for w in (np.inf, np.nan)] + [
+    ("nonretarded_green", complex(0.0, np.inf)),  # these two accept complex frequencies
+    ("polarizability", complex(0.0, np.inf)),
+]
+
+
+@pytest.mark.parametrize("entry, omega", _NON_FINITE)
+def test_non_finite_frequency_rejected(sapphire_system, entry, omega):
+    # an infinite frequency used to give all-NaN tensors and coefficients,
+    # or errors about abs_tol or an undamped resonance at inf
+    run, field = _FREQUENCY_ENTRY_POINTS[entry]
+    with pytest.raises(ParameterError) as info:
+        run(sapphire_system, omega)
+    assert info.value.field == field and field in str(info.value)

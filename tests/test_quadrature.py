@@ -263,12 +263,18 @@ def _assert_same_outcome(got, want):
         assert (a is None and b is None) or np.array_equal(a, b)
 
 
+_ONE_JOB = {quadrature._bisection: adaptive_gauss, quadrature._tail: oscillatory_tail}
+
+
+def _jobs(described):
+    """The job generators of ``described = [(constructor, args), ...]``."""
+    return [make(*args) for make, args in described]
+
+
 def _alone_job(f, j, job):
-    """What the one-job function gives for ``job = (a, b, spec, extra)`` of ``f(x, j)`` alone."""
-    a, b, spec, extra = job
-    if b == np.inf:
-        return _alone(lambda: oscillatory_tail(lambda x: f(x, np.full(x.shape, j)), a, extra, spec))
-    return _alone(lambda: adaptive_gauss(lambda x: f(x, np.full(x.shape, j)), a, b, spec, extra))
+    """What the one-job function gives for ``job = (constructor, args)`` of ``f(x, j)`` alone."""
+    make, args = job
+    return _alone(lambda: _ONE_JOB[make](lambda x: f(x, np.full(x.shape, j)), *args))
 
 
 _TOLERANCES = {
@@ -313,10 +319,10 @@ def test_many_jobs_equal_each_job_alone(jobs):
         a = job["lo"]
         if "length" in job:
             b = a + job["length"]
-            specs.append((a, b, spec, [a + t * (b - a) for t in job["breakpoints"]]))
+            specs.append((quadrature._bisection, (a, b, spec, [a + t * (b - a) for t in job["breakpoints"]])))
         else:
-            specs.append((a, np.inf, spec, np.pi / job["freq"]))
-    outcomes = quadrature._integrate_many(f, specs)
+            specs.append((quadrature._tail, (a, np.pi / job["freq"], spec)))
+    outcomes = quadrature._integrate_many(f, _jobs(specs))
     assert len(outcomes) == len(jobs)
     for j, (outcome, job) in enumerate(zip(outcomes, specs)):
         _assert_same_outcome(outcome, _alone_job(f, j, job))
@@ -327,12 +333,12 @@ def test_a_job_out_of_budget_does_not_stop_its_neighbours():
         return np.where(which == 1, _oscillating(x), np.sin(20.0 * x))
 
     jobs = [
-        (0.0, 3.0, QuadratureSpec(rel_tol=1e-12), ()),
-        (0.0, 10.0, QuadratureSpec(rel_tol=1e-14, max_panels=3), ()),
-        (0.0, 3.0, QuadratureSpec(rel_tol=1e-12), [1.0, 2.0]),
-        (0.0, 1.0, QuadratureSpec(max_panels=1), [0.25, 0.5]),  # seeds over budget
+        (quadrature._bisection, (0.0, 3.0, QuadratureSpec(rel_tol=1e-12), ())),
+        (quadrature._bisection, (0.0, 10.0, QuadratureSpec(rel_tol=1e-14, max_panels=3), ())),
+        (quadrature._bisection, (0.0, 3.0, QuadratureSpec(rel_tol=1e-12), [1.0, 2.0])),
+        (quadrature._bisection, (0.0, 1.0, QuadratureSpec(max_panels=1), [0.25, 0.5])),  # seeds over budget
     ]
-    outcomes = quadrature._integrate_many(f, jobs)
+    outcomes = quadrature._integrate_many(f, _jobs(jobs))
     assert isinstance(outcomes[1], QuadratureError) and outcomes[1].panels == 3
     assert isinstance(outcomes[3], QuadratureError) and outcomes[3].panels == 0
     for j in (0, 2):
@@ -346,13 +352,13 @@ def test_a_tail_out_of_budget_does_not_stop_its_neighbours():
         return _tails(x) * np.where(which == 1, 2.0, 1.0)[:, None]
 
     jobs = [
-        (2.0, np.inf, QuadratureSpec(rel_tol=1e-12), np.pi),
-        (2.0, np.inf, QuadratureSpec(rel_tol=1e-14, max_panels=10), np.pi),
-        (3.0, np.inf, QuadratureSpec(rel_tol=1e-10), np.pi),
-        (2.0, np.inf, QuadratureSpec(max_panels=1), np.pi),  # one term: nothing to extrapolate
-        (1.0, 40.0, QuadratureSpec(rel_tol=1e-12), ()),  # bisected in the same sweeps
+        (quadrature._tail, (2.0, np.pi, QuadratureSpec(rel_tol=1e-12))),
+        (quadrature._tail, (2.0, np.pi, QuadratureSpec(rel_tol=1e-14, max_panels=10))),
+        (quadrature._tail, (3.0, np.pi, QuadratureSpec(rel_tol=1e-10))),
+        (quadrature._tail, (2.0, np.pi, QuadratureSpec(max_panels=1))),  # one term: nothing to extrapolate
+        (quadrature._bisection, (1.0, 40.0, QuadratureSpec(rel_tol=1e-12), ())),  # bisected in the same sweeps
     ]
-    outcomes = quadrature._integrate_many(f, jobs)
+    outcomes = quadrature._integrate_many(f, _jobs(jobs))
     assert isinstance(outcomes[1], QuadratureError) and outcomes[1].panels == 10
     assert isinstance(outcomes[3], QuadratureError) and outcomes[3].panels == 1
     assert outcomes[3].value is None
@@ -376,7 +382,7 @@ def test_many_jobs_share_integrand_calls_of_at_most_64_panels(monkeypatch):
         return np.sin((100.0 + 100.0 * which) * x)
 
     monkeypatch.setattr(quadrature, "_panel", counted)
-    jobs = [(0.0, 10.0, QuadratureSpec(rel_tol=1e-12), ())] * 5
+    jobs = [quadrature._bisection(0.0, 10.0, QuadratureSpec(rel_tol=1e-12)) for _ in range(5)]
     outcomes = quadrature._integrate_many(f, jobs)
     panels = [outcome[2] for outcome in outcomes]
     assert [size for size, _ in calls] == [22 * n for n in batches]
@@ -388,10 +394,54 @@ def test_many_jobs_share_integrand_calls_of_at_most_64_panels(monkeypatch):
         assert_allclose(outcome[0], (1.0 - np.cos(10.0 * w)) / w, rtol=1e-10)
 
     batches.clear()
-    jobs = [(2.0, np.inf, QuadratureSpec(rel_tol=1e-14), np.pi)] * 3
+    jobs = [quadrature._tail(2.0, np.pi, QuadratureSpec(rel_tol=1e-14)) for _ in range(3)]
     tails = quadrature._integrate_many(lambda x, which: _tails(x) * (1.0 + which)[:, None], jobs)
     assert max(batches) <= 64 and sum(batches) == sum(t[2] for t in tails)
     assert batches[:2] == [24, 48]  # 8, then 16 half-periods of each of the three jobs
+
+
+def test_scalar_tail_returns_the_scalar_type_of_adaptive_gauss():
+    spec = QuadratureSpec(rel_tol=1e-10)
+    tail = oscillatory_tail(lambda x: np.exp(-0.1 * x) * np.cos(x), 0.0, np.pi, spec)
+    head = adaptive_gauss(lambda x: np.exp(-0.1 * x) * np.cos(x), 0.0, np.pi, spec)
+    assert type(tail[0]) is type(head[0]) is np.float64
+    assert type(tail[1]) is type(head[1]) is np.float64
+
+
+def test_bad_job_raises_before_any_integrand_call():
+    calls = []
+
+    def f(x, which):
+        calls.append(x.size)
+        return np.cos(x)
+
+    jobs = [quadrature._bisection(0.0, 1.0), quadrature._tail(0.0, -1.0)]
+    with pytest.raises(ParameterError, match="half_period"):
+        quadrature._integrate_many(f, jobs)
+    assert calls == []
+
+
+def test_a_finished_job_is_never_evaluated_again():
+    # job 0 is exact on its first panel and job 1 converges on its first 8
+    # half-periods; job 2 needs many sweeps.  Each job's abscissae are those
+    # of the panels it evaluated (a bisection of one panel evaluates 2p - 1
+    # for p kept), and the finished jobs drop out after sweep 1.
+    seen = []
+
+    def f(x, which):
+        seen.append(which)
+        return np.where(which == 0, x**3, np.where(which == 1, np.exp(-10.0 * x) * np.cos(x), _oscillating(x)))
+
+    jobs = [
+        quadrature._bisection(0.0, 1.0),
+        quadrature._tail(0.0, np.pi, QuadratureSpec(rel_tol=1e-6)),
+        quadrature._bisection(0.0, 3.0, QuadratureSpec(rel_tol=1e-12)),
+    ]
+    outcomes = quadrature._integrate_many(f, jobs)
+    assert [outcome[2] for outcome in outcomes[:2]] == [1, 8] and len(seen) > 2
+    for j, evaluated in enumerate([1, 8, 2 * outcomes[2][2] - 1]):
+        assert sum(np.count_nonzero(which == j) for which in seen) == 22 * evaluated
+    assert not any(np.isin(which, (0, 1)).any() for which in seen[1:])
 
 
 def _alone_calls(j):

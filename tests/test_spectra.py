@@ -167,6 +167,31 @@ class TestGoldenSection:
             golden_section_max(lambda x: x, 1.0, 1.0)
 
 
+    @staticmethod
+    def _peak_at_03(calls):
+        def f(x):
+            calls.append(x)
+            if len(calls) > 10_000:  # the search does not stop
+                raise RuntimeError("golden-section search ran past 10,000 evaluations")
+            return -((x - 0.3) ** 2)
+
+        return f
+
+    @pytest.mark.parametrize("rel_tol", [0.0, -1.0, 1e-16, 1e-20, np.nan, np.inf])
+    def test_unresolvable_rel_tol_rejected(self, rel_tol):
+        # 0, -1, 1e-16 and 1e-20 used to loop forever; NaN and inf returned
+        # the unrefined midpoint 0.5
+        calls = []
+        with pytest.raises(ParameterError) as info:
+            golden_section_max(self._peak_at_03(calls), 0.0, 1.0, rel_tol=rel_tol)
+        assert info.value.field == "rel_tol" and "rel_tol" in str(info.value) and calls == []
+
+    def test_smallest_rel_tol_stops(self):
+        calls = []
+        x, _ = golden_section_max(self._peak_at_03(calls), 0.0, 1.0, rel_tol=4.0 * np.finfo(float).eps)
+        assert_allclose(x, 0.3, rtol=1e-6)
+
+
 class TestFindPeaks:
     def test_three_classified_features(self, sapphire_system, atom_b, fig_rows):
         peaks = find_peaks(sapphire_system, atom_b, fig_rows)
