@@ -122,7 +122,11 @@ def _upward_root(z):
 
 def near_field_tensor(r_vec) -> np.ndarray:
     """Instantaneous dipole tensor (3*rr - I)/r^3 for a separation vector."""
-    r_vec = _coordinates("r_vec", r_vec)
+    return _dipole_tensor(_coordinates("r_vec", r_vec))
+
+
+def _dipole_tensor(r_vec) -> np.ndarray:
+    """:func:`near_field_tensor` of three floats already checked finite (an AtomPositions separation)."""
     r = np.linalg.norm(r_vec)
     if r == 0.0:
         raise ParameterError("zero separation")
@@ -223,7 +227,7 @@ def kspace_green(system: HalfSpaceSystem, omega: float, k: float, z_a: float, z_
     return 2j * np.pi * np.exp(1j * (beta * z_a - beta_m * z_b)) * dyad
 
 
-def _radial_integrand(kernel: _Kernel, positions, p0, s0):
+def _radial_integrand(kernel: _Kernel, positions, p0, s0, pieces=()):
     """Vectorized k-integrand of the five independent tensor components
     minus its k -> infinity limit.
 
@@ -233,18 +237,37 @@ def _radial_integrand(kernel: _Kernel, positions, p0, s0):
     and the phase to e^{-k dz}; that limit is subtracted from the
     coefficient of each Bessel combination.  p0 = s0 = 0 subtracts nothing.
 
-    ``positions`` is a sequence of AtomPositions; ``integrand(k, which)``
-    takes which[i] as the index of the position that k[i] belongs to, and
-    ``integrand(k)`` evaluates at the first.
+    ``positions`` is a sequence of AtomPositions, one per job;
+    ``integrand(k, which)`` takes which[i] as the index of the job that
+    k[i] belongs to, and ``integrand(k)`` evaluates at the first.  A job
+    whose entry in ``pieces`` is ``(k_lo, k_hi)`` takes its abscissae in t
+    on [0, 2]: with w = (k_hi - k_lo)/2, k = k_lo + w*t^2 up to t = 1 and
+    k_hi - w*(2 - t)^2 beyond, and its values carry dk/dt.  A square-root
+    branch point of beta at either end of the piece (a light line) then
+    leaves the integrand smooth in t.  Every other job is integrated in k.
     """
     z_a, z_b, rho = np.reshape([(pos.r_a[2], pos.r_b[2], pos.rho) for pos in positions], (-1, 3)).T
     dz = z_a - z_b
+    k_lo, k_hi = np.full((2, len(positions)), np.nan)  # NaN for a job in k
+    for j, piece in enumerate(pieces):
+        if piece is not None:
+            k_lo[j], k_hi[j] = piece
+    width, in_t = 0.5 * (k_hi - k_lo), ~np.isnan(k_lo)
 
     def integrand(k, which=0):
-        k = np.asarray(k, dtype=float)
+        k, dk = np.asarray(k, dtype=float), None
+        mapped = in_t[which]
+        if np.any(mapped):  # there k holds t
+            w, u = width[which], np.minimum(k, 2.0 - k)  # u: t's distance from the nearer end of its piece
+            k = np.where(mapped, np.where(k < 1.0, k_lo[which] + w * u * u, k_hi[which] - w * u * u), k)
+            dk = np.where(mapped, 2.0 * w * u, 1.0)
         beta, beta_m, _, _, p, s = kernel(k)
         phase = np.exp(1j * (beta * z_a[which] - beta_m * z_b[which]))
         b0, b1, b2 = _bessel_j012(k * rho[which])
+        if dk is not None:  # every component is linear in the Bessel functions
+            b0 *= dk
+            b1 *= dk
+            b2 *= dk
         ik, k2, envelope = 1j * k, k * k, np.exp(-k * dz[which])
         pk2, p0k2 = p * k2 * phase, p0 * k2 * envelope
         cp = 0.5 * (ik * p * beta * beta_m * phase + p0k2)
@@ -279,8 +302,12 @@ def sommerfeld_green(
     over a propagating segment up to the largest Re(n*omega) and a head up
     to K0 = max(20*k_split, 10/rho), and beyond K0, while the e^{-k dz}
     envelope has not decayed, as an extrapolated sum over half-periods
-    pi/rho of the Bessel oscillation.  With ``local_field`` the result
-    carries the Onsager cavity factor of each medium.
+    pi/rho of the Bessel oscillation.  The propagating segment is split at
+    the light lines Re(n*omega), and each piece [k_lo, k_hi] is integrated
+    in a variable t with k - k_lo and k_hi - k proportional to t^2 near
+    either end, which removes the square-root branch point of beta at a
+    light line.  With ``local_field`` the result carries the Onsager cavity
+    factor of each medium.
 
     Raises QuadratureError when the panel budget is exhausted and
     SingularityError when a lossless interface mode sits on the path or
@@ -299,12 +326,13 @@ def _sommerfeld_many(
     """:func:`sommerfeld_green` at each of ``positions``, with every integral in one loop.
 
     The kernel depends on omega only, so one residual integrand serves all
-    positions.  Each position's head, tail and propagating segment are jobs
-    (``_bisection``, ``_tail``, ``_bisection``) of one integration loop,
-    each with the tolerance of its own position.
-    Every tensor, and the error raised (the first in position order, and
-    per position head, tail, then propagating segment), is what
-    :func:`sommerfeld_green` gives alone.
+    positions.  Each position's head, tail and the pieces of its
+    propagating segment between light lines are jobs (``_bisection``,
+    ``_tail``, then one ``_bisection`` in t per piece, mapped to k by the
+    integrand) of one integration loop, each with the tolerance of its own
+    position.  Every tensor, and the error raised (the first in position
+    order, and per position head, tail, then the pieces from k = 0 up), is
+    what :func:`sommerfeld_green` gives alone.
     """
     kernel = _Kernel(system, omega)
     if quad is None:
@@ -338,16 +366,21 @@ def _sommerfeld_many(
         seeds = k_split + omega * 1e-3 * 4.0 ** np.arange(
             np.log((k0 - k_split) / (omega * 1e-3)) / np.log(4.0)
         )
-        own = [_bisection(k_split, k0, spec, seeds)]
+        own = [(_bisection(k_split, k0, spec, seeds), None)]
         if k0 < k_end:
-            own.append(_tail(k0, np.pi / rho, spec))
-        # A separate job: under one shared tolerance, bisection crowds into
-        # the integrable 1/beta peak at a light line and rounds abscissae onto it.
+            own.append((_tail(k0, np.pi / rho, spec), None))
+        # The propagating segment: one job per piece between light lines,
+        # each in t with the light lines at its ends (see _radial_integrand).
+        # In k, bisection halves toward their square-root branch points one
+        # sweep at a time; and under a tolerance shared with the head it
+        # crowds into the 1/beta peak of a matched light line.
         if k_split > 0.0:
-            own.append(_bisection(0.0, k_split, spec, kernel.k_breaks[:-1]))
+            edges = sorted({0.0, *kernel.k_breaks})
+            own.extend((_bisection(0.0, 2.0, spec, [1.0]), piece) for piece in zip(edges[:-1], edges[1:]))
         jobs.append(own)
-    integrand = _radial_integrand(kernel, [pos for pos, own in zip(positions, jobs) for _ in own], p0, s0)
-    outcomes = iter(_integrate_many(integrand, [job for own in jobs for job in own]))
+    owners = [pos for pos, own in zip(positions, jobs) for _ in own]
+    integrand = _radial_integrand(kernel, owners, p0, s0, [piece for own in jobs for _, piece in own])
+    outcomes = iter(_integrate_many(integrand, [job for own in jobs for job, _ in own]))
 
     greens = []
     for pos, frame, own in zip(positions, frames, jobs):
@@ -424,13 +457,14 @@ def nonretarded_green(
     with the Onsager factors D, D_m dropped when ``local_field`` is False.
     Accepts complex ``omega`` (imaginary-axis evaluation).
     """
-    w = complex(omega)
-    if not (w != 0.0 and _is_finite(w.real) and _is_finite(w.imag)):
+    # checked before complex(), which overflows on an integer beyond the float range
+    if not (omega != 0 and _is_finite(omega.real) and _is_finite(omega.imag)):
         raise ParameterError(f"omega must be nonzero and finite, got {_shown(omega)}", "omega")
+    w = complex(omega)
     eps_u, eps_l = system.upper.eps(w), system.lower.eps(w)
     if _avg_eps_vanishes(eps_u, eps_l):
         raise SingularityError(f"average permittivity vanishes at omega = {omega!r}")
-    green = near_field_tensor(pos.r_vec) / (w * w * system.avg_eps(w))
+    green = _dipole_tensor(pos.r_vec) / (w * w * system.avg_eps(w))
     if local_field:
         green = green * _local_field(eps_u, eps_l)
     return green

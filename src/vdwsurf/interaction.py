@@ -189,6 +189,10 @@ def resonant_terms(system: HalfSpaceSystem, omega, atom_b: Atom | None = None) -
     frequency; where those raise SingularityError the element is flagged
     instead (see :class:`ResonantTerms`).
     """
+    omega = np.asarray(omega)
+    # an integer beyond the float range makes an object array, whose float conversion overflows
+    if omega.dtype == object and not all(_is_finite(w) for w in omega.flat):
+        raise ParameterError("omega must be positive and finite", "omega")
     omega = np.asarray(omega, dtype=float).reshape(-1)
     if not np.all((omega > 0.0) & np.isfinite(omega)):
         raise ParameterError("omega must be positive and finite", "omega")
@@ -218,9 +222,10 @@ def polarizability(atom: Atom, omega) -> complex:
     Real on the positive imaginary axis.  An undamped atom evaluated at its
     own transition raises SingularityError.
     """
-    w = complex(omega)
-    if not (_is_finite(w.real) and _is_finite(w.imag)):
+    # checked before complex(), which overflows on an integer beyond the float range
+    if not (_is_finite(omega.real) and _is_finite(omega.imag)):
         raise ParameterError(f"omega must be finite, got {_shown(omega)}", "omega")
+    w = complex(omega)
     return _polarizability(atom, w * w, 1j * w, _Poles(omega))
 
 

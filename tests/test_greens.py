@@ -33,7 +33,7 @@ from vdwsurf.greens import (
     _radial_integrand,
     _upward_root,
 )
-from vdwsurf.quadrature import adaptive_gauss
+from vdwsurf.quadrature import _bisection, _integrate_many, _result, adaptive_gauss
 
 
 def free_space_green(r_vec, omega):
@@ -336,6 +336,24 @@ def test_coordinates_beyond_the_float_range_name_the_coordinate(sapphire_system,
     assert info.value.field == field
 
 
+def test_nonretarded_green_does_not_recheck_checked_positions(sapphire_system, monkeypatch):
+    # AtomPositions checked its coordinates; the public near_field_tensor
+    # still checks the ones it is given
+    import vdwsurf.greens as greens
+
+    checked, coordinates = [], greens._coordinates
+
+    def recorded(name, value):
+        checked.append(name)
+        return coordinates(name, value)
+
+    monkeypatch.setattr(greens, "_coordinates", recorded)
+    green = nonretarded_green(sapphire_system, 0.5, POS, local_field=False)
+    assert checked == []
+    assert_allclose(green, near_field_tensor(POS.r_vec) / (0.25 * sapphire_system.avg_eps(0.5)), rtol=1e-15)
+    assert checked == ["r_vec"]
+
+
 class TestLimitCheck:
     def test_vacuum_ratios_are_unity_plus_quadratic(self, vacuum_system):
         report = nonretarded_limit_check(vacuum_system, 0.3, POS, [0.1, 0.01])
@@ -564,6 +582,70 @@ def test_fig2_validate_integrand_call_gate(monkeypatch):
     assert 1 <= calls[0] <= 11
 
 
+def _count_panel_calls(monkeypatch):
+    """Count quadrature._panel calls (one integrand call each) from here on."""
+    from vdwsurf import quadrature
+
+    panel, calls = quadrature._panel, [0]
+
+    def counted(f, lefts, rights):
+        calls[0] += 1
+        return panel(f, lefts, rights)
+
+    monkeypatch.setattr(quadrature, "_panel", counted)
+    return calls
+
+
+def test_fig2_validate_takes_at_most_4_integrand_calls(monkeypatch):
+    # the propagating pieces are integrated in t, with k - k_lo and k_hi - k
+    # proportional to t^2 at the light lines, toward whose branch points
+    # bisection in k halves one sweep at a time: 11 calls in k
+    from vdwsurf.config import load_config, resolve_config_path
+    from vdwsurf.greens import ValidateSpec
+
+    cfg = load_config(resolve_config_path("fig2"))
+    spec = ValidateSpec()
+    calls = _count_panel_calls(monkeypatch)
+    pos = AtomPositions(spec.r_a, spec.r_b)
+    report = nonretarded_limit_check(cfg.system, spec.omega, pos, spec.scales, cfg.quadrature)
+    assert report.passed(spec.tolerance)
+    assert 1 <= calls[0] <= 4
+
+
+def test_lateral_tensor_at_rho_1_takes_at_most_4_integrand_calls(sapphire_system, monkeypatch):
+    # ROADMAP baseline row, rho = 1, z = +-1e-3: 13 calls in k
+    calls = _count_panel_calls(monkeypatch)
+    green = sommerfeld_green(sapphire_system, 0.5, AtomPositions([0.0, 0.0, 1e-3], [1.0, 0.0, -1e-3]))
+    assert np.all(np.isfinite(green))
+    assert 1 <= calls[0] <= 4
+
+
+@pytest.mark.parametrize("omega", [0.5, 0.9], ids=["below-omega_t", "reststrahlen"])
+def test_propagating_segment_in_t_matches_mpmath_in_k(sapphire_system, omega):
+    # The propagating pieces, each integrated in t with k = k_lo + w*t^2 and
+    # k_hi - w*(2 - t)^2, against tanh-sinh on the untransformed k-integrand
+    # split at each light line.  Below omega_T the vacuum light line is an
+    # interior break; in the reststrahlen band the sapphire one is.
+    pos = AtomPositions([0.05, 0.0, 0.04], [0.0, 0.0, -0.06])
+    kernel = _Kernel(sapphire_system, omega)
+    p0 = 2.0 / (omega**2 * (kernel.eps_u + kernel.eps_l))
+    s0 = 2.0 * kernel.mu_u * kernel.mu_l / (kernel.mu_u + kernel.mu_l)
+    edges = [0.0, *kernel.k_breaks]
+    assert len(edges) == 3 and 0.0 < edges[1] < edges[2]
+    pieces = list(zip(edges[:-1], edges[1:]))
+    in_t = _radial_integrand(kernel, [pos] * len(pieces), p0, s0, pieces)
+    jobs = [_bisection(0.0, 2.0, QuadratureSpec(rel_tol=1e-13), [1.0]) for _ in pieces]
+    got = sum(_result(outcome)[0] for outcome in _integrate_many(in_t, jobs))
+
+    in_k = _radial_integrand(kernel, [pos], p0, s0)
+    ref = np.zeros(len(COMPONENTS), dtype=complex)
+    for i in range(len(COMPONENTS)):
+        value, error = mpmath.quad(lambda k: mpmath.mpc(in_k(np.array([float(k)]))[0][i]), edges, error=True)
+        ref[i] = complex(value)
+        assert float(error) <= 1e-12 * abs(ref[i])
+    assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
 @pytest.mark.parametrize("aspect", [0.5, 5.0])
 def test_tail_shares_the_head_sweep_integrand_call(sapphire_system, monkeypatch, aspect):
     # the tail's first half-periods go into the head's first sweep, so a
@@ -586,13 +668,17 @@ def test_tail_shares_the_head_sweep_integrand_call(sapphire_system, monkeypatch,
     assert calls[0] == 1
 
 
-@pytest.mark.parametrize("max_panels, scales", [(2, (0.1, 0.01, 0.001)), (12, (0.01, 0.1, 0.001))])
-def test_limit_check_raises_the_first_failing_scale_error(sapphire_system, max_panels, scales):
+@pytest.mark.parametrize(
+    "max_panels, rel_tol, scales",
+    [(2, 1e-10, (0.1, 0.01, 0.001)), (12, 1e-12, (0.01, 0.1, 0.001))],
+    ids=["2-scales0", "12-scales1"],
+)
+def test_limit_check_raises_the_first_failing_scale_error(sapphire_system, max_panels, rel_tol, scales):
     # the error raised is the one the first failing scale raises alone:
     # with 2 panels every scale's seeds exceed the budget; with 12 scale
     # 0.01 converges, 0.1 runs out in the loop and 0.001 in its seeds
     pos = AtomPositions([0.0, 0.0, 0.01], [1.0, 0.0, -0.01])
-    quad = QuadratureSpec(rel_tol=1e-10, max_panels=max_panels)
+    quad = QuadratureSpec(rel_tol=rel_tol, max_panels=max_panels)
     alone = []
     for s in scales:
         try:

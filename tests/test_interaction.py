@@ -309,3 +309,13 @@ def test_non_finite_frequency_rejected(sapphire_system, entry, omega):
     with pytest.raises(ParameterError) as info:
         run(sapphire_system, omega)
     assert info.value.field == field and field in str(info.value)
+
+
+@pytest.mark.parametrize("entry", sorted(_FREQUENCY_ENTRY_POINTS))
+def test_frequency_beyond_the_float_range_rejected(sapphire_system, entry):
+    # an integer beyond the float range used to overflow complex(omega) or
+    # the float array of frequencies before the finiteness check
+    run, field = _FREQUENCY_ENTRY_POINTS[entry]
+    with pytest.raises(ParameterError) as info:
+        run(sapphire_system, 10**400)
+    assert info.value.field == field and field in str(info.value)
