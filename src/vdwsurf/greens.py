@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ParameterError, SingularityError, _is_finite, _shown
-from .materials import HalfSpaceSystem, _avg_eps_vanishes, _pole, local_field_factor
+from .materials import HalfSpaceSystem, _coupling, _pole, _Poles, local_field_factor
 from .quadrature import QuadratureSpec, _bisection, _integrate_many, _result, _tail
 
 #: Tensor components that are generally nonzero in the frame whose x axis is
@@ -170,8 +170,8 @@ class _Kernel:
 
     def at(self, k: float):
         """``(beta, beta_m, p, s)`` at one k >= 0 as Python complex numbers, off the poles."""
-        if not (k >= 0.0):
-            raise ParameterError(f"k must be >= 0, got {k}")
+        if not (_is_finite(k) and k >= 0.0):
+            raise ParameterError(f"k must be finite and >= 0, got {_shown(k)}", "k")
         with np.errstate(divide="ignore", invalid="ignore"):
             beta, beta_m, den_p, den_s, p, s = self(k)
         scale = self.omega * (abs(self.eps_u) + abs(self.eps_l) + abs(self.mu_u) + abs(self.mu_l))
@@ -189,11 +189,6 @@ class _Kernel:
                 raise SingularityError(
                     f"lossless interface mode lies on the integration path ({pol} polarization)"
                 )
-
-
-def _local_field(eps_u, eps_l) -> complex:
-    """Product D_u*D_l of the two media's Onsager cavity factors."""
-    return local_field_factor(eps_u) * local_field_factor(eps_l)
 
 
 def fresnel_t(system: HalfSpaceSystem, omega: float, k: float):
@@ -217,6 +212,9 @@ def kspace_green(system: HalfSpaceSystem, omega: float, k: float, z_a: float, z_
     with p_up = (beta*khat - k*zhat)/(n*omega) and p_low its lower-medium
     counterpart.  The s block occupies only the middle row/column.
     """
+    for name, z in (("z_a", z_a), ("z_b", z_b)):
+        if not _is_finite(z):
+            raise ParameterError(f"{name} must be finite, got {_shown(z)}", name)
     if not (z_a > 0.0 > z_b):
         raise ParameterError(f"kernel needs z_a > 0 > z_b, got z_a={z_a}, z_b={z_b}")
     beta, beta_m, p, s = _Kernel(system, omega).at(k)
@@ -309,9 +307,9 @@ def sommerfeld_green(
     light line.  With ``local_field`` the result carries the Onsager cavity
     factor of each medium.
 
-    Raises QuadratureError when the panel budget is exhausted and
-    SingularityError when a lossless interface mode sits on the path or
-    eps_u + eps_l or mu_u + mu_l vanishes.
+    Raises QuadratureError when the panel budget is exhausted and, before
+    any integral, SingularityError when a lossless interface mode sits on
+    the path or at a pole of ``_coupling`` (either way) or of mu_u + mu_l.
     """
     return _sommerfeld_many(system, omega, [pos], quad, local_field)[0]
 
@@ -338,17 +336,18 @@ def _sommerfeld_many(
     if quad is None:
         quad = QuadratureSpec()
     kernel.check_path_poles()
-    in_frame = [AtomPositions([pos.rho, 0.0, pos.r_a[2]], [0.0, 0.0, pos.r_b[2]]) for pos in positions]
-    frames = [nonretarded_green(system, omega, pos, local_field=False) for pos in in_frame]
+    _, screening = _coupling(kernel.eps_u, kernel.eps_l, _Poles(omega))
     mu_u, mu_l = kernel.mu_u, kernel.mu_l
     if _pole(mu_u + mu_l, abs(mu_u) + abs(mu_l)):
         raise SingularityError(f"mu_u + mu_l vanishes at omega = {omega!r}")
     # The limits of ik*p and ik*s divide by eps_u + eps_l and mu_u + mu_l, so
     # they are formed here, past both pole checks, not in _Kernel, which
     # fresnel_t and kspace_green also build for media where these vanish.
-    p0 = 2.0 / (omega**2 * (kernel.eps_u + kernel.eps_l))
+    p0 = screening / omega**2
     s0 = 2.0 * mu_u * mu_l / (mu_u + mu_l)
     k_split = max(kernel.k_breaks)
+    # the closed form's p part, in the frame whose x axis is the in-plane separation
+    frames = [_dipole_tensor(np.array([pos.rho, 0.0, pos.r_a[2] - pos.r_b[2]])) * p0 for pos in positions]
 
     jobs = []  # per position: head, tail, propagating segment
     for pos, frame in zip(positions, frames):
@@ -401,7 +400,7 @@ def _sommerfeld_many(
             green = frame
 
         if local_field:
-            green = green * _local_field(kernel.eps_u, kernel.eps_l)
+            green = green * (local_field_factor(kernel.eps_u) * local_field_factor(kernel.eps_l))
         if not np.all(np.isfinite(green)):
             raise SingularityError("non-finite Green tensor")
         greens.append(green)
@@ -454,20 +453,16 @@ def nonretarded_green(
 
         G = D * D_m / (omega^2 * avg_eps) * (3*rr - I)/R^3
 
-    with the Onsager factors D, D_m dropped when ``local_field`` is False.
-    Accepts complex ``omega`` (imaginary-axis evaluation).
+    with the Onsager factors D, D_m dropped when ``local_field`` is False;
+    ``_coupling`` gives both and raises at its poles either way.  Accepts
+    complex ``omega`` (imaginary-axis evaluation).
     """
     # checked before complex(), which overflows on an integer beyond the float range
     if not (omega != 0 and _is_finite(omega.real) and _is_finite(omega.imag)):
         raise ParameterError(f"omega must be nonzero and finite, got {_shown(omega)}", "omega")
     w = complex(omega)
-    eps_u, eps_l = system.upper.eps(w), system.lower.eps(w)
-    if _avg_eps_vanishes(eps_u, eps_l):
-        raise SingularityError(f"average permittivity vanishes at omega = {omega!r}")
-    green = _dipole_tensor(pos.r_vec) / (w * w * system.avg_eps(w))
-    if local_field:
-        green = green * _local_field(eps_u, eps_l)
-    return green
+    coupling, screening = _coupling(system.upper.eps(w), system.lower.eps(w), _Poles(omega))
+    return _dipole_tensor(pos.r_vec) * ((coupling if local_field else screening) / (w * w))
 
 
 @dataclass(frozen=True)
@@ -567,6 +562,10 @@ def nonretarded_limit_check(
     tensor, and any error raised, is that of :func:`sommerfeld_green` at the
     scale, and the first scale's error is raised first.
     """
+    scales = tuple(scales)
+    for i, s in enumerate(scales):  # named as in ValidateSpec, and checked before float() overflows
+        if not (s > 0.0 and _is_finite(s)):
+            raise ParameterError(f"scales[{i}] must be positive and finite, got {_shown(s)}", f"scales[{i}]")
     scales = tuple(float(s) for s in scales)
     shrunk = [pos.scaled(s) for s in scales]
     retarded = _sommerfeld_many(system, omega, shrunk, quad, local_field) if shrunk else []

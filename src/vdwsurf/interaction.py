@@ -25,13 +25,12 @@ from .errors import (
 )
 from .greens import AtomPositions
 from .materials import (
-    RESONANCE_POLE,
     HalfSpaceSystem,
     Material,
     MaterialKind,
-    _avg_eps_vanishes,
-    _cavity_pole,
+    _coupling,
     _pole,
+    _Poles,
     local_field_factor,
     surface_mode_frequency,
 )
@@ -109,29 +108,6 @@ class ResonantTerms:
     errors: tuple
 
 
-class _Poles:
-    """Pole checks of one evaluation of the resonant formulas.
-
-    For a scalar frequency the first pole met raises SingularityError.  For
-    an array each element keeps the reason of the first pole it met and the
-    evaluation carries on; the caller blanks the flagged elements.
-    """
-
-    def __init__(self, omega):
-        self.omega = omega
-        self.reasons = None if np.ndim(omega) == 0 else [None] * np.size(omega)
-
-    def check(self, hit, message: str) -> None:
-        """Flag where ``hit``; ``message`` is formatted with the frequency."""
-        if self.reasons is None:
-            if hit:
-                raise SingularityError(message.format(self.omega))
-            return
-        for i in np.flatnonzero(hit):
-            if self.reasons[i] is None:
-                self.reasons[i] = message.format(float(self.omega[i]))
-
-
 def _polarizability(atom: Atom, w2, iw, poles: _Poles | None = None, omega0=None):
     """alpha0*w0^2/(w0^2 - w^2 - i*w*gamma) from w2 = w^2 and iw = i*w.
 
@@ -145,22 +121,6 @@ def _polarizability(atom: Atom, w2, iw, poles: _Poles | None = None, omega0=None
     if poles is not None:
         poles.check(_pole(den, w02), "undamped polarizability pole at omega = {!r}")
     return atom.alpha0 * w02 / den
-
-
-def _coupling(e_u, e_l, poles: _Poles | None = None):
-    """Screened near-field coupling D*D_m/avg_eps and its no-local-field form.
-
-    Returns ``(18 e e_m / ((e + e_m)(2e + 1)(2e_m + 1)), 2/(e + e_m))`` for
-    complex permittivities (scalars or CArrays) or real ones (imaginary
-    axis), after checking the screening and Onsager cavity poles.
-    """
-    s = e_u + e_l
-    if poles is not None:
-        # an array eps is NaN where an undamped medium sits on its resonance
-        poles.check(np.isnan(abs(e_u)) | np.isnan(abs(e_l)), RESONANCE_POLE)
-        poles.check(_avg_eps_vanishes(e_u, e_l), "average permittivity vanishes at omega_a = {}")
-        poles.check(_cavity_pole(e_u) | _cavity_pole(e_l), "Onsager cavity pole at omega_a = {}")
-    return 18.0 * e_u * e_l / (s * (2.0 * e_u + 1.0) * (2.0 * e_l + 1.0)), 2.0 / s
 
 
 def _resonant(system: HalfSpaceSystem, omega, atom_b: Atom | None, poles: _Poles):
@@ -282,8 +242,8 @@ def resonant_potential(
     when the geometry strains the near-field regime.
     """
     if r is not None:
-        if not (r > 0.0):
-            raise ParameterError(f"separation must be positive, got {r}")
+        if not (r > 0.0 and _is_finite(r)):
+            raise ParameterError(f"separation must be positive and finite, got {_shown(r)}", "r")
         if r * max(atom_a.omega0, system.omega_max) > 1.0:
             warnings.warn(
                 f"separation {r} is not small against 1/omega_max; "
@@ -315,8 +275,8 @@ def offresonant_potential(
     units) is returned alongside.  This is the one-row case of a scan's
     off-resonant column (``spectra.scan_spectrum``).
     """
-    if r is not None and not (r > 0.0):
-        raise ParameterError(f"separation must be positive, got {r}")
+    if r is not None and not (r > 0.0 and _is_finite(r)):
+        raise ParameterError(f"separation must be positive and finite, got {_shown(r)}", "r")
     u, err = _offresonant_many(system, atom_a, atom_b, np.array([atom_a.omega0]), quad)
     return (float(u[0]), float(err[0])) if full_output else float(u[0])
 
@@ -355,14 +315,12 @@ def _offresonant_many(system: HalfSpaceSystem, atom_a: Atom, atom_b: Atom, omega
 def force(system: HalfSpaceSystem, atom_a: Atom, atom_b: Atom, pos: AtomPositions):
     """Equal and opposite forces on the two atoms from the resonant potential.
 
-    F_A = -12*Re[alpha_B(omega_A)]*|d_A|^2*g(omega_A)/R^7 * rhat with
-    rhat = (r_a - r_b)/R; returns ``(f_a, f_b)`` with f_b = -f_a exactly.
-    Attractive (f_a antiparallel to rhat) when Re[alpha_B] > 0.
+    F_A = -grad U, with U = u*2*|d_A|^2*alpha_B(0)/R^6 the absolute potential
+    of :func:`resonant_potential`: 12*u*|d_A|^2*alpha_B(0)/R^7 * rhat with
+    rhat = (r_a - r_b)/R.  Returns ``(f_a, f_b)`` with f_b = -f_a exactly;
+    attractive (f_a antiparallel to rhat) when u < 0, i.e. Re[alpha_B] > 0.
     """
-    g, _ = enhancement_factor(system, atom_a.omega0)
-    alpha_re = polarizability(atom_b, atom_a.omega0).real
-    r_vec = pos.r_vec
+    u = resonant_potential(system, atom_a, atom_b).u_resonant
     dist = pos.distance
-    rhat = r_vec / dist
-    f_a = -(12.0 * alpha_re * atom_a.dipole_weight * g / dist**7) * rhat
+    f_a = (12.0 * u * atom_a.dipole_weight * atom_b.alpha0 / dist**7) * (pos.r_vec / dist)
     return f_a, -f_a

@@ -228,9 +228,44 @@ def _cavity_pole(eps):
     return _pole(2.0 * eps + 1.0, 1.0 + 2.0 * abs(eps))
 
 
-def _avg_eps_vanishes(eps_u, eps_l):
-    """True where avg_eps is within roundoff of zero (elementwise for CArrays)."""
-    return _pole(eps_u + eps_l, abs(eps_u) + abs(eps_l) + 1.0)
+class _Poles:
+    """Pole checks of one evaluation of the coupling core and the resonant formulas.
+
+    For a scalar frequency (the resonant functions, the closed-form Green
+    tensors, ``force``) the first pole met raises SingularityError.  For an
+    array each element keeps the reason of the first pole it met and the
+    evaluation carries on; the caller blanks the flagged elements.
+    """
+
+    def __init__(self, omega):
+        self.omega = omega
+        self.reasons = None if np.ndim(omega) == 0 else [None] * np.size(omega)
+
+    def check(self, hit, message: str) -> None:
+        """Flag where ``hit``; ``message`` is formatted with the frequency."""
+        if self.reasons is None:
+            if hit:
+                raise SingularityError(message.format(self.omega))
+            return
+        for i in np.flatnonzero(hit):
+            if self.reasons[i] is None:
+                self.reasons[i] = message.format(float(self.omega[i]))
+
+
+def _coupling(e_u, e_l, poles: _Poles | None = None):
+    """Screened near-field coupling D*D_m/avg_eps and its no-local-field form.
+
+    Returns ``(18 e e_m / ((e + e_m)(2e + 1)(2e_m + 1)), 2/(e + e_m))`` for
+    complex permittivities (scalars or CArrays) or real ones (imaginary
+    axis), after checking the screening and Onsager cavity poles.
+    """
+    s = e_u + e_l
+    if poles is not None:
+        # an array eps is NaN where an undamped medium sits on its resonance
+        poles.check(np.isnan(abs(e_u)) | np.isnan(abs(e_l)), RESONANCE_POLE)
+        poles.check(_pole(s, abs(e_u) + abs(e_l) + 1.0), "average permittivity vanishes at omega_a = {}")
+        poles.check(_cavity_pole(e_u) | _cavity_pole(e_l), "Onsager cavity pole at omega_a = {}")
+    return 18.0 * e_u * e_l / (s * (2.0 * e_u + 1.0) * (2.0 * e_l + 1.0)), 2.0 / s
 
 
 def surface_mode_frequency(m: Material) -> float:

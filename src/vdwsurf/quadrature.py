@@ -142,8 +142,8 @@ def _bisection(a, b, spec: QuadratureSpec | None = None, breakpoints=()):
     """:func:`adaptive_gauss` as a job of :func:`_integrate_many`."""
     if spec is None:
         spec = QuadratureSpec()
-    # an infinite limit gives NaN panels
-    if np.inf in (abs(a), abs(b)):
+    # a limit that is not finite as a float gives NaN panels or overflows
+    if not (_is_finite(a) and _is_finite(b)):
         raise ParameterError(f"integration interval [{a}, {b}] must be finite")
     a, b = float(a), float(b)
     if not b > a:
@@ -190,7 +190,9 @@ def _tail(a, half_period, spec: QuadratureSpec | None = None):
     It takes the half-periods of ``_BATCHES`` in turn, within the budget,
     and after each batch runs Wynn's table on its own partial sums.
     """
-    if not (0.0 < half_period < np.inf):
+    if not _is_finite(a):
+        raise ParameterError(f"tail start must be finite, got {a}")
+    if not (half_period > 0.0 and _is_finite(half_period)):
         raise ParameterError(f"half_period must be positive and finite, got {half_period}")
     if spec is None:
         spec = QuadratureSpec()

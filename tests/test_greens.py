@@ -522,27 +522,6 @@ def _count_integrand_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize(
-    "r_a, r_b, scale, most",
-    [
-        # ROADMAP baseline row: rho = 1, z = +-1e-3
-        ([0.0, 0.0, 1e-3], [1.0, 0.0, -1e-3], 1.0, 200),
-        # the same aspect ratio shrunk 1000x: about 12,800 panel evaluations,
-        # so at least 200 calls of 64 panels, plus small last sweeps, one
-        # halving each, toward the light line of the propagating segment
-        ([0.0, 0.0, 1e-3], [1.0, 0.0, -1e-3], 1e-3, 250),
-    ],
-)
-def test_lateral_sommerfeld_integrand_call_gate(sapphire_system, monkeypatch, r_a, r_b, scale, most):
-    # rho/dz = 500: panels are bisected in batches, so the integrand is
-    # called per batch of panels, not twice per panel (over 25,000 calls)
-    calls = _count_integrand_calls(monkeypatch)
-    green = sommerfeld_green(sapphire_system, 0.5, AtomPositions(r_a, r_b).scaled(scale))
-    assert np.all(np.isfinite(green))
-    assert calls[0] >= 1  # the count reaches the integrand actually used
-    assert calls[0] <= most
-
-
 @pytest.mark.parametrize("aspect", [0.0, 0.5, 50.0, 500.0])
 def test_every_scale_in_one_loop_equals_each_scale_alone(sapphire_system, aspect):
     # nonretarded_limit_check integrates all scales' jobs together; each
@@ -565,21 +544,6 @@ def test_every_scale_in_one_loop_equals_each_scale_alone(sapphire_system, aspect
         idx = _COMPONENT_INDEX[row.component]
         want = alone[i][idx] / nonretarded_green(sapphire_system, omega, shrunk[i])[idx]
         assert abs(row.ratio - want) <= 1e-14 * abs(want)
-
-
-def test_fig2_validate_integrand_call_gate(monkeypatch):
-    # every scale's head, propagating segment and tail share the integrand
-    # calls of one loop: 11 calls for the three scales (20 one scale at a time)
-    from vdwsurf.config import load_config, resolve_config_path
-    from vdwsurf.greens import ValidateSpec
-
-    cfg = load_config(resolve_config_path("fig2"))
-    spec = ValidateSpec()
-    calls = _count_integrand_calls(monkeypatch)
-    pos = AtomPositions(spec.r_a, spec.r_b)
-    report = nonretarded_limit_check(cfg.system, spec.omega, pos, spec.scales, cfg.quadrature)
-    assert report.passed(spec.tolerance)
-    assert 1 <= calls[0] <= 11
 
 
 def _count_panel_calls(monkeypatch):
@@ -612,12 +576,21 @@ def test_fig2_validate_takes_at_most_4_integrand_calls(monkeypatch):
     assert 1 <= calls[0] <= 4
 
 
-def test_lateral_tensor_at_rho_1_takes_at_most_4_integrand_calls(sapphire_system, monkeypatch):
-    # ROADMAP baseline row, rho = 1, z = +-1e-3: 13 calls in k
+@pytest.mark.parametrize(
+    "scale, most",
+    [
+        (1.0, 4),  # ROADMAP baseline row, rho = 1, z = +-1e-3: 3 calls (13 in k)
+        (1e-3, 2),  # the same aspect ratio shrunk 1000x: 1 call of 26 panels
+    ],
+    ids=["rho-1", "rho-1e-3"],
+)
+def test_lateral_tensor_integrand_call_gate(sapphire_system, monkeypatch, scale, most):
+    # rho/dz = 500: panels are bisected in batches, the propagating pieces in t
     calls = _count_panel_calls(monkeypatch)
-    green = sommerfeld_green(sapphire_system, 0.5, AtomPositions([0.0, 0.0, 1e-3], [1.0, 0.0, -1e-3]))
+    pos = AtomPositions([0.0, 0.0, 1e-3], [1.0, 0.0, -1e-3]).scaled(scale)
+    green = sommerfeld_green(sapphire_system, 0.5, pos)
     assert np.all(np.isfinite(green))
-    assert 1 <= calls[0] <= 4
+    assert 1 <= calls[0] <= most
 
 
 @pytest.mark.parametrize("omega", [0.5, 0.9], ids=["below-omega_t", "reststrahlen"])
@@ -859,3 +832,49 @@ def test_subnormal_rho_gives_the_on_axis_tensor(sapphire_system, rho):
     on_axis = sommerfeld_green(sapphire_system, omega, AtomPositions([0.0, 0.0, z_a], [0.0, 0.0, z_b]))
     got = sommerfeld_green(sapphire_system, omega, AtomPositions([rho, 0.0, z_a], [0.0, 0.0, z_b]))
     assert np.max(np.abs(got - on_axis)) <= 1e-12 * np.max(np.abs(on_axis))
+
+
+_CAVITY_POLE = HalfSpaceSystem(upper=Material.vacuum(), lower=Material.constant(-0.5))
+
+
+@pytest.mark.parametrize("closed_form", [nonretarded_green, sommerfeld_green])
+def test_cavity_pole_raises_without_local_field(closed_form):
+    # 2*eps_l + 1 = 0 is a pole of the coupling core, whose no-local-field
+    # form 2/(eps_u + eps_l) both closed forms read: they raise there either
+    # way, as resonant_terms flags g_no_lf
+    with pytest.raises(SingularityError, match="Onsager cavity pole"):
+        closed_form(_CAVITY_POLE, 1.0, POS, local_field=False)
+
+
+def test_coupling_pole_raises_before_any_integrand_call(monkeypatch):
+    # the coupling core runs before any job is built
+    calls = _count_panel_calls(monkeypatch)
+    with pytest.raises(SingularityError, match="Onsager cavity pole"):
+        sommerfeld_green(_CAVITY_POLE, 1.0, POS)
+    assert calls[0] == 0
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan, 10**400], ids=["inf", "nan", "1e400"])
+@pytest.mark.parametrize(
+    "call, field",
+    [
+        (lambda system, bad: fresnel_t(system, 0.9, bad), "k"),
+        (lambda system, bad: kspace_green(system, 0.9, bad, 0.5, -0.2), "k"),
+        (lambda system, bad: kspace_green(system, 0.9, 1.0, bad, -0.2), "z_a"),
+        (lambda system, bad: kspace_green(system, 0.9, 1.0, 0.5, -bad), "z_b"),
+    ],
+    ids=["fresnel_t-k", "kspace_green-k", "kspace_green-z_a", "kspace_green-z_b"],
+)
+def test_kernel_arguments_must_be_finite(sapphire_system, call, field, bad):
+    # k = inf and z_a = inf gave NaN coefficients and tensors; k = 10**400 overflowed
+    with pytest.raises(ParameterError) as info:
+        call(sapphire_system, bad)
+    assert info.value.field == field and field in str(info.value)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan, 10**400, 0.0], ids=["inf", "nan", "1e400", "zero"])
+def test_limit_check_names_the_bad_scale(sapphire_system, bad):
+    # 10**400 overflowed float(); every scale is named as ValidateSpec names it
+    with pytest.raises(ParameterError) as info:
+        nonretarded_limit_check(sapphire_system, 0.5, POS, [0.1, bad])
+    assert info.value.field == "scales[1]"

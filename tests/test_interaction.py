@@ -319,3 +319,12 @@ def test_frequency_beyond_the_float_range_rejected(sapphire_system, entry):
     with pytest.raises(ParameterError) as info:
         run(sapphire_system, 10**400)
     assert info.value.field == field and field in str(info.value)
+
+
+@pytest.mark.parametrize("r", [0.0, -1.0, np.inf, np.nan, 10**400], ids=["zero", "negative", "inf", "nan", "1e400"])
+@pytest.mark.parametrize("potential", [resonant_potential, offresonant_potential])
+def test_separation_must_be_positive_and_finite(sapphire_system, atom_b, potential, r):
+    # r = 10**400 overflowed and r = 0 named no field
+    with pytest.raises(ParameterError) as info:
+        potential(sapphire_system, Atom(omega0=1.0), atom_b, r=r)
+    assert info.value.field == "r"

@@ -421,6 +421,31 @@ def test_bad_job_raises_before_any_integrand_call():
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f: adaptive_gauss(f, 0.0, 10**400),
+        lambda f: adaptive_gauss(f, np.nan, 1.0),
+        lambda f: oscillatory_tail(f, np.inf, 1.0),
+        lambda f: oscillatory_tail(f, np.nan, 1.0),
+        lambda f: oscillatory_tail(f, 10**400, 1.0),
+        lambda f: oscillatory_tail(f, 0.0, 10**400),
+    ],
+    ids=["gauss-b-1e400", "gauss-a-nan", "tail-a-inf", "tail-a-nan", "tail-a-1e400", "tail-half-period-1e400"],
+)
+def test_limits_not_finite_as_floats_raise_before_any_integrand_call(call):
+    # the tail used to sum 64 half-periods of NaN, and 10**400 overflowed float()
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        return np.cos(x)
+
+    with pytest.raises(ParameterError):
+        call(f)
+    assert calls == []
+
+
 def test_a_finished_job_is_never_evaluated_again():
     # job 0 is exact on its first panel and job 1 converges on its first 8
     # half-periods; job 2 needs many sweeps.  Each job's abscissae are those
