@@ -225,7 +225,7 @@ def kspace_green(system: HalfSpaceSystem, omega: float, k: float, z_a: float, z_
     return 2j * np.pi * np.exp(1j * (beta * z_a - beta_m * z_b)) * dyad
 
 
-def _radial_integrand(kernel: _Kernel, positions, p0, s0, pieces=()):
+def _radial_integrand(kernel: _Kernel, jobs, p0, s0):
     """Vectorized k-integrand of the five independent tensor components
     minus its k -> infinity limit.
 
@@ -235,25 +235,20 @@ def _radial_integrand(kernel: _Kernel, positions, p0, s0, pieces=()):
     and the phase to e^{-k dz}; that limit is subtracted from the
     coefficient of each Bessel combination.  p0 = s0 = 0 subtracts nothing.
 
-    ``positions`` is a sequence of AtomPositions, one per job;
+    ``jobs`` holds one row ``(z_a, z_b, rho, k_lo, k_hi)`` per job;
     ``integrand(k, which)`` takes which[i] as the index of the job that
     k[i] belongs to, and ``integrand(k)`` evaluates at the first.  A job
-    whose entry in ``pieces`` is ``(k_lo, k_hi)`` takes its abscissae in t
-    on [0, 2]: with w = (k_hi - k_lo)/2, k = k_lo + w*t^2 up to t = 1 and
-    k_hi - w*(2 - t)^2 beyond, and its values carry dk/dt.  A square-root
-    branch point of beta at either end of the piece (a light line) then
-    leaves the integrand smooth in t.  Every other job is integrated in k.
+    with finite ends takes its abscissae in t on [0, 2]: with
+    w = (k_hi - k_lo)/2, k = k_lo + w*t^2 up to t = 1 and k_hi - w*(2 - t)^2
+    beyond, and its values carry dk/dt.  A square-root branch point of beta
+    at either end of the piece (a light line) then leaves the integrand
+    smooth in t.  A job with NaN ends is integrated in k.
     """
-    z_a, z_b, rho = np.reshape([(pos.r_a[2], pos.r_b[2], pos.rho) for pos in positions], (-1, 3)).T
-    dz = z_a - z_b
-    k_lo, k_hi = np.full((2, len(positions)), np.nan)  # NaN for a job in k
-    for j, piece in enumerate(pieces):
-        if piece is not None:
-            k_lo[j], k_hi[j] = piece
-    width, in_t = 0.5 * (k_hi - k_lo), ~np.isnan(k_lo)
+    z_a, z_b, rho, k_lo, k_hi = np.reshape(jobs, (-1, 5)).T
+    dz, width, in_t = z_a - z_b, 0.5 * (k_hi - k_lo), ~np.isnan(k_lo)
 
     def integrand(k, which=0):
-        k, dk = np.asarray(k, dtype=float), None
+        k, dk = np.asarray(k, dtype=float), 1.0
         mapped = in_t[which]
         if np.any(mapped):  # there k holds t
             w, u = width[which], np.minimum(k, 2.0 - k)  # u: t's distance from the nearer end of its piece
@@ -261,11 +256,7 @@ def _radial_integrand(kernel: _Kernel, positions, p0, s0, pieces=()):
             dk = np.where(mapped, 2.0 * w * u, 1.0)
         beta, beta_m, _, _, p, s = kernel(k)
         phase = np.exp(1j * (beta * z_a[which] - beta_m * z_b[which]))
-        b0, b1, b2 = _bessel_j012(k * rho[which])
-        if dk is not None:  # every component is linear in the Bessel functions
-            b0 *= dk
-            b1 *= dk
-            b2 *= dk
+        b0, b1, b2 = (b * dk for b in _bessel_j012(k * rho[which]))  # every component is linear in them
         ik, k2, envelope = 1j * k, k * k, np.exp(-k * dz[which])
         pk2, p0k2 = p * k2 * phase, p0 * k2 * envelope
         cp = 0.5 * (ik * p * beta * beta_m * phase + p0k2)
@@ -336,7 +327,7 @@ def _sommerfeld_many(
     if quad is None:
         quad = QuadratureSpec()
     kernel.check_path_poles()
-    _, screening = _coupling(kernel.eps_u, kernel.eps_l, _Poles(omega))
+    _, screening = _coupling(kernel.eps_u, kernel.eps_l, _Poles(omega, "omega"))
     mu_u, mu_l = kernel.mu_u, kernel.mu_l
     if _pole(mu_u + mu_l, abs(mu_u) + abs(mu_l)):
         raise SingularityError(f"mu_u + mu_l vanishes at omega = {omega!r}")
@@ -345,15 +336,24 @@ def _sommerfeld_many(
     # fresnel_t and kspace_green also build for media where these vanish.
     p0 = screening / omega**2
     s0 = 2.0 * mu_u * mu_l / (mu_u + mu_l)
+    # _coupling has raised at a cavity pole, so both factors are finite
+    cavity = local_field_factor(kernel.eps_u) * local_field_factor(kernel.eps_l) if local_field else 1.0
     k_split = max(kernel.k_breaks)
-    # the closed form's p part, in the frame whose x axis is the in-plane separation
-    frames = [_dipole_tensor(np.array([pos.rho, 0.0, pos.r_a[2] - pos.r_b[2]])) * p0 for pos in positions]
+    # The propagating segment: one job per piece between light lines, each
+    # in t with the light lines at its ends (see _radial_integrand).  In k,
+    # bisection halves toward their square-root branch points one sweep at
+    # a time; and under a tolerance shared with the head it crowds into the
+    # 1/beta peak of a matched light line.  No piece when k_split = 0.
+    edges = sorted({0.0, *kernel.k_breaks})
+    pieces = list(zip(edges[:-1], edges[1:]))
 
-    jobs = []  # per position: head, tail, propagating segment
-    for pos, frame in zip(positions, frames):
+    frames, jobs, rows = [], [], []  # per position (closed form, phi, job count); per job
+    for pos in positions:
         z_a, z_b, rho = pos.r_a[2], pos.r_b[2], pos.rho
         dz = z_a - z_b
         dist = np.hypot(rho, dz)
+        # the closed form in the frame whose x axis is the in-plane separation
+        frame = _dipole_tensor(np.array([rho, 0.0, dz])) * p0
         j2 = rho * rho / ((dist + dz) ** 2 * dist)  # (R - dz)^2/(rho^2 R), 0 on axis
         frame[0, 0] += 0.5 * s0 * (1.0 / dist + j2)
         frame[1, 1] += 0.5 * s0 * (1.0 / dist - j2)
@@ -365,42 +365,26 @@ def _sommerfeld_many(
         seeds = k_split + omega * 1e-3 * 4.0 ** np.arange(
             np.log((k0 - k_split) / (omega * 1e-3)) / np.log(4.0)
         )
-        own = [(_bisection(k_split, k0, spec, seeds), None)]
+        own = [_bisection(k_split, k0, spec, seeds)]
         if k0 < k_end:
-            own.append((_tail(k0, np.pi / rho, spec), None))
-        # The propagating segment: one job per piece between light lines,
-        # each in t with the light lines at its ends (see _radial_integrand).
-        # In k, bisection halves toward their square-root branch points one
-        # sweep at a time; and under a tolerance shared with the head it
-        # crowds into the 1/beta peak of a matched light line.
-        if k_split > 0.0:
-            edges = sorted({0.0, *kernel.k_breaks})
-            own.extend((_bisection(0.0, 2.0, spec, [1.0]), piece) for piece in zip(edges[:-1], edges[1:]))
-        jobs.append(own)
-    owners = [pos for pos, own in zip(positions, jobs) for _ in own]
-    integrand = _radial_integrand(kernel, owners, p0, s0, [piece for own in jobs for _, piece in own])
-    outcomes = iter(_integrate_many(integrand, [job for own in jobs for job, _ in own]))
+            own.append(_tail(k0, np.pi / rho, spec))
+        rows += [(z_a, z_b, rho, *ends) for ends in [(np.nan, np.nan)] * len(own) + pieces]  # NaN: in k
+        own += [_bisection(0.0, 2.0, spec, [1.0]) for _ in pieces]
+        jobs += own
+        dx, dy = pos.r_a[:2] - pos.r_b[:2]
+        # on axis the frame is the lab's: arctan2(-0.0, -0.0) is -pi
+        frames.append((frame, np.arctan2(dy, dx) if rho > 0.0 else 0.0, len(own)))
+    outcomes = iter(_integrate_many(_radial_integrand(kernel, rows, p0, s0), jobs))
 
     greens = []
-    for pos, frame, own in zip(positions, frames, jobs):
-        first, *rest = [_result(next(outcomes))[0] for _ in own]
-        flat = sum(rest, first)
-
+    for frame, phi, count in frames:
+        flat = np.sum([_result(next(outcomes))[0] for _ in range(count)], axis=0)
         for name, value in zip(COMPONENTS, flat):
             frame[_COMPONENT_INDEX[name]] += value
-
         # Rotate from the frame aligned with the in-plane separation back to lab axes.
-        dx, dy = pos.r_a[0] - pos.r_b[0], pos.r_a[1] - pos.r_b[1]
-        if dx * dx + dy * dy > 0.0:
-            phi = np.arctan2(dy, dx)
-            c, s = np.cos(phi), np.sin(phi)
-            rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-            green = rot @ frame @ rot.T
-        else:
-            green = frame
-
-        if local_field:
-            green = green * (local_field_factor(kernel.eps_u) * local_field_factor(kernel.eps_l))
+        c, s = np.cos(phi), np.sin(phi)
+        rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+        green = rot @ frame @ rot.T * cavity
         if not np.all(np.isfinite(green)):
             raise SingularityError("non-finite Green tensor")
         greens.append(green)
@@ -461,7 +445,7 @@ def nonretarded_green(
     if not (omega != 0 and _is_finite(omega.real) and _is_finite(omega.imag)):
         raise ParameterError(f"omega must be nonzero and finite, got {_shown(omega)}", "omega")
     w = complex(omega)
-    coupling, screening = _coupling(system.upper.eps(w), system.lower.eps(w), _Poles(omega))
+    coupling, screening = _coupling(system.upper.eps(w), system.lower.eps(w), _Poles(omega, "omega"))
     return _dipole_tensor(pos.r_vec) * ((coupling if local_field else screening) / (w * w))
 
 

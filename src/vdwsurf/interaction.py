@@ -156,9 +156,9 @@ def resonant_terms(system: HalfSpaceSystem, omega, atom_b: Atom | None = None) -
     omega = np.asarray(omega, dtype=float).reshape(-1)
     if not np.all((omega > 0.0) & np.isfinite(omega)):
         raise ParameterError("omega must be positive and finite", "omega")
-    poles = _Poles(omega)
+    poles = _Poles(omega, "omega_a")
     g, g_no_lf, u, u_no_lf = _resonant(system, omega, atom_b, poles)
-    flagged = np.array([r is not None for r in poles.reasons], dtype=bool)
+    flagged = poles.flagged
 
     def column(values):
         if values is None:
@@ -186,7 +186,7 @@ def polarizability(atom: Atom, omega) -> complex:
     if not (_is_finite(omega.real) and _is_finite(omega.imag)):
         raise ParameterError(f"omega must be finite, got {_shown(omega)}", "omega")
     w = complex(omega)
-    return _polarizability(atom, w * w, 1j * w, _Poles(omega))
+    return _polarizability(atom, w * w, 1j * w, _Poles(omega, "omega"))
 
 
 def enhancement_factor(system: HalfSpaceSystem, omega_a: float):
@@ -204,7 +204,7 @@ def enhancement_factor(system: HalfSpaceSystem, omega_a: float):
     """
     if not (omega_a > 0.0 and _is_finite(omega_a)):
         raise ParameterError(f"omega_a must be positive and finite, got {_shown(omega_a)}", "omega_a")
-    g, g_no_lf, _, _ = _resonant(system, omega_a, None, _Poles(omega_a))
+    g, g_no_lf, _, _ = _resonant(system, omega_a, None, _Poles(omega_a, "omega_a"))
     return g, g_no_lf
 
 
@@ -252,7 +252,7 @@ def resonant_potential(
                 stacklevel=2,
             )
     omega = atom_a.omega0
-    g, g_no_lf, u, _ = _resonant(system, omega, atom_b, _Poles(omega))
+    g, g_no_lf, u, _ = _resonant(system, omega, atom_b, _Poles(omega, "omega_a"))
     return PotentialResult(u_resonant=u, g=g, g_no_localfield=g_no_lf)
 
 

@@ -133,16 +133,17 @@ class Material:
         complex array comes back).  Supported arguments are real
         frequencies and points on the positive imaginary axis; the closed
         form is evaluated as-is for any complex input.  An undamped
-        oscillator hit exactly at its resonance raises SingularityError for
-        a scalar and gives NaN in that element of an array.
+        oscillator at (or within roundoff of) its resonance raises
+        SingularityError for a scalar and gives NaN in that element of an
+        array.
         """
         if self.kind is not MaterialKind.LORENTZ:
             return self.eps_const if np.ndim(omega) == 0 else np.full(np.shape(omega), self.eps_const)
-        w = operand(omega)
-        try:
-            return to_complex(self._lorentz(w * w, 1j * w))
-        except ZeroDivisionError:
-            raise SingularityError(RESONANCE_POLE.format(omega)) from None
+        w, poles = operand(omega), _Poles(omega, "omega")
+        eps = to_complex(self._lorentz(w * w, 1j * w, poles))
+        if poles.flagged is not None:
+            eps[poles.flagged] = np.nan
+        return eps
 
     def eps_imag(self, xi):
         """Permittivity on the positive imaginary axis, vectorized over xi.
@@ -160,15 +161,18 @@ class Material:
             return self._lorentz(-xi * xi, -xi)
         return np.full(xi.shape, self.eps_const)
 
-    def _lorentz(self, w2, iw):
+    def _lorentz(self, w2, iw, poles: _Poles | None = None):
         """The oscillator formula from ``w2`` = omega**2 and ``iw`` = 1j*omega.
 
         Taking these two lets one expression serve complex omega (scalar or
         CArray) and the imaginary axis omega = i*xi in real arithmetic
-        (w2 = -xi**2, iw = -xi).
+        (w2 = -xi**2, iw = -xi).  ``poles`` checks the resonance denominator.
         """
         wt2 = self.omega_t * self.omega_t
-        return self.eta + (self.eps0 - self.eta) * wt2 / (wt2 - w2 - iw * self.gamma)
+        den = wt2 - w2 - iw * self.gamma
+        if poles is not None:
+            poles.check(_pole(den, wt2), RESONANCE_POLE)
+        return self.eta + (self.eps0 - self.eta) * wt2 / den
 
     def mu(self, omega) -> complex:
         """Relative permeability (dispersionless in every supported model)."""
@@ -234,22 +238,25 @@ class _Poles:
     For a scalar frequency (the resonant functions, the closed-form Green
     tensors, ``force``) the first pole met raises SingularityError.  For an
     array each element keeps the reason of the first pole it met and the
-    evaluation carries on; the caller blanks the flagged elements.
+    evaluation carries on; the caller blanks the ``flagged`` elements.
+    ``name`` is the caller's name for the frequency, shown in the messages.
     """
 
-    def __init__(self, omega):
-        self.omega = omega
-        self.reasons = None if np.ndim(omega) == 0 else [None] * np.size(omega)
+    def __init__(self, omega, name: str):
+        self.omega, self.name = omega, name
+        scalar = isinstance(omega, (float, complex)) or np.ndim(omega) == 0  # np.ndim is slow on a Python float
+        self.reasons = None if scalar else [None] * np.size(omega)
+        self.flagged = None if scalar else np.zeros(np.shape(omega), dtype=bool)
 
     def check(self, hit, message: str) -> None:
-        """Flag where ``hit``; ``message`` is formatted with the frequency."""
+        """Flag where ``hit``; ``message`` is formatted with the frequency and ``name``."""
         if self.reasons is None:
             if hit:
-                raise SingularityError(message.format(self.omega))
+                raise SingularityError(message.format(self.omega, name=self.name))
             return
-        for i in np.flatnonzero(hit):
-            if self.reasons[i] is None:
-                self.reasons[i] = message.format(float(self.omega[i]))
+        for i in np.flatnonzero(hit & ~self.flagged):
+            self.reasons[i] = message.format(float(np.ravel(self.omega)[i]), name=self.name)
+        self.flagged |= hit
 
 
 def _coupling(e_u, e_l, poles: _Poles | None = None):
@@ -263,8 +270,8 @@ def _coupling(e_u, e_l, poles: _Poles | None = None):
     if poles is not None:
         # an array eps is NaN where an undamped medium sits on its resonance
         poles.check(np.isnan(abs(e_u)) | np.isnan(abs(e_l)), RESONANCE_POLE)
-        poles.check(_pole(s, abs(e_u) + abs(e_l) + 1.0), "average permittivity vanishes at omega_a = {}")
-        poles.check(_cavity_pole(e_u) | _cavity_pole(e_l), "Onsager cavity pole at omega_a = {}")
+        poles.check(_pole(s, abs(e_u) + abs(e_l) + 1.0), "average permittivity vanishes at {name} = {}")
+        poles.check(_cavity_pole(e_u) | _cavity_pole(e_l), "Onsager cavity pole at {name} = {}")
     return 18.0 * e_u * e_l / (s * (2.0 * e_u + 1.0) * (2.0 * e_l + 1.0)), 2.0 / s
 
 

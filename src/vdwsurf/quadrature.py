@@ -138,17 +138,23 @@ def oscillatory_tail(f, a, half_period, spec: QuadratureSpec | None = None):
     return _result(_integrate_many(lambda x, job: f(x), [_tail(a, half_period, spec)])[0])
 
 
+def _str(x) -> str:
+    """``str(x)`` for a message, or the size of an integer too long to print."""
+    return _shown(x) if isinstance(x, int) else str(x)
+
+
 def _bisection(a, b, spec: QuadratureSpec | None = None, breakpoints=()):
     """:func:`adaptive_gauss` as a job of :func:`_integrate_many`."""
     if spec is None:
         spec = QuadratureSpec()
     # a limit that is not finite as a float gives NaN panels or overflows
     if not (_is_finite(a) and _is_finite(b)):
-        raise ParameterError(f"integration interval [{a}, {b}] must be finite")
+        raise ParameterError(f"integration interval [{_str(a)}, {_str(b)}] must be finite")
     a, b = float(a), float(b)
     if not b > a:
         raise ParameterError(f"empty integration interval [{a}, {b}]")
-    edges = np.array([a] + sorted(p for p in set(float(p) for p in breakpoints) if a < p < b) + [b])
+    # float() may round an inner point onto a limit, and overflows on one far outside
+    edges = np.array([a] + sorted({float(p) for p in breakpoints if a < p < b} - {a, b}) + [b])
     if edges.size - 1 > spec.max_panels:
         return QuadratureError(f"{edges.size - 1} seeded panels exceed the budget of {spec.max_panels}", panels=0)
     left, right = edges[:-1], edges[1:]
@@ -191,9 +197,9 @@ def _tail(a, half_period, spec: QuadratureSpec | None = None):
     and after each batch runs Wynn's table on its own partial sums.
     """
     if not _is_finite(a):
-        raise ParameterError(f"tail start must be finite, got {a}")
+        raise ParameterError(f"tail start must be finite, got {_str(a)}")
     if not (half_period > 0.0 and _is_finite(half_period)):
-        raise ParameterError(f"half_period must be positive and finite, got {half_period}")
+        raise ParameterError(f"half_period must be positive and finite, got {_str(half_period)}")
     if spec is None:
         spec = QuadratureSpec()
     # the half-period integrals received and their concatenation; the last extrapolant and spread

@@ -387,7 +387,8 @@ def test_radial_integrand_is_angular_integral_of_kspace_kernel(sapphire_system):
     omega = 0.8
     pos = AtomPositions([0.0, 0.0, 0.3], [0.7, 0.0, -0.4])
     ks = np.array([0.3, 1.7, 6.0])  # propagating in both media, then evanescent
-    got = _radial_integrand(_Kernel(sapphire_system, omega), [pos], 0.0, 0.0)(ks)
+    row = (pos.r_a[2], pos.r_b[2], pos.rho, np.nan, np.nan)
+    got = _radial_integrand(_Kernel(sapphire_system, omega), [row], 0.0, 0.0)(ks)
     n = 64
     for k, row in zip(ks, got):
         kernel = kspace_green(sapphire_system, omega, k, pos.r_a[2], pos.r_b[2])
@@ -479,7 +480,7 @@ def test_sommerfeld_green_matches_mpmath_quadrature(sapphire_system, aspect, ome
     rho = aspect * dz
     pos = AtomPositions([rho, 0.0, 0.4 * dz], [0.0, 0.0, -0.6 * dz])  # r_a - r_b along +x
     kernel = _Kernel(sapphire_system, omega)
-    integrand = _radial_integrand(kernel, [pos], 0.0, 0.0)
+    integrand = _radial_integrand(kernel, [(pos.r_a[2], pos.r_b[2], pos.rho, np.nan, np.nan)], 0.0, 0.0)
     rows = {}
 
     def row(k):
@@ -606,11 +607,11 @@ def test_propagating_segment_in_t_matches_mpmath_in_k(sapphire_system, omega):
     edges = [0.0, *kernel.k_breaks]
     assert len(edges) == 3 and 0.0 < edges[1] < edges[2]
     pieces = list(zip(edges[:-1], edges[1:]))
-    in_t = _radial_integrand(kernel, [pos] * len(pieces), p0, s0, pieces)
+    in_t = _radial_integrand(kernel, [(pos.r_a[2], pos.r_b[2], pos.rho, *piece) for piece in pieces], p0, s0)
     jobs = [_bisection(0.0, 2.0, QuadratureSpec(rel_tol=1e-13), [1.0]) for _ in pieces]
     got = sum(_result(outcome)[0] for outcome in _integrate_many(in_t, jobs))
 
-    in_k = _radial_integrand(kernel, [pos], p0, s0)
+    in_k = _radial_integrand(kernel, [(pos.r_a[2], pos.r_b[2], pos.rho, np.nan, np.nan)], p0, s0)
     ref = np.zeros(len(COMPONENTS), dtype=complex)
     for i in range(len(COMPONENTS)):
         value, error = mpmath.quad(lambda k: mpmath.mpc(in_k(np.array([float(k)]))[0][i]), edges, error=True)
@@ -711,7 +712,7 @@ def test_lateral_sommerfeld_green_matches_mpmath_quadosc(sapphire_system, aspect
     p0 = 2.0 / (omega**2 * (kernel.eps_u + kernel.eps_l))
     s0 = 2.0 * kernel.mu_u * kernel.mu_l / (kernel.mu_u + kernel.mu_l)
     closed = _quasi_static_integrals(p0, s0, rho, dz)
-    residual = _radial_integrand(kernel, [pos], p0, s0)
+    residual = _radial_integrand(kernel, [(pos.r_a[2], pos.r_b[2], pos.rho, np.nan, np.nan)], p0, s0)
     # In these units the result is about 1e3, so quadosc's absolute tolerance
     # at 4 digits (about 1e-8) is 1e-11 of it; the residual is about 5e-8 of it.
     unit = 1e-3 * max(abs(v) for v in closed.values())
@@ -779,7 +780,7 @@ def test_on_axis_sommerfeld_green_matches_mpmath_quadrature(sapphire_system):
     dz, omega = 0.1, 0.8
     pos = AtomPositions([0.0, 0.0, 0.4 * dz], [0.0, 0.0, -0.6 * dz])
     kernel = _Kernel(sapphire_system, omega)
-    integrand = _radial_integrand(kernel, [pos], 0.0, 0.0)
+    integrand = _radial_integrand(kernel, [(pos.r_a[2], pos.r_b[2], pos.rho, np.nan, np.nan)], 0.0, 0.0)
     k_split = max(kernel.k_breaks)
     k_end = 50.0 * np.log(10.0) / dz
     points = [0.0, *kernel.k_breaks, *np.arange(k_split + 2.0 / dz, k_end, 2.0 / dz), k_end]
@@ -852,6 +853,26 @@ def test_coupling_pole_raises_before_any_integrand_call(monkeypatch):
     with pytest.raises(SingularityError, match="Onsager cavity pole"):
         sommerfeld_green(_CAVITY_POLE, 1.0, POS)
     assert calls[0] == 0
+
+
+@pytest.mark.parametrize("closed_form", [nonretarded_green, sommerfeld_green])
+@pytest.mark.parametrize(
+    "eps_l, reason",
+    [(-0.5, "Onsager cavity pole at omega = 0.5"), (-1.0, "average permittivity vanishes at omega = 0.5")],
+    ids=["cavity", "screening"],
+)
+def test_green_pole_messages_name_omega(closed_form, eps_l, reason):
+    # the Green routes' frequency argument is omega; the resonant routes' is omega_a
+    system = HalfSpaceSystem(upper=Material.vacuum(), lower=Material.constant(eps_l))
+    with pytest.raises(SingularityError, match=f"^{reason}$"):
+        closed_form(system, 0.5, POS)
+
+
+def test_on_axis_tensor_ignores_the_sign_of_zero_offsets(sapphire_system):
+    # on axis the tensor is not rotated: arctan2(-0.0, -0.0) would turn it by -pi
+    plus = sommerfeld_green(sapphire_system, 0.8, AtomPositions([0.0, 0.0, 0.04], [0.0, 0.0, -0.06]))
+    minus = sommerfeld_green(sapphire_system, 0.8, AtomPositions([-0.0, -0.0, 0.04], [0.0, 0.0, -0.06]))
+    assert minus.tobytes() == plus.tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan, 10**400], ids=["inf", "nan", "1e400"])

@@ -446,6 +446,41 @@ def test_limits_not_finite_as_floats_raise_before_any_integrand_call(call):
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f: adaptive_gauss(f, 0, 10**5000),
+        lambda f: oscillatory_tail(f, 0, 10**5000),
+        lambda f: oscillatory_tail(f, 10**5000, 1),
+    ],
+    ids=["gauss-b", "tail-half-period", "tail-a"],
+)
+def test_limits_too_long_to_print_raise_parameter_error(call):
+    # formatting 10**5000 into the message raised ValueError from str()
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        return np.cos(x)
+
+    with pytest.raises(ParameterError, match="an integer of about 5000 digits"):
+        call(f)
+    assert calls == []
+
+
+def test_limit_messages_show_floats_as_str():
+    with pytest.raises(ParameterError, match=r"^integration interval \[0\.0, inf\] must be finite$"):
+        adaptive_gauss(np.cos, np.float64(0.0), np.inf)
+    with pytest.raises(ParameterError, match="^tail start must be finite, got nan$"):
+        oscillatory_tail(np.cos, np.float64(np.nan), 1.0)
+
+
+def test_breakpoints_outside_the_interval_are_dropped_before_float():
+    # float(10**400) overflows; a point outside (a, b) seeds nothing anyway
+    got = adaptive_gauss(np.cos, 0.0, 1.0, breakpoints=[10**400, -(10**400), 0.5])
+    assert got == adaptive_gauss(np.cos, 0.0, 1.0, breakpoints=[0.5])
+
+
 def test_a_finished_job_is_never_evaluated_again():
     # job 0 is exact on its first panel and job 1 converges on its first 8
     # half-periods; job 2 needs many sweeps.  Each job's abscissae are those

@@ -128,6 +128,22 @@ def test_terms_mask_and_columns(sapphire_system):
         resonant_terms(sapphire_system, np.array([0.5, 0.0]))
 
 
+@pytest.mark.parametrize("omega", [math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0)], ids=["below", "above"])
+def test_one_ulp_off_an_undamped_resonance_is_its_pole(omega):
+    # eps takes the pole rule of the coupling core: within roundoff of
+    # omega_t, where it used to return about -8.7e15 and g about 1.2e-31
+    reason = f"undamped oscillator evaluated at its resonance {omega!r}"
+    system = HalfSpaceSystem(Material.vacuum(), LOSSLESS_AT_1)
+    with pytest.raises(SingularityError, match=f"^{reason}$"):
+        LOSSLESS_AT_1.eps(omega)
+    with pytest.raises(SingularityError, match=f"^{reason}$"):
+        enhancement_factor(system, omega)
+    terms = resonant_terms(system, np.array([0.5, omega]))
+    assert terms.flagged.tolist() == [False, True]
+    assert terms.errors == (None, reason)
+    assert np.isnan(terms.g[1]) and np.isfinite(terms.g[0])
+
+
 # -- the array core against the scalar formulas it replaced ---------------
 #
 # Written out in plain Python complex arithmetic, as the scalar functions
