@@ -88,9 +88,14 @@ def _quot(ar, ai, br, bi) -> CArray:
     return CArray(re, im)
 
 
+def is_scalar(x) -> bool:
+    """True for a number, False for an array; ``np.ndim`` is slow on a Python float."""
+    return isinstance(x, (float, complex)) or np.ndim(x) == 0
+
+
 def operand(x):
     """``complex(x)`` for a scalar, a CArray for an array of numbers."""
-    if np.ndim(x) == 0:
+    if is_scalar(x):
         return complex(x)
     z = np.asarray(x, dtype=complex)
     return CArray(z.real, z.imag)

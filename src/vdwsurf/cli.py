@@ -19,7 +19,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .config import RunConfig, load_config, resolve_config_path
+from .config import RunConfig, _config_error, load_config, resolve_config_path
 from .errors import ConfigError, ParameterError, QuadratureError, VdwError
 from .greens import AtomPositions, nonretarded_limit_check
 from .interaction import resonant_terms
@@ -172,8 +172,8 @@ def main(argv=None) -> int:
             try:
                 cfg = replace(cfg, scan=replace(cfg.scan, n_points=args.points))
             except ParameterError as exc:
-                field = "config.scan.n_points"
-                raise ConfigError(f"--points: {field}: {exc}", field=field) from None
+                error = _config_error(exc, "config.scan")
+                raise ConfigError(f"--points: {error}", field=error.field) from None
         return _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -5,19 +5,19 @@ omega_ref the file itself is written against; nothing in the package
 converts to absolute units.  Unknown keys anywhere are rejected before any
 computation starts, and every diagnostic names the offending JSON path.
 
-Each JSON object is read into one frozen dataclass.  Its keys are the
-class's fields, a key is required where the field has no default, a missing
-optional key takes the field's default, and each value is read by the
-reader of the field's annotation.  This module checks only the JSON shape
-of a value (its type, a finite number, an ``[re, im]`` pair); the ranges
-are the rules of the classes themselves, and a ParameterError from one is
-reported against the config entries of the fields it names.
+Each JSON object is read by one frozen dataclass, or by the ``Material``
+constructor a material's "kind" picks.  Its keys are the parameters, a key
+is required where the parameter has no default, a missing optional key takes
+the default, and each value is read by the reader of the parameter's
+annotation.  This module checks only the JSON shape of a value (its type, a
+finite number, an ``[re, im]`` pair); the ranges are the rules of the model
+types, and a ParameterError is reported against the entries it names.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
+import inspect
 import json
 import types
 import typing
@@ -130,33 +130,20 @@ def _material(obj, path: str) -> Material:
             raise _config_error(exc, path) from None
     if not isinstance(obj, dict):
         raise ConfigError(f"{path} must be a preset name or a material object", field=path)
-    kind = obj.get("kind")
-    if kind == "vacuum":
-        _check_keys(obj, path, ("kind",), ())
-        build = Material.vacuum
-    elif kind == "constant":
-        _check_keys(obj, path, ("kind", "eps", "mu"), ("eps",))
-        build = Material.constant
-    elif kind == "lorentz":
-        keys = ("kind", "eta", "eps0", "gamma", "omega_t", "omega_s", "mu")
-        _check_keys(obj, path, keys, ("eta", "eps0", "gamma"))
+    obj = dict(obj)
+    kind = obj.pop("kind", None)
+    if kind == "lorentz":
         if ("omega_t" in obj) == ("omega_s" in obj):
             raise ConfigError(f"{path} needs exactly one of omega_t/omega_s", field=path)
         build = Material.lorentz if "omega_t" in obj else Material.lorentz_from_surface_mode
+    elif kind in ("vacuum", "constant"):
+        build = getattr(Material, kind)
     else:
         raise ConfigError(
             f"{path}.kind must be one of vacuum/constant/lorentz, got {kind!r}",
             field=f"{path}.kind",
         )
-    kwargs = {
-        key: (_complex if key in ("eps", "mu") else _number)(value, f"{path}.{key}")
-        for key, value in obj.items()
-        if key != "kind"
-    }
-    try:
-        return build(**kwargs)
-    except ParameterError as exc:
-        raise _config_error(exc, path) from None
+    return _section(build, obj, path)
 
 
 _READERS = {
@@ -164,6 +151,7 @@ _READERS = {
     int: _integer,
     bool: _boolean,
     str: _string,
+    complex: _complex,
     tuple[float, ...]: _numbers,
     tuple[float, float, float]: _vector3,
     Material: _material,
@@ -171,30 +159,28 @@ _READERS = {
 
 
 def _reader(hint):
-    """The JSON value reader of a field annotation; a dataclass is a nested object."""
+    """The JSON value reader of a parameter annotation; a dataclass is a nested object."""
     if isinstance(hint, types.UnionType):  # ``X | None``: None is only ever the default
         (hint,) = set(typing.get_args(hint)) - {type(None)}
     return _READERS.get(hint) or functools.partial(_section, hint)
 
 
 @functools.cache
-def _schema(cls) -> tuple:
-    """The value reader of each key and the required keys of the object read into ``cls``."""
-    hints = typing.get_type_hints(cls)
-    fields = dataclasses.fields(cls)
-    readers = {f.name: _reader(hints[f.name]) for f in fields}
-    missing = dataclasses.MISSING
-    required = tuple(f.name for f in fields if f.default is missing and f.default_factory is missing)
-    return readers, required
+def _schema(build) -> tuple:
+    """The value reader of each parameter of ``build``, by its annotation, and the required ones."""
+    hints = typing.get_type_hints(build)
+    params = inspect.signature(build).parameters
+    readers = {name: _reader(hints[name]) for name in params}
+    return readers, tuple(name for name, p in params.items() if p.default is p.empty)
 
 
-def _section(cls, obj, path: str):
-    """Build the dataclass ``cls`` from the JSON object ``obj`` found at ``path``."""
-    readers, required = _schema(cls)
+def _section(build, obj, path: str):
+    """Call ``build`` (a dataclass or a constructor) on the JSON object ``obj`` found at ``path``."""
+    readers, required = _schema(build)
     _check_keys(obj, path, readers, required)
     kwargs = {key: readers[key](value, f"{path}.{key}") for key, value in obj.items()}
     try:
-        return cls(**kwargs)
+        return build(**kwargs)
     except ParameterError as exc:
         raise _config_error(exc, path) from None
 

@@ -129,7 +129,7 @@ def _dipole_tensor(r_vec) -> np.ndarray:
     """:func:`near_field_tensor` of three floats already checked finite (an AtomPositions separation)."""
     r = np.linalg.norm(r_vec)
     if r == 0.0:
-        raise ParameterError("zero separation")
+        raise ParameterError("zero separation", "r_vec")
     rhat = r_vec / r
     return (3.0 * np.outer(rhat, rhat) - np.eye(3)) / r**3
 

@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from ._carray import operand, to_complex
+from ._carray import is_scalar, operand, to_complex
 from .errors import ParameterError, SingularityError, UnsupportedModelError, _is_finite, _shown
 
 
@@ -94,11 +94,11 @@ class Material:
         return Material(MaterialKind.VACUUM)
 
     @staticmethod
-    def constant(eps, mu=1.0) -> "Material":
+    def constant(eps: complex, mu: complex = 1.0) -> "Material":
         return Material(MaterialKind.CONSTANT, eps_const=eps, mu_const=mu)
 
     @staticmethod
-    def lorentz(eta, eps0, omega_t, gamma, mu=1.0) -> "Material":
+    def lorentz(eta: float, eps0: float, omega_t: float, gamma: float, mu: complex = 1.0) -> "Material":
         return Material(
             MaterialKind.LORENTZ,
             mu_const=mu,
@@ -109,7 +109,9 @@ class Material:
         )
 
     @staticmethod
-    def lorentz_from_surface_mode(eta, eps0, omega_s, gamma, mu=1.0) -> "Material":
+    def lorentz_from_surface_mode(
+        eta: float, eps0: float, omega_s: float, gamma: float, mu: complex = 1.0
+    ) -> "Material":
         """Oscillator model pinned by its vacuum-interface surface-mode frequency.
 
         The resonance frequency is recovered from
@@ -138,7 +140,7 @@ class Material:
         array.
         """
         if self.kind is not MaterialKind.LORENTZ:
-            return self.eps_const if np.ndim(omega) == 0 else np.full(np.shape(omega), self.eps_const)
+            return self.eps_const if is_scalar(omega) else np.full(np.shape(omega), self.eps_const)
         w, poles = operand(omega), _Poles(omega, "omega")
         eps = to_complex(self._lorentz(w * w, 1j * w, poles))
         if poles.flagged is not None:
@@ -244,7 +246,7 @@ class _Poles:
 
     def __init__(self, omega, name: str):
         self.omega, self.name = omega, name
-        scalar = isinstance(omega, (float, complex)) or np.ndim(omega) == 0  # np.ndim is slow on a Python float
+        scalar = is_scalar(omega)
         self.reasons = None if scalar else [None] * np.size(omega)
         self.flagged = None if scalar else np.zeros(np.shape(omega), dtype=bool)
 

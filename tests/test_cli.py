@@ -231,7 +231,9 @@ def test_bad_points_override(tmp_path):
 def test_points_override_error_names_the_config_field(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["spectrum", "--config", str(cfg), "--points", "1"]) == EXIT_CONFIG
-    assert "config.scan.n_points" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "config error: --points: config.scan.n_points: n_points must be an integer in [2, 1000000], got 1\n"
+    )
 
 
 def test_io_error_exit_code(tmp_path):

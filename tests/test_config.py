@@ -214,6 +214,8 @@ def test_non_finite_material_numbers_rejected():
         ({"tolerance": float("inf")}, "config.validate.tolerance"),
         ({"r_a": [0.0, 0.0, -1.0]}, "config.validate.r_a[2]"),
         ({"r_b": [1.0, 0.0, 0.0]}, "config.validate.r_b[2]"),
+        ({"scales": 0.1}, "config.validate.scales"),  # not a list
+        ({"r_a": [0.0, 1.0]}, "config.validate.r_a"),  # not a 3-vector
     ],
 )
 def test_validate_section_checked_at_load(section, field):
@@ -292,3 +294,117 @@ def test_model_types_reject_what_the_config_rejects_naming_the_field(cls, kwargs
 
 def test_huge_panel_budget_is_valid():
     assert QuadratureSpec(max_panels=10**5000).max_panels == 10**5000
+
+
+LORENTZ_S = {"kind": "lorentz", "eta": 2.71, "eps0": 6.57, "omega_s": 1.0, "gamma": 0.015}
+LOWER = "config.system.lower"
+
+
+@pytest.mark.parametrize(
+    "lower, message, field",
+    [
+        (
+            {**LORENTZ_S, "eps0": 2.0},
+            f"{LOWER}.eta, {LOWER}.eps0: oscillator model needs finite eps0 > eta >= 1, got eta=2.71, eps0=2.0",
+            f"{LOWER}.eta",
+        ),
+        (
+            {**LORENTZ_S, "omega_s": -1},
+            f"{LOWER}.omega_s: surface-mode frequency must be positive and finite, got -1.0",
+            f"{LOWER}.omega_s",
+        ),
+        (
+            {"kind": "lorentz", "eta": 2.71, "eps0": 6.57, "omega_t": -1.0, "gamma": 0.015},
+            f"{LOWER}.omega_t: oscillator resonance must be positive, got -1.0",
+            f"{LOWER}.omega_t",
+        ),
+        (
+            {"kind": "constant", "eps": 2.0, "eta": 1.0},
+            f"{LOWER}.eta is not a known key (unknown in {LOWER}: ['eta'])",
+            f"{LOWER}.eta",
+        ),
+        (
+            {"kind": "vacuum", "eps": 1.0},
+            f"{LOWER}.eps is not a known key (unknown in {LOWER}: ['eps'])",
+            f"{LOWER}.eps",
+        ),
+        ({"kind": "constant", "mu": 1.0}, f"missing required key {LOWER}.eps", f"{LOWER}.eps"),
+        (
+            {key: value for key, value in LORENTZ_S.items() if key != "gamma"},
+            f"missing required key {LOWER}.gamma",
+            f"{LOWER}.gamma",
+        ),
+        (
+            {"kind": "drude"},
+            f"{LOWER}.kind must be one of vacuum/constant/lorentz, got 'drude'",
+            f"{LOWER}.kind",
+        ),
+        (3.0, f"{LOWER} must be a preset name or a material object", LOWER),
+        ({"kind": "constant", "eps": "x"}, f"{LOWER}.eps must be a number or a [re, im] pair", f"{LOWER}.eps"),
+        ({"kind": "constant", "eps": [1, 2, 3]}, f"{LOWER}.eps must be a number or a [re, im] pair", f"{LOWER}.eps"),
+        ({"kind": "constant", "eps": 2.0, "mu": "x"}, f"{LOWER}.mu must be a number or a [re, im] pair", f"{LOWER}.mu"),
+        ({**LORENTZ_S, "gamma": True}, f"{LOWER}.gamma must be a number, got True", f"{LOWER}.gamma"),
+    ],
+    ids=[
+        "eps0-below-eta",
+        "negative-omega_s",
+        "negative-omega_t",
+        "unknown-key-on-constant",
+        "unknown-key-on-vacuum",
+        "constant-without-eps",
+        "lorentz-without-gamma",
+        "unknown-kind",
+        "number",
+        "eps-not-a-number",
+        "eps-triple",
+        "mu-not-a-number",
+        "gamma-bool",
+    ],
+)
+def test_material_errors_name_their_field(lower, message, field):
+    with pytest.raises(ConfigError) as info:
+        parse_config(minimal_config(system={"upper": "vacuum", "lower": lower}))
+    assert (str(info.value), info.value.field) == (message, field)
+
+
+@pytest.mark.parametrize(
+    "lower",
+    [
+        {**LORENTZ_S, "omega_t": 0.7, "foo": 1},  # an unknown key was reported first once
+        {"kind": "lorentz", "eta": 2.71},  # a missing key was reported first once
+    ],
+    ids=["both-with-unknown-key", "neither-with-missing-key"],
+)
+def test_lorentz_frequency_choice_is_checked_before_the_keys(lower):
+    with pytest.raises(ConfigError) as info:
+        parse_config(minimal_config(system={"upper": "vacuum", "lower": lower}))
+    assert (str(info.value), info.value.field) == (f"{LOWER} needs exactly one of omega_t/omega_s", LOWER)
+
+
+@pytest.mark.parametrize(
+    "overrides, message, field",
+    [
+        ({"output": {"path": ""}}, "config.output.path: path must not be empty", "config.output.path"),
+        ({"output": {"path": 3}}, "config.output.path must be a string, got 3", "config.output.path"),
+        ({"scan": 3}, "config.scan must be an object", "config.scan"),
+    ],
+    ids=["empty-output-path", "output-path-number", "section-not-object"],
+)
+def test_shape_errors_name_their_field(overrides, message, field):
+    with pytest.raises(ConfigError) as info:
+        parse_config(minimal_config(**overrides))
+    assert (str(info.value), info.value.field) == (message, field)
+
+
+def test_config_path_that_is_a_directory(tmp_path):
+    with pytest.raises(ConfigError, match="cannot read config") as info:
+        load_config(tmp_path)
+    assert info.value.field == str(tmp_path)
+
+
+def test_top_level_array_rejected(tmp_path):
+    p = tmp_path / "list.json"
+    p.write_text("[1, 2]")
+    with pytest.raises(ConfigError, match="top level must be a JSON object") as info:
+        load_config(p)
+    assert info.value.field == str(p)

@@ -1,3 +1,5 @@
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from vdwsurf import (
     AtomPositions,
     HalfSpaceSystem,
     Material,
+    NonretardedLimitReport,
     ParameterError,
     QuadratureError,
     QuadratureSpec,
@@ -26,6 +29,7 @@ from vdwsurf import (
 )
 from vdwsurf.greens import (
     COMPONENTS,
+    LimitRatio,
     _COMPONENT_INDEX,
     _J2_SERIES_BELOW,
     _Kernel,
@@ -168,6 +172,12 @@ class TestKspaceKernel:
     def test_grazing_singularity(self, vacuum_system):
         with pytest.raises(SingularityError):
             kspace_green(vacuum_system, 1.0, 1.0, 0.5, -0.5)
+
+    def test_grazing_upper_wave_over_a_dielectric(self):
+        # beta = 0 while beta_m = 1 and the Fresnel denominators stay finite
+        sys_ = HalfSpaceSystem(Material.vacuum(), Material.constant(2.0))
+        with pytest.raises(SingularityError, match="grazing kernel beta = 0"):
+            kspace_green(sys_, 1.0, 1.0, 0.5, -0.5)
 
 
 class TestNonretarded:
@@ -378,6 +388,38 @@ class TestLimitCheck:
         report = nonretarded_limit_check(sapphire_system, 0.5, POS, [])
         assert report.rows == ()
         assert not report.passed()
+
+
+def _report(scales, *rows):
+    return NonretardedLimitReport(0.5, scales, tuple(LimitRatio(s, c, ratio) for s, c, ratio in rows))
+
+
+@pytest.mark.parametrize(
+    "report, component",
+    [
+        (_report((0.1,), (0.1, "xx", 1.01)), "xx"),  # a single scale
+        (_report((0.1, 0.01), (0.1, "xx", 1.01), (0.01, "zz", 1.001)), "xx"),  # xx missing at 0.01
+        (_report((0.1, 0.01), (0.1, "xx", 1.01), (0.01, "xx", 1.0)), "xx"),  # zero deviation
+        (_report(()), "xx"),
+    ],
+    ids=["single-scale", "missing-component", "zero-deviation", "empty"],
+)
+def test_report_without_a_convergence_order(report, component):
+    assert math.isnan(report.convergence_order(component))
+
+
+def test_report_at_an_absent_scale_and_without_scales():
+    report = _report((0.1, 0.01), (0.1, "xx", 1.01), (0.01, "xx", 1.001))
+    assert math.isnan(report.max_deviation(0.5))
+    assert report.max_deviation() == pytest.approx(0.01)
+    assert report.convergence_order("xx") == pytest.approx(1.0)
+    assert _report((), (0.1, "xx", 1.0)).passed() is False
+
+
+def test_zero_separation_names_the_vector():
+    with pytest.raises(ParameterError, match="zero separation") as info:
+        near_field_tensor([0, 0, 0])
+    assert info.value.field == "r_vec"
 
 
 def test_radial_integrand_is_angular_integral_of_kspace_kernel(sapphire_system):

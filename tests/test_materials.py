@@ -85,6 +85,11 @@ class TestMaterialEval:
         with pytest.raises(ParameterError):
             Material.lorentz(**params)
 
+    def test_vacuum_with_other_constants_rejected(self):
+        with pytest.raises(ParameterError) as info:
+            Material(MaterialKind.VACUUM, eps_const=2.0)
+        assert info.value.fields == ("eps_const", "mu_const")
+
     def test_non_finite_omega_max_rejected(self):
         with pytest.raises(ParameterError):
             HalfSpaceSystem(Material.vacuum(), Material.vacuum(), omega_max=float("inf"))
