@@ -126,8 +126,8 @@ def _material(obj, path: str) -> Material:
     if isinstance(obj, str):
         try:
             return preset(obj)
-        except ParameterError as exc:
-            raise _config_error(exc, path) from None
+        except ParameterError as exc:  # the entry is the name itself, not a "name" key
+            raise ConfigError(f"{path}: {exc}", field=path) from None
     if not isinstance(obj, dict):
         raise ConfigError(f"{path} must be a preset name or a material object", field=path)
     obj = dict(obj)

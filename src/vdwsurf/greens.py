@@ -20,7 +20,9 @@ reduced units of this package (c = 1).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
+from importlib import resources
 
 import numpy as np
 
@@ -83,29 +85,57 @@ class AtomPositions:
         return AtomPositions(s * self.r_a, s * self.r_b)
 
 
-#: Below this argument J2 comes from its series: there the recurrence
-#: 2*J1(u)/u - J0(u) cancels to a relative error of eps/u^2, and in the
-#: subnormal range its absolute error reaches 1.
-_J2_SERIES_BELOW = 5e-3
+#: Layout of the Bessel coefficient table ``data/bessel_j012.npy``, which
+#: tools/bessel_table.py writes and documents: polynomials in t on [0, 1],
+#: on _NEAR_STEPS intervals per unit of u up to _BESSEL_SPLIT and on
+#: _FAR_STEPS intervals of y = (_BESSEL_SPLIT/u)^2 beyond it.
+_BESSEL_SPLIT = 8.0
+_NEAR_STEPS = 32
+_FAR_STEPS = 64
+#: Near intervals, the last one [8, 8 + 1/32] is used at u = 8 only.
+_N_NEAR = int(_BESSEL_SPLIT) * _NEAR_STEPS + 1
+
+
+@functools.cache
+def _bessel_table() -> np.ndarray:
+    """The (degree + 1, 4, intervals) coefficient table, read at first use."""
+    with resources.files("vdwsurf").joinpath("data", "bessel_j012.npy").open("rb") as f:
+        table = np.load(f)
+    table.flags.writeable = False
+    return table
 
 
 def _bessel_j012(u):
-    """``(J0(u), J1(u), J2(u))`` on a float array u >= 0, J2 from the other two.
+    """``(J0(u), J1(u), J2(u))`` on a float array u >= 0, with numpy only.
 
-    J2 = 2*J1/u - J0 from ``_J2_SERIES_BELOW`` up and u^2/8 - u^4/96 below
-    it, exactly 0 at u = 0: both branches agree with J2 to about 1e-16
-    absolute.  scipy's general-order ``jv(2, u)`` costs several times
-    ``j0`` and ``j1`` together.  scipy is imported here, not with the
-    package: the resonant path never needs it.
+    Each is within 1e-15 absolute of the exact value, and exactly 1, 0, 0
+    at u = 0.  Up to u = 8 the three are polynomial fits on intervals of u.
+    Beyond, J0 and J1 come from the Hankel form that tools/bessel_table.py
+    documents, with its P and Q fits in (8/u)^2, and J2 = 2*J1/u - J0, which
+    does not cancel there.  ``cos u`` and ``sin u`` are taken of u itself:
+    rounding u - pi/4 would cost about 4e-15 at u = 1e4.  One gather from
+    the table and one Horner pass evaluate every fit at once.
     """
-    from scipy.special import j0, j1
-
-    b0, b1 = j0(u), j1(u)
-    small = u < _J2_SERIES_BELOW
-    if not small.any():  # most calls: every abscissa is past the first panels
-        return b0, b1, 2.0 * b1 / u - b0
-    u2 = u * u
-    return b0, b1, np.where(small, u2 * (0.125 - u2 / 96.0), 2.0 * b1 / np.maximum(u, _J2_SERIES_BELOW) - b0)
+    table = _bessel_table()
+    far = u > _BESSEL_SPLIT
+    v = np.maximum(u, _BESSEL_SPLIT)
+    x = np.where(far, (_BESSEL_SPLIT**2 * _FAR_STEPS) / (v * v), _NEAR_STEPS * u)
+    i = x.astype(np.intp)  # x >= 0: the interval, and t = x - i on it
+    t = x - i
+    c = table.take(i + _N_NEAR * far, axis=2)  # contiguous, unlike table[:, :, ...]
+    fits = c[-1] * t
+    for ck in c[-2:0:-1]:
+        fits += ck
+        fits *= t
+    fits += c[0]
+    if far.any():
+        cos, sin = np.cos(v), np.sin(v)
+        plus, minus, w, amplitude = cos + sin, sin - cos, 8.0 / v, np.sqrt(1.0 / (np.pi * v))
+        p0, q0, p1, q1 = fits
+        b0 = amplitude * (p0 * plus - w * q0 * minus)
+        b1 = amplitude * (p1 * minus + w * q1 * plus)
+        np.copyto(fits[:3], (b0, b1, 2.0 * b1 / v - b0), where=far)
+    return fits[0], fits[1], fits[2]
 
 
 def _upward_root(z):
@@ -216,7 +246,7 @@ def kspace_green(system: HalfSpaceSystem, omega: float, k: float, z_a: float, z_
         if not _is_finite(z):
             raise ParameterError(f"{name} must be finite, got {_shown(z)}", name)
     if not (z_a > 0.0 > z_b):
-        raise ParameterError(f"kernel needs z_a > 0 > z_b, got z_a={z_a}, z_b={z_b}")
+        raise ParameterError(f"kernel needs z_a > 0 > z_b, got z_a={z_a}, z_b={z_b}", "z_a", "z_b")
     beta, beta_m, p, s = _Kernel(system, omega).at(k)
     if beta == 0.0:
         raise SingularityError(f"grazing kernel beta = 0 at omega={omega}, k={k}")
@@ -420,7 +450,7 @@ def transmission_green(
         green = sommerfeld_green(flipped, omega, pos, quad, local_field)
         flip = np.diag(mirror)
         return flip @ green @ flip
-    raise ParameterError("observation and source must sit on opposite sides of the interface")
+    raise ParameterError("observation and source must sit on opposite sides of the interface", "r_obs", "r_src")
 
 
 def nonretarded_green(

@@ -339,7 +339,7 @@ def preset(name: str) -> Material:
         factory = _PRESETS[name]
     except KeyError:
         known = ", ".join(sorted(_PRESETS))
-        raise ParameterError(f"unknown material preset {name!r} (known: {known})") from None
+        raise ParameterError(f"unknown material preset {name!r} (known: {known})", "name") from None
     return factory()
 
 

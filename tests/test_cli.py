@@ -540,10 +540,11 @@ def test_one_parser_per_process_keeps_no_state_between_calls(tmp_path):
     assert val.read_bytes() == val_fresh.read_bytes()
 
 
-def test_resonant_commands_do_not_import_scipy(tmp_path):
-    # scipy serves only the Sommerfeld integrand (vdw validate): importing
-    # the package, the resonant commands and the off-resonant column must
-    # not pay for loading it
+def test_no_command_imports_scipy(tmp_path):
+    # scipy is a test dependency only: importing the package, the resonant
+    # commands, the off-resonant column and the Sommerfeld integrand of
+    # vdw validate must not load it; the resonant commands do not read the
+    # Bessel table either
     script = """
 import sys, vdwsurf, vdwsurf.cli
 
@@ -557,9 +558,12 @@ for i, (command, config) in enumerate(
 ):
     if vdwsurf.cli.main([command, "--config", config, "--out", sys.argv[1] + command + str(i)]) != 0:
         sys.exit(command + " failed on " + config)
+if vdwsurf.greens._bessel_table.cache_info().currsize:
+    sys.exit("the Bessel table was read by the resonant commands")
+if vdwsurf.cli.main(["validate", "--config", "fig2", "--out", sys.argv[1] + "validate"]) != 0:
+    sys.exit("validate failed on fig2")
 if scipy_modules():
-    sys.exit("loaded by the resonant commands: %s" % scipy_modules()[:5])
-sys.exit(vdwsurf.cli.main(["validate", "--config", "fig2", "--out", sys.argv[1] + "validate"]))
+    sys.exit("loaded by the commands: %s" % scipy_modules()[:5])
 """
     env = dict(os.environ, PYTHONPATH=str(Path(vdwsurf.__file__).resolve().parent.parent))
     scan = {"omega_min": 0.7, "omega_max": 1.3, "n_points": 50, "include_offresonant": True}

@@ -91,6 +91,9 @@ def test_unknown_preset_names_field():
     with pytest.raises(ConfigError, match=r"config\.system\.lower") as excinfo:
         parse_config(bad)
     assert "sapphirr" in str(excinfo.value)
+    # the entry is the name: the preset's "name" argument is not appended
+    assert str(excinfo.value) == "config.system.lower: unknown material preset 'sapphirr' (known: sapphire-ir, vacuum)"
+    assert excinfo.value.field == "config.system.lower"
 
 
 def test_material_objects():

@@ -1,4 +1,6 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -31,9 +33,9 @@ from vdwsurf.greens import (
     COMPONENTS,
     LimitRatio,
     _COMPONENT_INDEX,
-    _J2_SERIES_BELOW,
     _Kernel,
     _bessel_j012,
+    _bessel_table,
     _radial_integrand,
     _upward_root,
 )
@@ -166,8 +168,9 @@ class TestKspaceKernel:
         assert g[1, 0] == g[0, 1] == g[1, 2] == g[2, 1] == 0.0
 
     def test_z_ordering_enforced(self, sapphire_system):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="z_a > 0 > z_b") as excinfo:
             kspace_green(sapphire_system, 0.9, 1.0, -0.5, -0.2)
+        assert excinfo.value.fields == ("z_a", "z_b")
 
     def test_grazing_singularity(self, vacuum_system):
         with pytest.raises(SingularityError):
@@ -291,8 +294,9 @@ class TestSommerfeld:
         assert report.passed(1e-4)
 
     def test_same_side_rejected(self, sapphire_system):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="opposite sides") as excinfo:
             transmission_green(sapphire_system, 0.8, [0, 0, 1.0], [0, 0, 2.0])
+        assert excinfo.value.fields == ("r_obs", "r_src")
 
     def test_lossless_interface_mode_rejected(self):
         sys_ = HalfSpaceSystem(upper=Material.vacuum(), lower=Material.constant(-3.0))
@@ -849,23 +853,62 @@ def test_on_axis_sommerfeld_green_matches_mpmath_quadrature(sapphire_system):
         1e-310,
         1e-300,
         1e-8,
-        np.nextafter(_J2_SERIES_BELOW, 0.0),
-        _J2_SERIES_BELOW,
-        np.nextafter(_J2_SERIES_BELOW, 1.0),
+        np.nextafter(5e-3, 0.0),
+        5e-3,
+        np.nextafter(5e-3, 1.0),
+        # both sides of the edges of the first and of an inner interval of u
+        np.nextafter(1 / 32, 0.0),
+        1 / 32,
+        np.nextafter(1 / 32, 1.0),
+        np.nextafter(2.5, 0.0),
+        2.5,
+        np.nextafter(2.5, 3.0),
         0.5,
         2.0,
         5.1356,
+        # u = 8 splits the fits in u from the Hankel form
+        np.nextafter(8.0, 0.0),
+        8.0,
+        np.nextafter(8.0, 9.0),
+        # edges of intervals of (8/u)^2: 1/4 at u = 16, 1/64 at u = 64
+        np.nextafter(16.0, 0.0),
+        16.0,
+        np.nextafter(16.0, 17.0),
+        np.nextafter(64.0, 0.0),
+        64.0,
+        np.nextafter(64.0, 65.0),
         30.0,
         1e3,
+        1e4,
+        1e6,
     ],
 )
-def test_bessel_j2_matches_mpmath(u):
-    # J2 from J0 and J1: the series below the threshold, the recurrence
-    # above it, and no 2*J1(u)/u - J0(u) cancellation at subnormal u
-    b2 = _bessel_j012(np.array([u]))[2][0]
-    assert abs(b2 - float(mpmath.besselj(2, u))) <= 1e-15
+def test_bessel_j012_matches_mpmath(u):
+    got = [b[0] for b in _bessel_j012(np.array([u]))]
+    for n in range(3):
+        assert abs(got[n] - float(mpmath.besselj(n, u))) <= 1e-15, n
     if u == 0.0:
-        assert b2 == 0.0
+        assert got == [1.0, 0.0, 0.0]
+
+
+def test_bessel_table_is_what_its_generator_builds():
+    spec = importlib.util.spec_from_file_location(
+        "bessel_table", Path(__file__).resolve().parent.parent / "tools" / "bessel_table.py"
+    )
+    generator = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generator)
+    assert np.array_equal(generator.build(), _bessel_table())
+
+
+def test_bessel_j012_dense_sweep_matches_mpmath():
+    # half the points over the polynomial fits and their switch to the
+    # Hankel form at u = 8, half over the whole range
+    rng = np.random.default_rng(20)
+    u = np.concatenate([rng.uniform(0.0, 16.0, 5000), rng.uniform(0.0, 1e4, 5000)])
+    got = np.array(_bessel_j012(u))
+    with mpmath.workdps(25):
+        want = np.array([[float(mpmath.besselj(n, x)) for x in u] for n in range(3)])
+    assert np.max(np.abs(got - want)) <= 1e-15
 
 
 @pytest.mark.parametrize("rho", [1e-320, 1e-310])

@@ -188,8 +188,9 @@ class TestInterfaceQuantities:
         assert sapphire.gamma == 0.015
 
     def test_unknown_preset(self):
-        with pytest.raises(ParameterError, match="unknown material preset"):
+        with pytest.raises(ParameterError, match="unknown material preset") as excinfo:
             preset("sapphirr")
+        assert excinfo.value.fields == ("name",)
         assert "sapphire-ir" in preset_names()
 
 
