@@ -34,13 +34,13 @@ from .materials import (
     local_field_factor,
     surface_mode_frequency,
 )
-from .quadrature import QuadratureSpec, _bisection, _integrate_many, _result
+from .quadrature import QuadratureSpec, adaptive_gauss
 
 #: Reduced Planck constant of the unit system.  Absorbed here (and only
 #: here) so that the vacuum-vacuum off-resonant potential reproduces the
 #: London integral with the same U0 normalization as the resonant part.
 HBAR_REDUCED = 1.0
-_ROWS = 2000  # off-resonant integrals per integration loop: bounds the memory of one loop
+_ROWS = 2000  # off-resonant rows per vector-valued integral: bounds the memory of one integrand call
 
 
 @dataclass(frozen=True)
@@ -50,9 +50,9 @@ class Atom:
     ``omega0``/``gamma`` are the transition frequency and linewidth,
     ``alpha0`` the static polarizability and ``dipole_weight`` the squared
     dipole matrix element stand-in, all in reduced units.  ``offres_sign``
-    switches the sign convention of this atom's imaginary-axis response when
-    it plays the excited role in the off-resonant integral (ground-like by
-    default; the excited-state convention uses -1).
+    is the sign convention of this atom's imaginary-axis response when it
+    plays the excited role in the off-resonant integral: +1 (ground-like,
+    the default) or -1 (the excited-state convention).
     """
 
     omega0: float
@@ -73,6 +73,8 @@ class Atom:
             raise ParameterError(f"static polarizability must be positive, got {self.alpha0}", "alpha0")
         if not (self.dipole_weight > 0.0):
             raise ParameterError(f"dipole weight must be positive, got {self.dipole_weight}", "dipole_weight")
+        if self.offres_sign not in (1.0, -1.0):
+            raise ParameterError(f"offres_sign must be +1 or -1, got {self.offres_sign}", "offres_sign")
 
 
 @dataclass(frozen=True)
@@ -113,7 +115,8 @@ def _polarizability(atom: Atom, w2, iw, poles: _Poles | None = None, omega0=None
 
     Like ``Material._lorentz``, this serves complex w (scalar or CArray) and
     the imaginary axis w = i*xi in real arithmetic (w2 = -xi^2, iw = -xi).
-    ``omega0``, when given, replaces the atom's w0 (an array gives one per w).
+    ``omega0``, when given, replaces the atom's w0; an array broadcasts
+    against w, so w of shape (n, 1) and omega0 of shape (rows,) give (n, rows).
     """
     w0 = atom.omega0 if omega0 is None else omega0
     w02 = w0 * w0
@@ -273,7 +276,8 @@ def offresonant_potential(
     separation-free.  The semi-infinite integral is mapped onto [0, 1) by
     xi = t/(1 - t).  With ``full_output`` the achieved error estimate (same
     units) is returned alongside.  This is the one-row case of a scan's
-    off-resonant column (``spectra.scan_spectrum``).
+    off-resonant column (``spectra.scan_spectrum``), so the QuadratureError
+    it raises carries its value and estimate as 1-element arrays.
     """
     if r is not None and not (r > 0.0 and _is_finite(r)):
         raise ParameterError(f"separation must be positive and finite, got {_shown(r)}", "r")
@@ -284,9 +288,9 @@ def offresonant_potential(
 def _offresonant_many(system: HalfSpaceSystem, atom_a: Atom, atom_b: Atom, omegas, quad: QuadratureSpec | None):
     """(u, error estimate) arrays of :func:`offresonant_potential` with atom A's omega0 at each of ``omegas``.
 
-    One integrand serves every omega0, taken per abscissa from its job; the
-    jobs, one per omega0, go to the integration loop ``_ROWS`` at a time.
-    Raises the QuadratureError of the first omega0 that fails.
+    Each block of at most ``_ROWS`` omega0 is one vector-valued integral,
+    one component per omega0, with ``rel_tol`` measured against its largest
+    component.  Raises the QuadratureError of the first block that fails.
     """
     if quad is None:
         quad = QuadratureSpec()
@@ -300,16 +304,16 @@ def _offresonant_many(system: HalfSpaceSystem, atom_a: Atom, atom_b: Atom, omega
         coupling, _ = _coupling(system.upper.eps_imag(xi), system.lower.eps_imag(xi))
         return a_a * a_b * np.real(coupling * coupling) * jac
 
-    results = np.empty((omegas.size, 2))  # integral and error estimate per omega0
+    results = np.empty((2, omegas.size))  # integral and error estimate per omega0
     for start in range(0, omegas.size, _ROWS):
         block = omegas[start : start + _ROWS]
         # Seed panel edges at the atomic scales, mapped to the unit interval.
-        jobs = [_bisection(0.0, 1.0, quad, [w / (1.0 + w) for w in (w_a, atom_b.omega0)]) for w_a in block.tolist()]
-        outcomes = _integrate_many(lambda t, which, block=block: integrand(t, block[which]), jobs)
-        results[start : start + block.size] = [_result(outcome)[:2] for outcome in outcomes]
+        seeds = [w / (1.0 + w) for w in (block.min(), block.max(), atom_b.omega0)]
+        value, error, _ = adaptive_gauss(lambda t: integrand(t[:, None], block), 0.0, 1.0, quad, seeds)
+        results[:, start : start + block.size] = value, error
 
     prefactor = 3.0 * HBAR_REDUCED / (2.0 * np.pi * atom_a.dipole_weight * atom_b.alpha0)
-    return -atom_a.offres_sign * prefactor * results[:, 0], prefactor * results[:, 1]
+    return -atom_a.offres_sign * prefactor * results[0], prefactor * results[1]
 
 
 def force(system: HalfSpaceSystem, atom_a: Atom, atom_b: Atom, pos: AtomPositions):

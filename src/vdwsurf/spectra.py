@@ -120,7 +120,8 @@ def scan_spectrum(
     frequency.  Rows are ordered by frequency; grid points that fall exactly
     on a pole are flagged rather than aborting the scan.  The resonant
     columns come from one :func:`resonant_terms` call over the grid; the
-    off-resonant integrals, when requested, from one loop per block of rows.
+    off-resonant column, when requested, from one vector-valued integral
+    per block of rows, one component per row.
     """
     table, errors = _spectrum_table(system, atom_a, atom_b, scan, quad)
     return [

@@ -269,6 +269,8 @@ VACUUM = Material.vacuum()
         # an integer beyond the float range is not finite, and one beyond
         # the digit limit of str() still gets a message
         (Atom, {"omega0": 10**400}, "omega0"),
+        (Atom, {"omega0": 1.0, "offres_sign": 0.0}, "offres_sign"),
+        (Atom, {"omega0": 1.0, "offres_sign": 7.0}, "offres_sign"),
         (ScanSpec, {"omega_min": 0.7, "omega_max": 10**400}, "omega_max"),
         (ValidateSpec, {"omega": 10**400}, "omega"),
         (QuadratureSpec, {"rel_tol": 10**400}, "rel_tol"),
@@ -390,8 +392,18 @@ def test_lorentz_frequency_choice_is_checked_before_the_keys(lower):
         ({"output": {"path": ""}}, "config.output.path: path must not be empty", "config.output.path"),
         ({"output": {"path": 3}}, "config.output.path must be a string, got 3", "config.output.path"),
         ({"scan": 3}, "config.scan must be an object", "config.scan"),
+        (
+            {"atom_a": {"omega0": 1.0, "offres_sign": 0.0}},
+            "config.atom_a.offres_sign: offres_sign must be +1 or -1, got 0.0",
+            "config.atom_a.offres_sign",
+        ),
+        (
+            {"atom_a": {"omega0": 1.0, "offres_sign": 7.0}},
+            "config.atom_a.offres_sign: offres_sign must be +1 or -1, got 7.0",
+            "config.atom_a.offres_sign",
+        ),
     ],
-    ids=["empty-output-path", "output-path-number", "section-not-object"],
+    ids=["empty-output-path", "output-path-number", "section-not-object", "offres-sign-0", "offres-sign-7"],
 )
 def test_shape_errors_name_their_field(overrides, message, field):
     with pytest.raises(ConfigError) as info:

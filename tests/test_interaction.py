@@ -11,6 +11,8 @@ from vdwsurf import (
     HalfSpaceSystem,
     Material,
     ParameterError,
+    QuadratureError,
+    QuadratureSpec,
     SingularityError,
     UnsupportedModelError,
     ValidityWarning,
@@ -73,6 +75,13 @@ class TestPolarizability:
         kwargs = {"omega0": 1.0, name: value}
         with pytest.raises(ParameterError):
             Atom(**kwargs)
+
+    @pytest.mark.parametrize("value", [0.0, -0.0, 7.0, -0.5, 2])
+    def test_offres_sign_other_than_plus_or_minus_one_rejected(self, value):
+        # 0.0 gave a silent -0.0 off-resonant column, 7.0 scaled it sevenfold
+        with pytest.raises(ParameterError) as info:
+            Atom(omega0=1.0, offres_sign=value)
+        assert info.value.field == "offres_sign"
 
 
 class TestEnhancementFactor:
@@ -241,6 +250,13 @@ class TestOffresonantPotential:
             sapphire_system, a, atom_b, quad=QuadratureSpec(rel_tol=5e-7)
         )
         assert abs(fine - coarse) <= max(err, 1e-6 * abs(coarse))
+
+    def test_budget_error_carries_a_one_row_column(self, sapphire_system, atom_b):
+        # the one-row call is a one-component integral: its error's payload is a column of one
+        quad = QuadratureSpec(rel_tol=1e-12, max_panels=3)
+        with pytest.raises(QuadratureError, match="no convergence within 3 panels") as info:
+            offresonant_potential(sapphire_system, Atom(omega0=1.0), atom_b, quad=quad)
+        assert info.value.value.shape == info.value.error_estimate.shape == (1,)
 
     def test_small_against_resonant_near_surface_mode(self, sapphire_system, atom_b):
         a = Atom(omega0=1.0)

@@ -89,42 +89,66 @@ class TestScanSpectrum:
         assert len(rows) == 3
 
 
-def _spy_jobs(monkeypatch):
-    """Record the job count and the panels per job of every integration loop the column runs."""
+def _spy_integrals(monkeypatch):
+    """Record (components, panels) of every integral the column runs."""
     calls = []
-    loop = interaction._integrate_many
+    integrate = interaction.adaptive_gauss
 
-    def spy(f, jobs):
-        outcomes = loop(f, jobs)
-        calls.append([outcome[2] for outcome in outcomes])
-        return outcomes
+    def spy(f, *args):
+        value, error, panels = integrate(f, *args)
+        calls.append((value.size, panels))
+        return value, error, panels
 
-    monkeypatch.setattr(interaction, "_integrate_many", spy)
+    monkeypatch.setattr(interaction, "adaptive_gauss", spy)
     return calls
 
 
+def _offresonant_oracle(sapphire, atom_b, omega0):
+    """Off-resonant potential of an undamped unit atom A (default Atom fields) by QUADPACK, split at xi = 1."""
+    from scipy.integrate import quad
+
+    wt2, b2 = sapphire.omega_t**2, atom_b.omega0**2
+
+    def integrand(xi):
+        eps = sapphire.eta + (sapphire.eps0 - sapphire.eta) * wt2 / (wt2 + xi * xi + xi * sapphire.gamma)
+        coupling = (3.0 * eps / (2.0 * eps + 1.0)) / (0.5 * (1.0 + eps))  # D = 1 in vacuum
+        alpha_a = omega0**2 / (omega0**2 + xi * xi)
+        alpha_b = atom_b.alpha0 * b2 / (b2 + xi * xi + xi * atom_b.gamma)
+        return alpha_a * alpha_b * coupling * coupling
+
+    pieces = (quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200) for lo, hi in ((0.0, 1.0), (1.0, math.inf)))
+    value = sum(piece[0] for piece in pieces)
+    return -3.0 / (2.0 * math.pi * atom_b.alpha0) * value
+
+
+_ORACLE_COLUMNS = {"fig2": np.linspace(0.7, 1.3, 200), "wide": np.geomspace(0.02, 50.0, 200)}
+
+
+@pytest.fixture(scope="module", params=sorted(_ORACLE_COLUMNS))
+def oracle_column(request, sapphire, atom_b):
+    omegas = _ORACLE_COLUMNS[request.param]
+    return omegas, np.array([_offresonant_oracle(sapphire, atom_b, w) for w in omegas.tolist()])
+
+
 class TestOffresonantColumn:
-    def test_rows_equal_the_one_row_call_bit_for_bit(self, sapphire_system, monkeypatch):
+    def test_one_integral_per_block(self, sapphire_system, monkeypatch):
         # more rows than one block; the undamped partner puts a pole on row 1234
         n = interaction._ROWS + 37
         scan = ScanSpec(0.7, 1.3, n_points=n, include_offresonant=True)
         partner = Atom(omega0=float(scan.grid()[1234]), alpha0=1.7)
         template = Atom(omega0=1.0, alpha0=2.5, dipole_weight=0.7, offres_sign=-1.0)
         quad = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14, max_panels=500)
-        calls = _spy_jobs(monkeypatch)
+        calls = _spy_integrals(monkeypatch)
         table, errors = _spectrum_table(sapphire_system, template, partner, scan, quad)
         column = table[:, 5]
         assert [i for i, e in enumerate(errors) if e is not None] == [1234]
         assert math.isnan(column[1234])
-        # one job per unflagged row, never more per loop than the block constant
-        assert [len(c) for c in calls] == [interaction._ROWS, n - 1 - interaction._ROWS]
-        panels = [p for c in calls for p in c]
-        calls.clear()
-        for i, w in enumerate(scan.grid().tolist()):
-            if i != 1234:
-                u = offresonant_potential(sapphire_system, replace(template, omega0=w), partner, quad=quad)
-                assert column[i] == u, i
-        assert panels == [p for (p,) in calls]
+        # one component per unflagged row, never more per integral than the block constant
+        assert [rows for rows, _ in calls] == [interaction._ROWS, n - 1 - interaction._ROWS]
+        grid = scan.grid()
+        for i in [0, 1233, 1235, interaction._ROWS - 1, interaction._ROWS, n - 1]:
+            u = offresonant_potential(sapphire_system, replace(template, omega0=grid[i]), partner, quad=quad)
+            assert abs(column[i] - u) <= 1e-10 * abs(u), i
 
     def test_all_flagged_grid_runs_no_integral(self, atom_b, monkeypatch):
         # eps_u + eps_l vanishes at every frequency
@@ -133,14 +157,14 @@ class TestOffresonantColumn:
         def refuse(*args, **kwargs):
             raise AssertionError("an integral ran for a flagged row")
 
-        monkeypatch.setattr(interaction, "_integrate_many", refuse)
+        monkeypatch.setattr(interaction, "adaptive_gauss", refuse)
         scan = ScanSpec(0.7, 1.3, n_points=5, include_offresonant=True)
         table, errors = _spectrum_table(system, Atom(omega0=1.0), atom_b, scan)
         assert all(e is not None for e in errors)
         assert np.all(np.isnan(table[:, 5]))
 
-    def test_fig2_column_takes_few_panel_calls(self, sapphire_system, atom_b, monkeypatch):
-        # one integration loop for the 200 rows: 261 _panel calls one row at a time
+    def test_fig2_column_is_one_panel_call_on_four_panels(self, sapphire_system, atom_b, monkeypatch):
+        # one row at a time, the 200 integrals took 12 _panel calls on 722 panels
         count = [0]
         panel = quadrature._panel
 
@@ -149,11 +173,24 @@ class TestOffresonantColumn:
             return panel(*args)
 
         monkeypatch.setattr(quadrature, "_panel", counted)
-        calls = _spy_jobs(monkeypatch)
+        calls = _spy_integrals(monkeypatch)
         scan = ScanSpec(0.7, 1.3, n_points=200, include_offresonant=True)
         _spectrum_table(sapphire_system, Atom(omega0=1.0), atom_b, scan)
-        assert 0 < count[0] <= 12
-        assert len(calls) == 1 and sum(calls[0]) == 661
+        assert count[0] == 1 and calls == [(200, 4)]
+
+    def test_every_row_meets_quadpack_at_the_default_tolerance(self, sapphire_system, atom_b, oracle_column):
+        omegas, ref = oracle_column
+        u, _ = interaction._offresonant_many(sapphire_system, Atom(omega0=1.0), atom_b, omegas, None)
+        assert np.all(np.abs(u - ref) <= 1e-12 * np.abs(ref))
+
+    @pytest.mark.parametrize("rel_tol", [1e-6, 1e-3])
+    def test_every_row_meets_its_own_tolerance(self, sapphire_system, atom_b, oracle_column, rel_tol):
+        # rel_tol is measured against the block's largest row, yet the
+        # smaller rows of a wide sweep still come out within it
+        omegas, ref = oracle_column
+        quad = QuadratureSpec(rel_tol=rel_tol)
+        u, _ = interaction._offresonant_many(sapphire_system, Atom(omega0=1.0), atom_b, omegas, quad)
+        assert np.all(np.abs(u - ref) <= rel_tol * np.abs(ref))
 
 
 class TestGoldenSection:
