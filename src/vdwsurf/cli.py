@@ -43,20 +43,22 @@ def _json_cell(x):
     return float("%.12g" % x) if math.isfinite(x) else None
 
 
-def _write_table(path: str, fmt: str, header: list, rows: list) -> None:
+def _write_table(path: str, fmt: str, header: list, rows) -> None:
     """Rows of float cells in header order, as CSV or a JSON array.
 
-    CSV cells hold up to 12 significant digits, trailing zeros trimmed, and
-    ``nan`` for a missing value; JSON cells hold the same digits and null.
+    ``rows`` is any iterable of row tuples; CSV is written to the open file
+    one row at a time, so no copy of the table is held as text.  CSV cells
+    hold up to 12 significant digits, trailing zeros trimmed, and ``nan``
+    for a missing value; JSON cells hold the same digits and null.
     """
     if fmt == "json":
         payload = [dict(zip(header, map(_json_cell, row))) for row in rows]
         _write_text(path, json.dumps(payload, indent=2) + "\n")
     else:
-        template = ",".join(["%.12g"] * len(header))
-        lines = [",".join(header)]
-        lines.extend(template % tuple(row) for row in rows)
-        _write_text(path, "\n".join(lines) + "\n")
+        template = ",".join(["%.12g"] * len(header)) + "\n"
+        with open(path, "w", encoding="utf-8") as out:
+            out.write(",".join(header) + "\n")
+            out.writelines(map(template.__mod__, rows))
 
 
 def _out_path(cfg: RunConfig, args, default: str) -> tuple:
@@ -71,7 +73,7 @@ _SPECTRUM_HEADER = ["omega_over_ref", "u_resonant", "u_resonant_no_lf", "g", "g_
 def cmd_spectrum(cfg: RunConfig, args) -> int:
     table, _ = _spectrum_table(cfg.system, cfg.atom_a, cfg.atom_b, cfg.scan, cfg.quadrature)
     path, fmt = _out_path(cfg, args, "vdw_spectrum.csv")
-    _write_table(path, fmt, _SPECTRUM_HEADER[: table.shape[1]], table.tolist())
+    _write_table(path, fmt, _SPECTRUM_HEADER[: table.shape[1]], zip(*table.T.tolist()))
     log.info("wrote %d spectrum rows to %s", len(table), path)
     return EXIT_OK
 

@@ -17,6 +17,7 @@ import numpy as np
 from ._carray import abs_squared, operand
 from .errors import (
     ParameterError,
+    QuadratureError,
     SingularityError,
     UnsupportedModelError,
     ValidityWarning,
@@ -129,17 +130,24 @@ def _polarizability(atom: Atom, w2, iw, poles: _Poles | None = None, omega0=None
 def _resonant(system: HalfSpaceSystem, omega, atom_b: Atom | None, poles: _Poles):
     """(g, g_no_lf, u, u_no_lf) at a real frequency or an array of them.
 
-    ``u`` and ``u_no_lf`` are None without a partner atom.
+    ``u`` and ``u_no_lf`` are None without a partner atom.  Both media and
+    the polarizability are evaluated once from the same w^2 and i*w, and
+    checked against ``poles``.
     """
-    coupling, coupling_no_lf = _coupling(
-        operand(system.upper.eps(omega)), operand(system.lower.eps(omega)), poles
-    )
+    w = operand(omega)
+    w2, iw = w * w, 1j * w
+    del w  # not used below: its 16 bytes a row would stay resident through the coupling
+    e_u, e_l = system.upper._eps(w2, iw, poles), system.lower._eps(w2, iw, poles)
+    if poles.flagged is not None and isinstance(e_u, complex) and isinstance(e_l, complex):
+        # two constant media over an array: as a CArray, a vanishing e_u + e_l
+        # flags its rows instead of raising ZeroDivisionError
+        e_u = operand(np.full(poles.flagged.shape, e_u))
+    coupling, coupling_no_lf = _coupling(e_u, e_l, poles)
     g = abs_squared(coupling)
     g_no_lf = abs_squared(coupling_no_lf)
     if atom_b is None:
         return g, g_no_lf, None, None
-    w = operand(omega)
-    alpha_ratio = _polarizability(atom_b, w * w, 1j * w, poles).real / atom_b.alpha0
+    alpha_ratio = _polarizability(atom_b, w2, iw, poles).real / atom_b.alpha0
     return g, g_no_lf, -alpha_ratio * g, -alpha_ratio * g_no_lf
 
 
@@ -277,7 +285,9 @@ def offresonant_potential(
     xi = t/(1 - t).  With ``full_output`` the achieved error estimate (same
     units) is returned alongside.  This is the one-row case of a scan's
     off-resonant column (``spectra.scan_spectrum``), so the QuadratureError
-    it raises carries its value and estimate as 1-element arrays.
+    it raises carries its value and estimate as 1-element arrays, in units
+    of U0 like the return value; its message keeps the integrator's own
+    numbers, those of the integral over t.
     """
     if r is not None and not (r > 0.0 and _is_finite(r)):
         raise ParameterError(f"separation must be positive and finite, got {_shown(r)}", "r")
@@ -290,7 +300,9 @@ def _offresonant_many(system: HalfSpaceSystem, atom_a: Atom, atom_b: Atom, omega
 
     Each block of at most ``_ROWS`` omega0 is one vector-valued integral,
     one component per omega0, with ``rel_tol`` measured against its largest
-    component.  Raises the QuadratureError of the first block that fails.
+    component.  Raises the QuadratureError of the first block that fails,
+    its ``value`` and ``error_estimate`` (one per row of the block) scaled
+    to units of U0 like the results.
     """
     if quad is None:
         quad = QuadratureSpec()
@@ -304,16 +316,21 @@ def _offresonant_many(system: HalfSpaceSystem, atom_a: Atom, atom_b: Atom, omega
         coupling, _ = _coupling(system.upper.eps_imag(xi), system.lower.eps_imag(xi))
         return a_a * a_b * np.real(coupling * coupling) * jac
 
+    prefactor = 3.0 * HBAR_REDUCED / (2.0 * np.pi * atom_a.dipole_weight * atom_b.alpha0)
+    scale = -atom_a.offres_sign * prefactor
     results = np.empty((2, omegas.size))  # integral and error estimate per omega0
     for start in range(0, omegas.size, _ROWS):
         block = omegas[start : start + _ROWS]
         # Seed panel edges at the atomic scales, mapped to the unit interval.
         seeds = [w / (1.0 + w) for w in (block.min(), block.max(), atom_b.omega0)]
-        value, error, _ = adaptive_gauss(lambda t: integrand(t[:, None], block), 0.0, 1.0, quad, seeds)
+        try:
+            value, error, _ = adaptive_gauss(lambda t: integrand(t[:, None], block), 0.0, 1.0, quad, seeds)
+        except QuadratureError as exc:
+            if exc.value is not None:  # None when the seeds alone exceed the budget
+                exc.value, exc.error_estimate = scale * exc.value, prefactor * exc.error_estimate
+            raise
         results[:, start : start + block.size] = value, error
-
-    prefactor = 3.0 * HBAR_REDUCED / (2.0 * np.pi * atom_a.dipole_weight * atom_b.alpha0)
-    return -atom_a.offres_sign * prefactor * results[0], prefactor * results[1]
+    return scale * results[0], prefactor * results[1]
 
 
 def force(system: HalfSpaceSystem, atom_a: Atom, atom_b: Atom, pos: AtomPositions):

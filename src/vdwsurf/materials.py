@@ -163,6 +163,17 @@ class Material:
             return self._lorentz(-xi * xi, -xi)
         return np.full(xi.shape, self.eps_const)
 
+    def _eps(self, w2, iw, poles: _Poles):
+        """``_lorentz`` for an oscillator, else ``eps_const`` (a complex scalar even over an array).
+
+        The resonance is checked against the caller's ``poles``: it raises for
+        a scalar; a flagged array element is left as the formula gives it, for
+        the caller to blank.
+        """
+        if self.kind is MaterialKind.LORENTZ:
+            return self._lorentz(w2, iw, poles)
+        return self.eps_const
+
     def _lorentz(self, w2, iw, poles: _Poles | None = None):
         """The oscillator formula from ``w2`` = omega**2 and ``iw`` = 1j*omega.
 
@@ -266,14 +277,16 @@ def _coupling(e_u, e_l, poles: _Poles | None = None):
 
     Returns ``(18 e e_m / ((e + e_m)(2e + 1)(2e_m + 1)), 2/(e + e_m))`` for
     complex permittivities (scalars or CArrays) or real ones (imaginary
-    axis), after checking the screening and Onsager cavity poles.
+    axis), after checking the screening and Onsager cavity poles; |e| and
+    |e_m| are taken once each for both checks.  A medium's own resonance is
+    the caller's to check (``Material._eps``), against the same ``poles``.
     """
     s = e_u + e_l
     if poles is not None:
-        # an array eps is NaN where an undamped medium sits on its resonance
-        poles.check(np.isnan(abs(e_u)) | np.isnan(abs(e_l)), RESONANCE_POLE)
-        poles.check(_pole(s, abs(e_u) + abs(e_l) + 1.0), "average permittivity vanishes at {name} = {}")
-        poles.check(_cavity_pole(e_u) | _cavity_pole(e_l), "Onsager cavity pole at {name} = {}")
+        a_u, a_l = abs(e_u), abs(e_l)
+        poles.check(_pole(s, a_u + a_l + 1.0), "average permittivity vanishes at {name} = {}")
+        cavity = _pole(2.0 * e_u + 1.0, 1.0 + 2.0 * a_u) | _pole(2.0 * e_l + 1.0, 1.0 + 2.0 * a_l)
+        poles.check(cavity, "Onsager cavity pole at {name} = {}")
     return 18.0 * e_u * e_l / (s * (2.0 * e_u + 1.0) * (2.0 * e_l + 1.0)), 2.0 / s
 
 

@@ -28,8 +28,30 @@ import numpy as np
 
 from .errors import ParameterError, QuadratureError, _is_count, _is_finite, _shown
 
-_LO_X, _LO_W = np.polynomial.legendre.leggauss(7)
-_HI_X, _HI_W = np.polynomial.legendre.leggauss(15)
+# The 7- and 15-point Gauss-Legendre rules on [-1, 1], written out as
+# QUADPACK's qk routines do; each literal is bit for bit the value of
+# numpy.polynomial.legendre.leggauss(7) or (15), which would otherwise be
+# imported by every process for these 44 numbers.
+_LO_X = np.array([
+    -0.9491079123427586, -0.7415311855993945, -0.4058451513773972, 0.0,
+    0.4058451513773972, 0.7415311855993945, 0.9491079123427586,
+])
+_LO_W = np.array([
+    0.12948496616886973, 0.27970539148927687, 0.3818300505051187, 0.4179591836734693,
+    0.3818300505051187, 0.27970539148927687, 0.12948496616886973,
+])
+_HI_X = np.array([
+    -0.9879925180204854, -0.9372733924007058, -0.8482065834104272, -0.7244177313601701,
+    -0.5709721726085388, -0.3941513470775634, -0.20119409399743451, 0.0,
+    0.20119409399743451, 0.3941513470775634, 0.5709721726085388, 0.7244177313601701,
+    0.8482065834104272, 0.9372733924007058, 0.9879925180204854,
+])
+_HI_W = np.array([
+    0.030753241996117203, 0.0703660474881084, 0.10715922046717141, 0.13957067792615444,
+    0.16626920581699398, 0.1861610000155622, 0.1984314853271116, 0.2025782419255613,
+    0.1984314853271116, 0.1861610000155622, 0.16626920581699398, 0.13957067792615444,
+    0.10715922046717141, 0.0703660474881084, 0.030753241996117203,
+])
 # Both rules' abscissae on [-1, 1], and the weights that pick each rule out.
 _X = np.concatenate([_LO_X, _HI_X])
 _W = np.block([[_LO_W, np.zeros(_HI_X.size)], [np.zeros(_LO_X.size), _HI_W]])

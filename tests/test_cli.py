@@ -22,6 +22,8 @@ from vdwsurf.cli import (
     EXIT_QUADRATURE,
     EXIT_VALIDATION,
     _build_parser,
+    _json_cell,
+    _write_table,
     main,
 )
 from vdwsurf.config import load_config, resolve_config_path
@@ -309,6 +311,64 @@ def test_json_cells_match_csv_digits(tmp_path):
     header = lines[0].split(",")
     for row, line in zip(rows, lines[1:]):
         assert [row[k] for k in header] == [float(c) for c in line.split(",")]
+
+
+def _rowwise_write_table(path, fmt, header, rows):
+    """The table writer as it was before CSV was streamed: rows, then lines, then one text."""
+    if fmt == "json":
+        payload = [dict(zip(header, map(_json_cell, row))) for row in rows]
+        Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    else:
+        template = ",".join(["%.12g"] * len(header))
+        lines = [",".join(header)]
+        lines.extend(template % tuple(row) for row in rows)
+        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+_AWKWARD_CELLS = [
+    math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 0.1 + 0.2,
+    # each rounds at the 12th significant digit, up, down or to a carry
+    0.1234567890125, 1.99999999999951, 999999999999.5, 9.9999999999995e-05, 123456789012.45, 2.5e-12,
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("n_columns", range(1, 7))
+def test_streamed_table_equals_the_rowwise_writer_byte_for_byte(tmp_path, fmt, n_columns):
+    header = ["c%d" % j for j in range(n_columns)]
+    cells = _AWKWARD_CELLS * n_columns
+    columns = [cells[j:] + cells[:j] for j in range(n_columns)]  # every cell in every column
+    for n_rows in (0, 1, len(cells)):
+        got, want = tmp_path / "got", tmp_path / "want"
+        _write_table(str(got), fmt, header, zip(*(column[:n_rows] for column in columns)))
+        _rowwise_write_table(want, fmt, header, [list(row) for row in zip(*columns)][:n_rows])
+        assert got.read_bytes() == want.read_bytes()
+
+
+def test_no_command_imports_numpy_polynomial(tmp_path):
+    # the Gauss-Legendre rules are constants: no command needs numpy.polynomial
+    script = """
+import json, sys, vdwsurf.cli
+from vdwsurf.config import resolve_config_path
+
+cfg = json.loads(resolve_config_path("fig2").read_text())
+cfg["scan"]["include_offresonant"] = True
+offresonant = sys.argv[1] + "offresonant.json"
+json.dump(cfg, open(offresonant, "w"))
+for command, config in (
+    ("spectrum", offresonant), ("enhancement", "fig2"), ("peaks", "fig2"), ("validate", "fig2")
+):
+    if vdwsurf.cli.main([command, "--config", config, "--out", sys.argv[1] + command]) != 0:
+        sys.exit(command + " failed on " + config)
+if "numpy.polynomial" in sys.modules:
+    sys.exit("numpy.polynomial was loaded")
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(vdwsurf.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "fig2-")], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert len((tmp_path / "fig2-spectrum").read_text().splitlines()[1].split(",")) == 6
 
 
 _FIG2 = json.loads(resolve_config_path("fig2").read_text())

@@ -258,6 +258,17 @@ class TestOffresonantPotential:
             offresonant_potential(sapphire_system, Atom(omega0=1.0), atom_b, quad=quad)
         assert info.value.value.shape == info.value.error_estimate.shape == (1,)
 
+    def test_budget_error_payload_is_in_units_of_u0(self, sapphire_system):
+        # the payload is scaled like the return value; the message keeps the integral over t
+        a, b = Atom(omega0=1.0, dipole_weight=0.5), Atom(omega0=0.9, gamma=1e-3, alpha0=2.0)
+        converged, estimate = offresonant_potential(sapphire_system, a, b, full_output=True)
+        quad = QuadratureSpec(rel_tol=1e-12, max_panels=3)
+        with pytest.raises(QuadratureError, match=r"no convergence within 3 panels \(error estimate 3\.3") as info:
+            offresonant_potential(sapphire_system, a, b, quad=quad)
+        assert_allclose(info.value.value, [converged], rtol=1e-6)
+        assert 0.0 < info.value.error_estimate[0] < 1e-6 * abs(converged)
+        assert estimate < info.value.error_estimate[0]
+
     def test_small_against_resonant_near_surface_mode(self, sapphire_system, atom_b):
         a = Atom(omega0=1.0)
         res = resonant_potential(sapphire_system, a, atom_b)

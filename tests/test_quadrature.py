@@ -9,6 +9,15 @@ from vdwsurf import ParameterError, QuadratureError, QuadratureSpec, adaptive_ga
 from vdwsurf.quadrature import oscillatory_tail
 
 
+def test_rules_equal_leggauss_bit_for_bit():
+    # the package writes the rules out; only this test imports numpy.polynomial
+    from numpy.polynomial.legendre import leggauss
+
+    for n, (x, w) in ((7, (quadrature._LO_X, quadrature._LO_W)), (15, (quadrature._HI_X, quadrature._HI_W))):
+        want_x, want_w = leggauss(n)
+        assert x.tobytes() == want_x.tobytes() and w.tobytes() == want_w.tobytes()
+
+
 def test_polynomial_is_exact():
     val, err, panels = adaptive_gauss(lambda x: x**3 - 2 * x, 0.0, 2.0)
     assert_allclose(val, 0.0, atol=1e-13)
