@@ -17,6 +17,7 @@ import math
 import os
 import sys
 from dataclasses import replace
+from itertools import islice
 from pathlib import Path
 
 from .config import RunConfig, _config_error, load_config, resolve_config_path
@@ -38,27 +39,50 @@ def _write_text(path: str, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
-def _json_cell(x):
+def _json_cell(x) -> str:
     """JSON table cell: 12 significant digits like CSV; null for NaN or inf."""
-    return float("%.12g" % x) if math.isfinite(x) else None
+    return repr(float("%.12g" % x)) if math.isfinite(x) else "null"
+
+
+_BLOCK = 256  # rows formatted and written per write call
 
 
 def _write_table(path: str, fmt: str, header: list, rows) -> None:
     """Rows of float cells in header order, as CSV or a JSON array.
 
-    ``rows`` is any iterable of row tuples; CSV is written to the open file
-    one row at a time, so no copy of the table is held as text.  CSV cells
-    hold up to 12 significant digits, trailing zeros trimmed, and ``nan``
-    for a missing value; JSON cells hold the same digits and null.
+    ``rows`` is any iterable of row tuples.  Both formats are streamed:
+    each row is formatted from one template (``template % row``), and the
+    rows are written as bytes in blocks of ``_BLOCK``, so no copy of the
+    table is held as text.  CSV cells hold up to 12 significant digits,
+    trailing zeros trimmed, and ``nan`` for a missing value; JSON cells hold
+    the same digits and null, and the file is byte for byte
+    ``json.dumps(payload, indent=2) + "\n"`` of the list of row objects.
     """
     if fmt == "json":
-        payload = [dict(zip(header, map(_json_cell, row))) for row in rows]
-        _write_text(path, json.dumps(payload, indent=2) + "\n")
+        fields = ",\n".join("    %s: %%s" % json.dumps(name).replace("%", "%%") for name in header)
+        template = "  {\n" + fields + "\n  }"
+
+        def line(row):
+            return template % tuple(map(_json_cell, row))
+
+        head, sep, tail, empty = "[", ",\n", "\n]\n", "]\n"
     else:
-        template = ",".join(["%.12g"] * len(header)) + "\n"
-        with open(path, "w", encoding="utf-8") as out:
-            out.write(",".join(header) + "\n")
-            out.writelines(map(template.__mod__, rows))
+        line = ",".join(["%.12g"] * len(header)).__mod__
+        head, sep, tail, empty = ",".join(header), "\n", "\n", "\n"
+    rows, count = iter(rows), 0
+    with open(path, "wb") as out:
+        out.write(head.encode())
+        while block := list(islice(rows, _BLOCK)):
+            # the first row follows the header line or the "[" on a new line
+            out.write(((sep if count else "\n") + sep.join(map(line, block))).encode())
+            count += len(block)
+        out.write((tail if count else empty).encode())
+
+
+def _row_blocks(table):
+    """The rows of a 2-d float array as tuples, converted to Python floats one block at a time."""
+    for start in range(0, len(table), _BLOCK):
+        yield from map(tuple, table[start : start + _BLOCK].tolist())
 
 
 def _out_path(cfg: RunConfig, args, default: str) -> tuple:
@@ -73,7 +97,7 @@ _SPECTRUM_HEADER = ["omega_over_ref", "u_resonant", "u_resonant_no_lf", "g", "g_
 def cmd_spectrum(cfg: RunConfig, args) -> int:
     table, _ = _spectrum_table(cfg.system, cfg.atom_a, cfg.atom_b, cfg.scan, cfg.quadrature)
     path, fmt = _out_path(cfg, args, "vdw_spectrum.csv")
-    _write_table(path, fmt, _SPECTRUM_HEADER[: table.shape[1]], zip(*table.T.tolist()))
+    _write_table(path, fmt, _SPECTRUM_HEADER[: table.shape[1]], _row_blocks(table))
     log.info("wrote %d spectrum rows to %s", len(table), path)
     return EXIT_OK
 

@@ -72,7 +72,7 @@ class AtomPositions:
 
     @property
     def distance(self) -> float:
-        return float(np.linalg.norm(self.r_vec))
+        return float(_norm(self.r_vec))
 
     @property
     def rho(self) -> float:
@@ -155,9 +155,14 @@ def near_field_tensor(r_vec) -> np.ndarray:
     return _dipole_tensor(_coordinates("r_vec", r_vec))
 
 
+def _norm(r_vec):
+    """Length of a 3-vector by hypot, which does not overflow; np.linalg.norm would call BLAS."""
+    return np.hypot.reduce(r_vec)
+
+
 def _dipole_tensor(r_vec) -> np.ndarray:
     """:func:`near_field_tensor` of three floats already checked finite (an AtomPositions separation)."""
-    r = np.linalg.norm(r_vec)
+    r = _norm(r_vec)
     if r == 0.0:
         raise ParameterError("zero separation", "r_vec")
     rhat = r_vec / r
@@ -411,10 +416,11 @@ def _sommerfeld_many(
         flat = np.sum([_result(next(outcomes))[0] for _ in range(count)], axis=0)
         for name, value in zip(COMPONENTS, flat):
             frame[_COMPONENT_INDEX[name]] += value
-        # Rotate from the frame aligned with the in-plane separation back to lab axes.
+        # Rotate from the frame aligned with the in-plane separation back to
+        # lab axes, R F R^T in numpy's einsum loop rather than BLAS.
         c, s = np.cos(phi), np.sin(phi)
         rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-        green = rot @ frame @ rot.T * cavity
+        green = np.einsum("ij,jk,lk->il", rot, frame, rot) * cavity
         if not np.all(np.isfinite(green)):
             raise SingularityError("non-finite Green tensor")
         greens.append(green)
@@ -448,8 +454,7 @@ def transmission_green(
         # the mirror system has the same two cavity factors, and scalars
         # commute with the mirror conjugation
         green = sommerfeld_green(flipped, omega, pos, quad, local_field)
-        flip = np.diag(mirror)
-        return flip @ green @ flip
+        return green * np.outer(mirror, mirror)
     raise ParameterError("observation and source must sit on opposite sides of the interface", "r_obs", "r_src")
 
 

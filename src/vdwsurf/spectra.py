@@ -222,10 +222,14 @@ def _find_peaks(
     """:func:`find_peaks` on columns: ``metric`` is |u_resonant| at ``omegas``.
 
     Both arrays hold the unflagged grid points only, in frequency order.
+    The grid step is the median step, taken as np.median takes it (the
+    middle of the sorted steps, or the mean of the two middle ones) without
+    np.median, which loads numpy.ma into the process.
     """
     if len(metric) < 3:
         return []
-    grid_step = float(np.median(np.diff(omegas)))
+    steps = np.sort(np.diff(omegas))
+    grid_step = float(np.mean(steps[(steps.size - 1) // 2 : steps.size // 2 + 1]))
 
     def evaluator(w: float) -> float:
         res = resonant_potential(system, Atom(omega0=w), atom_b)

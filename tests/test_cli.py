@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import copy
 import io
@@ -22,7 +23,6 @@ from vdwsurf.cli import (
     EXIT_QUADRATURE,
     EXIT_VALIDATION,
     _build_parser,
-    _json_cell,
     _write_table,
     main,
 )
@@ -314,9 +314,13 @@ def test_json_cells_match_csv_digits(tmp_path):
 
 
 def _rowwise_write_table(path, fmt, header, rows):
-    """The table writer as it was before CSV was streamed: rows, then lines, then one text."""
+    """The table writer as it was before either format was streamed: rows, then lines, then one text."""
     if fmt == "json":
-        payload = [dict(zip(header, map(_json_cell, row))) for row in rows]
+
+        def cell(x):
+            return float("%.12g" % x) if math.isfinite(x) else None
+
+        payload = [dict(zip(header, map(cell, row))) for row in rows]
         Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     else:
         template = ",".join(["%.12g"] * len(header))
@@ -337,8 +341,9 @@ _AWKWARD_CELLS = [
 def test_streamed_table_equals_the_rowwise_writer_byte_for_byte(tmp_path, fmt, n_columns):
     header = ["c%d" % j for j in range(n_columns)]
     cells = _AWKWARD_CELLS * n_columns
-    columns = [cells[j:] + cells[:j] for j in range(n_columns)]  # every cell in every column
-    for n_rows in (0, 1, len(cells)):
+    # every cell in every column; 255 to 513 rows cross the edges of the writer's 256-row blocks
+    columns = [((cells[j:] + cells[:j]) * 33)[:513] for j in range(n_columns)]
+    for n_rows in (0, 1, len(cells), 255, 256, 257, 513):
         got, want = tmp_path / "got", tmp_path / "want"
         _write_table(str(got), fmt, header, zip(*(column[:n_rows] for column in columns)))
         _rowwise_write_table(want, fmt, header, [list(row) for row in zip(*columns)][:n_rows])
@@ -346,7 +351,9 @@ def test_streamed_table_equals_the_rowwise_writer_byte_for_byte(tmp_path, fmt, n
 
 
 def test_no_command_imports_numpy_polynomial(tmp_path):
-    # the Gauss-Legendre rules are constants: no command needs numpy.polynomial
+    # the Gauss-Legendre rules are constants: no command needs numpy.polynomial;
+    # and peaks takes its median grid step by a sort, not by np.median, which
+    # loads numpy.ma
     script = """
 import json, sys, vdwsurf.cli
 from vdwsurf.config import resolve_config_path
@@ -360,8 +367,9 @@ for command, config in (
 ):
     if vdwsurf.cli.main([command, "--config", config, "--out", sys.argv[1] + command]) != 0:
         sys.exit(command + " failed on " + config)
-if "numpy.polynomial" in sys.modules:
-    sys.exit("numpy.polynomial was loaded")
+for module in ("numpy.polynomial", "numpy.ma"):
+    if module in sys.modules:
+        sys.exit(module + " was loaded")
 """
     env = dict(os.environ, PYTHONPATH=str(Path(vdwsurf.__file__).resolve().parent.parent))
     proc = subprocess.run(
@@ -369,6 +377,55 @@ if "numpy.polynomial" in sys.modules:
     )
     assert proc.returncode == EXIT_OK, proc.stderr
     assert len((tmp_path / "fig2-spectrum").read_text().splitlines()[1].split(",")) == 6
+
+
+# what would run on BLAS: numpy's linear-algebra entry points, and einsum
+# with optimize=, which may hand its contractions to tensordot
+_BLAS_NAMES = {"matmul", "dot", "vdot", "inner", "tensordot", "linalg"}
+
+
+def _blas_uses(tree):
+    """(line, what) of every use in ``tree`` of the @ operator or of a _BLAS_NAMES entry point."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            yield node.lineno, "@"
+        elif isinstance(node, ast.Attribute) and node.attr in _BLAS_NAMES:
+            yield node.lineno, node.attr
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in _BLAS_NAMES:
+            yield node.lineno, node.func.id
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name for alias in node.names] + [getattr(node, "module", None) or ""]
+            yield from ((node.lineno, name) for name in names if _BLAS_NAMES & set(name.split(".")))
+        if isinstance(node, ast.Call) and any(keyword.arg == "optimize" for keyword in node.keywords):
+            yield node.lineno, "optimize="
+
+
+def test_no_module_calls_blas():
+    # every command runs on numpy's own loops: a BLAS call would fault the
+    # OpenBLAS library's pages into the process for a few tiny products
+    found = [
+        f"{path.name}:{line}: {what}"
+        for path in sorted(Path(vdwsurf.__file__).parent.glob("*.py"))
+        for line, what in _blas_uses(ast.parse(path.read_text(), str(path)))
+    ]
+    assert not found, found
+
+
+def test_the_blas_scan_sees_each_form():
+    source = """
+a @ b
+a @= b
+np.matmul(a, b)
+x.dot(y)
+np.linalg.norm(x)
+from numpy import inner
+import numpy.linalg
+np.einsum("ij,jk", a, b, optimize=True)
+"""
+    assert [what for _, what in sorted(_blas_uses(ast.parse(source)))] == [
+        "@", "@", "matmul", "dot", "linalg", "inner", "numpy.linalg", "optimize="
+    ]
+    assert not list(_blas_uses(ast.parse("inner = x[1:-1]\nnp.einsum('ij,jk', a, b)")))
 
 
 _FIG2 = json.loads(resolve_config_path("fig2").read_text())

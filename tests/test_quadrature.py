@@ -119,6 +119,40 @@ def test_panel_is_looked_up_per_call_and_sees_every_batch(monkeypatch):
     assert sum(batches) == 1 + 2 * (panels - 1)
 
 
+_RNG_VALUES = np.random.default_rng(24).standard_normal((4, 64 * 22, 5)) * np.logspace(-6, 6, 5)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        lambda i: _RNG_VALUES[0, i, 0],  # a real scalar
+        lambda i: _RNG_VALUES[0, i],  # a real vector
+        lambda i: _RNG_VALUES[1, i] + 1j * _RNG_VALUES[2, i],  # a complex vector
+        lambda i: (_RNG_VALUES[1, i] - 1j * _RNG_VALUES[3, i]).T[::2].T,  # a complex view of every other column
+    ],
+    ids=["real-scalar", "real-vector", "complex-vector", "non-contiguous"],
+)
+def test_panel_sums_are_the_panels_own_and_match_a_matrix_product(values):
+    # f(x) returns the values stored for the abscissae' indices, so a panel
+    # sees the same values alone and inside any batch
+    lefts = np.cumsum(np.linspace(0.5, 2.0, 64))
+    rights = lefts + np.linspace(0.25, 1.5, 64)
+    batch = quadrature._panel(lambda x: values(np.arange(x.size)), lefts, rights)
+    for p in range(64):
+        own = np.arange(22 * p, 22 * (p + 1))
+        alone = quadrature._panel(lambda x: values(own), lefts[p : p + 1], rights[p : p + 1])
+        for got, want in zip(alone, batch):
+            assert got[0].tobytes() == want[p].tobytes()
+    # the rule sums of a matrix product, rounded otherwise, are a few ulp away
+    y = np.asarray(values(np.arange(64 * 22))).reshape(64, 22, -1)
+    half = (0.5 * (rights - lefts))[:, None]
+    lo, hi = np.matmul(quadrature._W, y).transpose(1, 0, 2) * half
+    size = np.matmul(quadrature._W, np.abs(y)).max(axis=1) * half  # the magnitude both sums round at
+    value, error = (x.reshape(hi.shape) for x in batch)
+    assert np.all(np.abs(value - hi) <= 8 * np.finfo(float).eps * size)
+    assert np.all(np.abs(error - np.abs(hi - lo)) <= 16 * np.finfo(float).eps * size)
+
+
 @given(max_panels=st.integers(min_value=1, max_value=40))
 @settings(max_examples=40, deadline=None)
 def test_budget_is_never_exceeded(max_panels):

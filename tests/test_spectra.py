@@ -22,6 +22,7 @@ from vdwsurf import (
     quadrature,
     scan_enhancement,
     scan_spectrum,
+    spectra,
     surface_mode_frequency,
 )
 from vdwsurf.spectra import _spectrum_table
@@ -296,6 +297,32 @@ class TestFindPeaks:
         for kind, peak in coarse_peaks.items():
             shift = abs(peak.location - dense_peaks[kind].location)
             assert shift <= tol * abs(peak.location)
+
+    @pytest.mark.parametrize("n_points", [200, 201, 2000])
+    def test_grid_step_is_the_median_step_bit_for_bit(self, vacuum_system, n_points, monkeypatch):
+        # flagged rows leave gaps, so the steps differ; each round flags 3
+        # more rows, which alternates odd and even step counts
+        far = Atom(omega0=5.0, gamma=1e-3)
+        rows = scan_spectrum(vacuum_system, Atom(omega0=1.0), far, ScanSpec(0.7, 1.3, n_points))
+        steps, known_modes = [], spectra._known_modes
+
+        def spy(system, atom_b, grid_step):
+            steps.append(grid_step)
+            return known_modes(system, atom_b, grid_step)
+
+        monkeypatch.setattr(spectra, "_known_modes", spy)
+        rng = np.random.default_rng(n_points)
+        for flagged in range(0, 30, 3):
+            marked = set(rng.choice(n_points, flagged, replace=False).tolist())
+            scanned = [replace(row, error="pole") if i in marked else row for i, row in enumerate(rows)]
+            find_peaks(vacuum_system, far, scanned)
+            omegas = [row.omega for i, row in enumerate(rows) if i not in marked]
+            assert steps.pop() == float(np.median(np.diff(omegas)))
+        # and on uneven grids of 2 to 41 steps
+        for n in range(3, 43):
+            omegas = np.cumsum(rng.uniform(0.01, 0.02, n))
+            spectra._find_peaks(vacuum_system, far, omegas, np.zeros(n))
+            assert steps.pop() == float(np.median(np.diff(omegas)))
 
     def test_widths_resolve_line_scales(self, sapphire_system, sapphire, atom_b, fig_rows):
         peaks = {p.kind: p for p in find_peaks(sapphire_system, atom_b, fig_rows)}
