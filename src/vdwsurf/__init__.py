@@ -19,18 +19,6 @@ from .errors import (
     ValidityWarning,
     VdwError,
 )
-from .greens import (
-    COMPONENTS,
-    AtomPositions,
-    NonretardedLimitReport,
-    fresnel_t,
-    kspace_green,
-    near_field_tensor,
-    nonretarded_green,
-    nonretarded_limit_check,
-    sommerfeld_green,
-    transmission_green,
-)
 from .interaction import (
     Atom,
     PotentialResult,
@@ -44,6 +32,7 @@ from .interaction import (
     resonant_terms,
 )
 from .materials import (
+    AtomPositions,
     HalfSpaceSystem,
     Material,
     MaterialKind,
@@ -117,3 +106,18 @@ __all__ = [
     "transmission_green",
     "__version__",
 ]
+
+# Of the commands, only ``vdw validate`` runs the Green-function layer, so
+# ``vdwsurf.greens`` and its public names (those of __all__ not bound above)
+# are imported at first use (PEP 562): the table commands never load it.
+def __getattr__(name):
+    if name == "greens" or name in __all__:
+        from importlib import import_module  # ``from . import greens`` would call this function again
+
+        greens = import_module(".greens", __name__)
+        return greens if name == "greens" else getattr(greens, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, "greens"})

@@ -22,9 +22,9 @@ from pathlib import Path
 
 from .config import RunConfig, _config_error, load_config, resolve_config_path
 from .errors import ConfigError, ParameterError, QuadratureError, VdwError
-from .greens import AtomPositions, nonretarded_limit_check
 from .interaction import resonant_terms
-from .spectra import _find_peaks, _spectrum_table, scan_enhancement
+from .materials import AtomPositions
+from .spectra import _find_peaks, _spectrum_table
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -79,10 +79,10 @@ def _write_table(path: str, fmt: str, header: list, rows) -> None:
         out.write((tail if count else empty).encode())
 
 
-def _row_blocks(table):
-    """The rows of a 2-d float array as tuples, converted to Python floats one block at a time."""
-    for start in range(0, len(table), _BLOCK):
-        yield from map(tuple, table[start : start + _BLOCK].tolist())
+def _row_blocks(columns):
+    """The rows of equal-length float columns as tuples, converted to Python floats one block at a time."""
+    for start in range(0, len(columns[0]), _BLOCK):
+        yield from zip(*(column[start : start + _BLOCK].tolist() for column in columns))
 
 
 def _out_path(cfg: RunConfig, args, default: str) -> tuple:
@@ -97,20 +97,23 @@ _SPECTRUM_HEADER = ["omega_over_ref", "u_resonant", "u_resonant_no_lf", "g", "g_
 def cmd_spectrum(cfg: RunConfig, args) -> int:
     table, _ = _spectrum_table(cfg.system, cfg.atom_a, cfg.atom_b, cfg.scan, cfg.quadrature)
     path, fmt = _out_path(cfg, args, "vdw_spectrum.csv")
-    _write_table(path, fmt, _SPECTRUM_HEADER[: table.shape[1]], _row_blocks(table))
+    _write_table(path, fmt, _SPECTRUM_HEADER[: table.shape[1]], _row_blocks(table.T))
     log.info("wrote %d spectrum rows to %s", len(table), path)
     return EXIT_OK
 
 
 def cmd_enhancement(cfg: RunConfig, args) -> int:
-    rows = scan_enhancement(cfg.system, cfg.scan)
+    """The rows of :func:`~vdwsurf.spectra.scan_enhancement`, streamed from the columns
+    of one :func:`~vdwsurf.interaction.resonant_terms` call, without a list of rows."""
+    terms = resonant_terms(cfg.system, cfg.scan.grid())
     path, fmt = _out_path(cfg, args, "vdw_enhancement.csv")
-    _write_table(path, fmt, ["omega_over_ref", "g", "g_no_lf"], rows)
-    log.info("wrote %d enhancement rows to %s", len(rows), path)
+    _write_table(path, fmt, ["omega_over_ref", "g", "g_no_lf"], _row_blocks((terms.omega, terms.g, terms.g_no_lf)))
+    log.info("wrote %d enhancement rows to %s", len(terms.omega), path)
     return EXIT_OK
 
 
 def cmd_peaks(cfg: RunConfig, args) -> int:
+    """The refined, classified peaks as a JSON array; ``output.format`` does not apply."""
     terms = resonant_terms(cfg.system, cfg.scan.grid(), cfg.atom_b)
     clean = ~terms.flagged
     peaks = _find_peaks(cfg.system, cfg.atom_b, terms.omega[clean], abs(terms.u[clean]))
@@ -130,6 +133,12 @@ def cmd_peaks(cfg: RunConfig, args) -> int:
 
 
 def cmd_validate(cfg: RunConfig, args) -> int:
+    """The convergence table as CSV, whatever ``output.format``.
+
+    greens is imported here: no other command runs it.
+    """
+    from .greens import nonretarded_limit_check
+
     v = cfg.validate
     pos = AtomPositions(v.r_a, v.r_b)
     report = nonretarded_limit_check(

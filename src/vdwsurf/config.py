@@ -25,16 +25,22 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .errors import ConfigError, ParameterError, _is_finite
-from .greens import ValidateSpec
+from .errors import ConfigError, ParameterError, _is_finite, _shown
 from .interaction import Atom
-from .materials import HalfSpaceSystem, Material, preset
+from .materials import AtomPositions, HalfSpaceSystem, Material, preset
 from .quadrature import QuadratureSpec
 from .spectra import ScanSpec
 
 
 @dataclass(frozen=True)
 class OutputSpec:
+    """The path a ``vdw`` command writes to, and the format of its table.
+
+    ``format`` ("csv" or "json") applies to ``vdw spectrum`` and
+    ``vdw enhancement`` only: ``vdw peaks`` always writes JSON and
+    ``vdw validate`` always writes CSV, whatever the format or the path's suffix.
+    """
+
     path: str
     format: str = "csv"
 
@@ -43,6 +49,32 @@ class OutputSpec:
             raise ParameterError("path must not be empty", "path")
         if self.format not in ("csv", "json"):
             raise ParameterError(f"format must be 'csv' or 'json', got {self.format!r}", "format")
+
+
+@dataclass(frozen=True)
+class ValidateSpec:
+    """Frequency, geometry, scale ladder and pass tolerance of one
+    :func:`~vdwsurf.greens.nonretarded_limit_check`, as ``vdw validate`` runs it.
+
+    Atom A at ``r_a`` sits in the upper medium, atom B at ``r_b`` in the
+    lower one.
+    """
+
+    omega: float = 0.5
+    scales: tuple[float, ...] = (0.1, 0.01, 0.001)
+    r_a: tuple[float, float, float] = (0.0, 0.0, 1.0)
+    r_b: tuple[float, float, float] = (1.0, 0.0, -1.0)
+    tolerance: float = 0.01
+
+    def __post_init__(self):
+        if not self.scales:
+            raise ParameterError("scales must not be empty", "scales")
+        positive = {"omega": self.omega, "tolerance": self.tolerance}
+        positive.update((f"scales[{i}]", s) for i, s in enumerate(self.scales))
+        for name, value in positive.items():
+            if not (value > 0.0 and _is_finite(value)):
+                raise ParameterError(f"{name} must be positive and finite, got {_shown(value)}", name)
+        AtomPositions(self.r_a, self.r_b)  # the position rules, fields named alike
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import ParameterError, SingularityError, _is_finite, _shown
-from .materials import HalfSpaceSystem, _coupling, _pole, _Poles, local_field_factor
+from .materials import AtomPositions, HalfSpaceSystem, _coordinates, _coupling, _norm, _pole, _Poles, local_field_factor
 from .quadrature import QuadratureSpec, _bisection, _integrate_many, _result, _tail
 
 #: Tensor components that are generally nonzero in the frame whose x axis is
@@ -35,54 +35,6 @@ from .quadrature import QuadratureSpec, _bisection, _integrate_many, _result, _t
 COMPONENTS = ("xx", "yy", "zz", "xz", "zx")
 
 _COMPONENT_INDEX = {"xx": (0, 0), "yy": (1, 1), "zz": (2, 2), "xz": (0, 2), "zx": (2, 0)}
-
-
-def _coordinates(name: str, value) -> np.ndarray:
-    """``value`` as three floats; ParameterError naming ``name[i]`` unless each is finite as a float."""
-    coords = np.asarray(value, dtype=object).reshape(3)
-    for i, x in enumerate(coords):
-        if not _is_finite(x):
-            raise ParameterError(f"{name}[{i}] must be finite, got {_shown(x)}", f"{name}[{i}]")
-    return coords.astype(float)
-
-
-@dataclass(frozen=True, eq=False)
-class AtomPositions:
-    """Positions of the two atoms, strictly on opposite sides of z = 0.
-
-    ``r_a`` must have z > 0 (upper medium), ``r_b`` z < 0 (lower medium).
-    Lengths are reduced by c/omega_ref.
-    """
-
-    r_a: np.ndarray
-    r_b: np.ndarray
-
-    def __post_init__(self):
-        for name in ("r_a", "r_b"):
-            object.__setattr__(self, name, _coordinates(name, getattr(self, name)))
-        if not (self.r_a[2] > 0.0):
-            raise ParameterError(f"r_a[2] must be > 0 (upper medium), got {float(self.r_a[2])!r}", "r_a[2]")
-        if not (self.r_b[2] < 0.0):
-            raise ParameterError(f"r_b[2] must be < 0 (lower medium), got {float(self.r_b[2])!r}", "r_b[2]")
-
-    @property
-    def r_vec(self) -> np.ndarray:
-        """Separation vector r_a - r_b."""
-        return self.r_a - self.r_b
-
-    @property
-    def distance(self) -> float:
-        return float(_norm(self.r_vec))
-
-    @property
-    def rho(self) -> float:
-        """In-plane separation."""
-        return float(np.hypot(*(self.r_a[:2] - self.r_b[:2])))
-
-    def scaled(self, s: float) -> "AtomPositions":
-        if not (s > 0.0 and _is_finite(s)):
-            raise ParameterError(f"scale must be positive and finite, got {_shown(s)}", "scale")
-        return AtomPositions(s * self.r_a, s * self.r_b)
 
 
 #: Layout of the Bessel coefficient table ``data/bessel_j012.npy``, which
@@ -153,11 +105,6 @@ def _upward_root(z):
 def near_field_tensor(r_vec) -> np.ndarray:
     """Instantaneous dipole tensor (3*rr - I)/r^3 for a separation vector."""
     return _dipole_tensor(_coordinates("r_vec", r_vec))
-
-
-def _norm(r_vec):
-    """Length of a 3-vector by hypot, which does not overflow; np.linalg.norm would call BLAS."""
-    return np.hypot.reduce(r_vec)
 
 
 def _dipole_tensor(r_vec) -> np.ndarray:
@@ -535,32 +482,6 @@ class NonretardedLimitReport:
         if devs[0] == 0.0 or devs[1] == 0.0:
             return float("nan")
         return float(np.log(devs[1] / devs[0]) / np.log(scales[1] / scales[0]))
-
-
-@dataclass(frozen=True)
-class ValidateSpec:
-    """Frequency, geometry, scale ladder and pass tolerance of one
-    :func:`nonretarded_limit_check`, as ``vdw validate`` runs it.
-
-    Atom A at ``r_a`` sits in the upper medium, atom B at ``r_b`` in the
-    lower one.
-    """
-
-    omega: float = 0.5
-    scales: tuple[float, ...] = (0.1, 0.01, 0.001)
-    r_a: tuple[float, float, float] = (0.0, 0.0, 1.0)
-    r_b: tuple[float, float, float] = (1.0, 0.0, -1.0)
-    tolerance: float = 0.01
-
-    def __post_init__(self):
-        if not self.scales:
-            raise ParameterError("scales must not be empty", "scales")
-        positive = {"omega": self.omega, "tolerance": self.tolerance}
-        positive.update((f"scales[{i}]", s) for i, s in enumerate(self.scales))
-        for name, value in positive.items():
-            if not (value > 0.0 and _is_finite(value)):
-                raise ParameterError(f"{name} must be positive and finite, got {_shown(value)}", name)
-        AtomPositions(self.r_a, self.r_b)  # the position rules, fields named alike
 
 
 def nonretarded_limit_check(

@@ -24,8 +24,8 @@ from .errors import (
     _is_finite,
     _shown,
 )
-from .greens import AtomPositions
 from .materials import (
+    AtomPositions,
     HalfSpaceSystem,
     Material,
     MaterialKind,

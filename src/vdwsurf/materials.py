@@ -1,4 +1,4 @@
-"""Half-space material response and interface mode frequencies.
+"""Half-space material response, interface mode frequencies and the two atoms' positions.
 
 Conventions used throughout the package:
 
@@ -214,6 +214,59 @@ class HalfSpaceSystem:
     def avg_eps(self, omega) -> complex:
         """Average permittivity (eps_upper + eps_lower)/2 of the media in contact."""
         return 0.5 * (self.upper.eps(omega) + self.lower.eps(omega))
+
+
+def _coordinates(name: str, value) -> np.ndarray:
+    """``value`` as three floats; ParameterError naming ``name[i]`` unless each is finite as a float."""
+    coords = np.asarray(value, dtype=object).reshape(3)
+    for i, x in enumerate(coords):
+        if not _is_finite(x):
+            raise ParameterError(f"{name}[{i}] must be finite, got {_shown(x)}", f"{name}[{i}]")
+    return coords.astype(float)
+
+
+def _norm(r_vec):
+    """Length of a 3-vector by hypot, which does not overflow; np.linalg.norm would call BLAS."""
+    return np.hypot.reduce(r_vec)
+
+
+@dataclass(frozen=True, eq=False)
+class AtomPositions:
+    """Positions of the two atoms, strictly on opposite sides of z = 0.
+
+    ``r_a`` must have z > 0 (upper medium), ``r_b`` z < 0 (lower medium).
+    Lengths are reduced by c/omega_ref.
+    """
+
+    r_a: np.ndarray
+    r_b: np.ndarray
+
+    def __post_init__(self):
+        for name in ("r_a", "r_b"):
+            object.__setattr__(self, name, _coordinates(name, getattr(self, name)))
+        if not (self.r_a[2] > 0.0):
+            raise ParameterError(f"r_a[2] must be > 0 (upper medium), got {float(self.r_a[2])!r}", "r_a[2]")
+        if not (self.r_b[2] < 0.0):
+            raise ParameterError(f"r_b[2] must be < 0 (lower medium), got {float(self.r_b[2])!r}", "r_b[2]")
+
+    @property
+    def r_vec(self) -> np.ndarray:
+        """Separation vector r_a - r_b."""
+        return self.r_a - self.r_b
+
+    @property
+    def distance(self) -> float:
+        return float(_norm(self.r_vec))
+
+    @property
+    def rho(self) -> float:
+        """In-plane separation."""
+        return float(np.hypot(*(self.r_a[:2] - self.r_b[:2])))
+
+    def scaled(self, s: float) -> "AtomPositions":
+        if not (s > 0.0 and _is_finite(s)):
+            raise ParameterError(f"scale must be positive and finite, got {_shown(s)}", "scale")
+        return AtomPositions(s * self.r_a, s * self.r_b)
 
 
 # Poles are reported as errors instead of propagating inf; the detection

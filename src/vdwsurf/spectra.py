@@ -135,9 +135,11 @@ def scan_spectrum(
 
 
 def scan_enhancement(system: HalfSpaceSystem, scan: ScanSpec):
-    """Enhancement factors over the scan grid as (omega, g, g_no_lf) rows.
+    """Enhancement factors over the scan grid as a list of (omega, g, g_no_lf) rows.
 
-    Rows at a pole carry NaN factors.
+    Rows at a pole carry NaN factors.  The columns come from one
+    :func:`resonant_terms` call; ``vdw enhancement`` writes the same rows
+    streamed from those columns, without building this list.
     """
     terms = resonant_terms(system, scan.grid())
     return list(zip(terms.omega.tolist(), terms.g.tolist(), terms.g_no_lf.tolist()))

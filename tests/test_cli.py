@@ -685,3 +685,57 @@ if scipy_modules():
     )
     assert proc.returncode == EXIT_OK, proc.stderr
     assert (tmp_path / "fig2-validate").read_text().startswith("scale,component,ratio_re,ratio_im")
+
+
+def test_table_commands_do_not_import_greens(tmp_path):
+    # only validate runs the Green-function layer: the table commands must not
+    # compile or hold it, and validate imports it when it runs
+    script = """
+import sys, vdwsurf.cli
+
+for command in ("spectrum", "enhancement", "peaks"):
+    if vdwsurf.cli.main([command, "--config", "fig2", "--out", sys.argv[1] + command]) != 0:
+        sys.exit(command + " failed on fig2")
+if "vdwsurf.greens" in sys.modules:
+    sys.exit("vdwsurf.greens was loaded by the table commands")
+if vdwsurf.cli.main(["validate", "--config", "fig2", "--out", sys.argv[1] + "validate"]) != 0:
+    sys.exit("validate failed on fig2")
+if "vdwsurf.greens" not in sys.modules:
+    sys.exit("validate ran without vdwsurf.greens")
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(vdwsurf.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "fig2-")], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("pole", [False, True])
+def test_enhancement_equals_the_writer_over_scan_enhancement(tmp_path, fmt, pole):
+    # fig2, or an undamped oscillator medium whose resonance is a grid point: that row is flagged
+    overrides = {"scan": {"omega_min": 0.5, "omega_max": 1.5, "n_points": 11}}
+    if pole:
+        lower = {"kind": "lorentz", "eta": 2.71, "eps0": 6.57, "gamma": 0.0, "omega_t": 1.0}
+        overrides["system"] = {"upper": "vacuum", "lower": lower, "omega_max": 3.0}
+    data = json.loads(resolve_config_path("fig2").read_text())
+    data.update(overrides, output={"path": "ignored", "format": fmt})
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(data))
+    loaded = load_config(cfg)
+    rows = scan_enhancement(loaded.system, loaded.scan)
+    assert any(math.isnan(row[1]) for row in rows) == pole
+    got, want = tmp_path / f"got.{fmt}", tmp_path / f"want.{fmt}"
+    assert main(["enhancement", "--config", str(cfg), "--out", str(got)]) == EXIT_OK
+    _write_table(str(want), fmt, ["omega_over_ref", "g", "g_no_lf"], rows)
+    assert got.read_bytes() == want.read_bytes()
+
+
+def test_output_format_applies_to_the_tables_only(tmp_path):
+    # validate writes CSV and peaks writes JSON, to the configured path, whatever the format says
+    validate = write_config(tmp_path, "v.json", output={"path": str(tmp_path / "v-out.json"), "format": "json"})
+    assert main(["validate", "--config", str(validate)]) == EXIT_OK
+    assert (tmp_path / "v-out.json").read_text().startswith("scale,component,ratio_re,ratio_im\n")
+    peaks = write_config(tmp_path, "p.json", output={"path": str(tmp_path / "p-out.csv"), "format": "csv"})
+    assert main(["peaks", "--config", str(peaks)]) == EXIT_OK
+    assert {p["kind"] for p in json.loads((tmp_path / "p-out.csv").read_text())} >= {"surface_mode", "cavity_mode"}

@@ -612,7 +612,7 @@ def test_fig2_validate_takes_at_most_4_integrand_calls(monkeypatch):
     # proportional to t^2 at the light lines, toward whose branch points
     # bisection in k halves one sweep at a time: 11 calls in k
     from vdwsurf.config import load_config, resolve_config_path
-    from vdwsurf.greens import ValidateSpec
+    from vdwsurf.config import ValidateSpec
 
     cfg = load_config(resolve_config_path("fig2"))
     spec = ValidateSpec()
