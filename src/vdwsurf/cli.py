@@ -17,14 +17,14 @@ import math
 import os
 import sys
 from dataclasses import replace
-from itertools import islice
 from pathlib import Path
+
+import numpy as np
 
 from .config import RunConfig, _config_error, load_config, resolve_config_path
 from .errors import ConfigError, ParameterError, QuadratureError, VdwError
-from .interaction import resonant_terms
 from .materials import AtomPositions
-from .spectra import _find_peaks, _spectrum_table
+from .spectra import _ENHANCEMENT, _find_peaks, _scan_blocks
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -44,18 +44,18 @@ def _json_cell(x) -> str:
     return repr(float("%.12g" % x)) if math.isfinite(x) else "null"
 
 
-_BLOCK = 256  # rows formatted and written per write call
+def _write_table(path: str, fmt: str, header: list, blocks) -> None:
+    """Blocks of float columns in header order, as CSV or a JSON array.
 
-
-def _write_table(path: str, fmt: str, header: list, rows) -> None:
-    """Rows of float cells in header order, as CSV or a JSON array.
-
-    ``rows`` is any iterable of row tuples.  Both formats are streamed:
-    each row is formatted from one template (``template % row``), and the
-    rows are written as bytes in blocks of ``_BLOCK``, so no copy of the
-    table is held as text.  CSV cells hold up to 12 significant digits,
-    trailing zeros trimmed, and ``nan`` for a missing value; JSON cells hold
-    the same digits and null, and the file is byte for byte
+    ``blocks`` is any iterable of blocks, each a list of equal-length float
+    arrays, one per header entry.  Both formats are streamed: each block's
+    rows are formatted from one template (``template % row``) and written as
+    bytes in one write, so no copy of the table is held as text.  The first
+    block is taken before the file is opened, so a scan that fails on its
+    first block leaves no file; one that fails later leaves the rows of the
+    blocks before it.  CSV cells hold up to 12 significant digits, trailing
+    zeros trimmed, and ``nan`` for a missing value; JSON cells hold the same
+    digits and null, and the file is byte for byte
     ``json.dumps(payload, indent=2) + "\n"`` of the list of row objects.
     """
     if fmt == "json":
@@ -69,20 +69,18 @@ def _write_table(path: str, fmt: str, header: list, rows) -> None:
     else:
         line = ",".join(["%.12g"] * len(header)).__mod__
         head, sep, tail, empty = ",".join(header), "\n", "\n", "\n"
-    rows, count = iter(rows), 0
+    blocks, count = iter(blocks), 0
+    block = next(blocks, None)
     with open(path, "wb") as out:
         out.write(head.encode())
-        while block := list(islice(rows, _BLOCK)):
-            # the first row follows the header line or the "[" on a new line
-            out.write(((sep if count else "\n") + sep.join(map(line, block))).encode())
-            count += len(block)
+        while block is not None:
+            if len(block[0]):
+                # the first row follows the header line or the "[" on a new line
+                rows = zip(*(column.tolist() for column in block))
+                out.write(((sep if count else "\n") + sep.join(map(line, rows))).encode())
+                count += len(block[0])
+            block = next(blocks, None)
         out.write((tail if count else empty).encode())
-
-
-def _row_blocks(columns):
-    """The rows of equal-length float columns as tuples, converted to Python floats one block at a time."""
-    for start in range(0, len(columns[0]), _BLOCK):
-        yield from zip(*(column[start : start + _BLOCK].tolist() for column in columns))
 
 
 def _out_path(cfg: RunConfig, args, default: str) -> tuple:
@@ -91,32 +89,48 @@ def _out_path(cfg: RunConfig, args, default: str) -> tuple:
     return path, fmt
 
 
+def _scan(cfg: RunConfig, atom_b=None, atom_a=None):
+    """The blocks of :func:`~vdwsurf.spectra._scan_blocks`; then one warning line if a grid point was flagged."""
+    flagged, first = 0, None
+    for columns, errors in _scan_blocks(cfg.system, cfg.scan, atom_b, atom_a, cfg.quadrature):
+        reasons = [error for error in errors if error is not None]
+        if reasons and first is None:
+            first = reasons[0]
+        flagged += len(reasons)
+        yield columns, errors
+    if flagged:
+        message = "%d of %d grid points are on a pole and have no value; the first: %s"
+        log.warning(message, flagged, cfg.scan.n_points, first)
+
+
 _SPECTRUM_HEADER = ["omega_over_ref", "u_resonant", "u_resonant_no_lf", "g", "g_no_lf", "u_offresonant"]
 
 
 def cmd_spectrum(cfg: RunConfig, args) -> int:
-    table, _ = _spectrum_table(cfg.system, cfg.atom_a, cfg.atom_b, cfg.scan, cfg.quadrature)
     path, fmt = _out_path(cfg, args, "vdw_spectrum.csv")
-    _write_table(path, fmt, _SPECTRUM_HEADER[: table.shape[1]], _row_blocks(table.T))
-    log.info("wrote %d spectrum rows to %s", len(table), path)
+    header = _SPECTRUM_HEADER[: 6 if cfg.scan.include_offresonant else 5]
+    _write_table(path, fmt, header, (columns for columns, _ in _scan(cfg, cfg.atom_b, cfg.atom_a)))
+    log.info("wrote %d spectrum rows to %s", cfg.scan.n_points, path)
     return EXIT_OK
 
 
 def cmd_enhancement(cfg: RunConfig, args) -> int:
-    """The rows of :func:`~vdwsurf.spectra.scan_enhancement`, streamed from the columns
-    of one :func:`~vdwsurf.interaction.resonant_terms` call, without a list of rows."""
-    terms = resonant_terms(cfg.system, cfg.scan.grid())
+    """The rows of :func:`~vdwsurf.spectra.scan_enhancement`, written block by block."""
     path, fmt = _out_path(cfg, args, "vdw_enhancement.csv")
-    _write_table(path, fmt, ["omega_over_ref", "g", "g_no_lf"], _row_blocks((terms.omega, terms.g, terms.g_no_lf)))
-    log.info("wrote %d enhancement rows to %s", len(terms.omega), path)
+    blocks = ([columns[i] for i in _ENHANCEMENT] for columns, _ in _scan(cfg))
+    _write_table(path, fmt, ["omega_over_ref", "g", "g_no_lf"], blocks)
+    log.info("wrote %d enhancement rows to %s", cfg.scan.n_points, path)
     return EXIT_OK
 
 
 def cmd_peaks(cfg: RunConfig, args) -> int:
     """The refined, classified peaks as a JSON array; ``output.format`` does not apply."""
-    terms = resonant_terms(cfg.system, cfg.scan.grid(), cfg.atom_b)
-    clean = ~terms.flagged
-    peaks = _find_peaks(cfg.system, cfg.atom_b, terms.omega[clean], abs(terms.u[clean]))
+    omegas, metric = [], []  # the unflagged grid points of each block
+    for columns, errors in _scan(cfg, cfg.atom_b):
+        clean = np.array([error is None for error in errors])
+        omegas.append(columns[0][clean])
+        metric.append(abs(columns[1][clean]))
+    peaks = _find_peaks(cfg.system, cfg.atom_b, np.concatenate(omegas), np.concatenate(metric))
     payload = [
         {
             "location": peak.location,

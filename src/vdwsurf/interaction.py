@@ -41,7 +41,6 @@ from .quadrature import QuadratureSpec, adaptive_gauss
 #: here) so that the vacuum-vacuum off-resonant potential reproduces the
 #: London integral with the same U0 normalization as the resonant part.
 HBAR_REDUCED = 1.0
-_ROWS = 2000  # off-resonant rows per vector-valued integral: bounds the memory of one integrand call
 
 
 @dataclass(frozen=True)
@@ -136,7 +135,6 @@ def _resonant(system: HalfSpaceSystem, omega, atom_b: Atom | None, poles: _Poles
     """
     w = operand(omega)
     w2, iw = w * w, 1j * w
-    del w  # not used below: its 16 bytes a row would stay resident through the coupling
     e_u, e_l = system.upper._eps(w2, iw, poles), system.lower._eps(w2, iw, poles)
     if poles.flagged is not None and isinstance(e_u, complex) and isinstance(e_l, complex):
         # two constant media over an array: as a CArray, a vanishing e_u + e_l
@@ -298,11 +296,11 @@ def offresonant_potential(
 def _offresonant_many(system: HalfSpaceSystem, atom_a: Atom, atom_b: Atom, omegas, quad: QuadratureSpec | None):
     """(u, error estimate) arrays of :func:`offresonant_potential` with atom A's omega0 at each of ``omegas``.
 
-    Each block of at most ``_ROWS`` omega0 is one vector-valued integral,
-    one component per omega0, with ``rel_tol`` measured against its largest
-    component.  Raises the QuadratureError of the first block that fails,
-    its ``value`` and ``error_estimate`` (one per row of the block) scaled
-    to units of U0 like the results.
+    All of ``omegas`` (at least one) are one vector-valued integral, one
+    component per omega0, with ``rel_tol`` measured against its largest
+    component; a scan passes one block of its grid at a time.  Its
+    QuadratureError carries ``value`` and ``error_estimate`` (one per
+    omega0) scaled to units of U0 like the results.
     """
     if quad is None:
         quad = QuadratureSpec()
@@ -318,19 +316,15 @@ def _offresonant_many(system: HalfSpaceSystem, atom_a: Atom, atom_b: Atom, omega
 
     prefactor = 3.0 * HBAR_REDUCED / (2.0 * np.pi * atom_a.dipole_weight * atom_b.alpha0)
     scale = -atom_a.offres_sign * prefactor
-    results = np.empty((2, omegas.size))  # integral and error estimate per omega0
-    for start in range(0, omegas.size, _ROWS):
-        block = omegas[start : start + _ROWS]
-        # Seed panel edges at the atomic scales, mapped to the unit interval.
-        seeds = [w / (1.0 + w) for w in (block.min(), block.max(), atom_b.omega0)]
-        try:
-            value, error, _ = adaptive_gauss(lambda t: integrand(t[:, None], block), 0.0, 1.0, quad, seeds)
-        except QuadratureError as exc:
-            if exc.value is not None:  # None when the seeds alone exceed the budget
-                exc.value, exc.error_estimate = scale * exc.value, prefactor * exc.error_estimate
-            raise
-        results[:, start : start + block.size] = value, error
-    return scale * results[0], prefactor * results[1]
+    # Seed panel edges at the atomic scales, mapped to the unit interval.
+    seeds = [w / (1.0 + w) for w in (omegas.min(), omegas.max(), atom_b.omega0)]
+    try:
+        value, error, _ = adaptive_gauss(lambda t: integrand(t[:, None], omegas), 0.0, 1.0, quad, seeds)
+    except QuadratureError as exc:
+        if exc.value is not None:  # None when the seeds alone exceed the budget, or on a value not finite
+            exc.value, exc.error_estimate = scale * exc.value, prefactor * exc.error_estimate
+        raise
+    return scale * value, prefactor * error
 
 
 def force(system: HalfSpaceSystem, atom_a: Atom, atom_b: Atom, pos: AtomPositions):

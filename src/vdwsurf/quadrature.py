@@ -116,9 +116,11 @@ def _evaluate(f, parts):
     lefts = np.concatenate([lefts for _, lefts, _ in parts])
     rights = np.concatenate([rights for *_, rights in parts])
     chunks = []
-    for i in range(0, lefts.size, _CHUNK):
-        jobs = np.repeat(owner[i : i + _CHUNK], _X.size)
-        chunks.append(_panel(lambda x: f(x, jobs), lefts[i : i + _CHUNK], rights[i : i + _CHUNK]))
+    # a value that is not finite ends its job (see _integrate_many), without a warning
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for i in range(0, lefts.size, _CHUNK):
+            jobs = np.repeat(owner[i : i + _CHUNK], _X.size)
+            chunks.append(_panel(lambda x: f(x, jobs), lefts[i : i + _CHUNK], rights[i : i + _CHUNK]))
     values, errors = (np.concatenate(x) for x in zip(*chunks))
     shape, values, errors = values.shape[1:], values.reshape(lefts.size, -1), errors.reshape(lefts.size, -1)
     slices, end = [], 0
@@ -262,7 +264,9 @@ def _integrate_many(f, jobs):
     in job order before any integrand call; then each sweep evaluates the
     pending panels of every unfinished job together, in ``_panel`` calls
     of at most ``_CHUNK`` panels, and sends each job its own.  A job sees
-    the values of its own panels only, so it ends as it ends alone.
+    the values of its own panels only, so it ends as it ends alone.  A job
+    one of whose panels has a value or error that is not finite ends at
+    once, with a QuadratureError that names that panel and carries no value.
     ``f(x, job)`` maps abscissae of shape (n,), and the index of the job
     each belongs to, to values of shape (n,) or (n, m).  Returns per job
     its outcome, value and error in the shape of ``f``'s values (NumPy
@@ -280,7 +284,14 @@ def _integrate_many(f, jobs):
         if not parts:
             return [_shaped(outcome, shape) for outcome in outcomes]
         shape, slices = _evaluate(f, parts)
-        answers = {j: answer for (j, _, _), answer in zip(parts, slices)}
+        answers = {}
+        for (j, lefts, rights), (values, errors) in zip(parts, slices):
+            finite = np.isfinite(values).all(axis=1) & np.isfinite(errors).all(axis=1)
+            if finite.all():
+                answers[j] = values, errors
+            else:
+                i = np.argmin(finite)
+                outcomes[j] = QuadratureError(f"integrand not finite on the panel [{lefts[i]}, {rights[i]}]")
 
 
 def _shaped(outcome, shape):

@@ -88,23 +88,31 @@ class PeakReport:
     kind: PeakKind
 
 
-def _spectrum_table(
-    system: HalfSpaceSystem, atom_a: Atom, atom_b: Atom, scan: ScanSpec, quad: QuadratureSpec | None = None
-) -> tuple[np.ndarray, tuple]:
-    """The scan as a 2-d float array in :class:`SpectrumRow` field order, and the row errors.
+_BLOCK = 2000  # grid points per block of a scan: bounds the memory of every stage
+_ENHANCEMENT = (0, 3, 4)  # omega, g and g_no_lf among a block's columns
 
-    u_resonant_no_lf is NaN without ``scan.include_no_lf_curve``; the
-    u_offresonant column exists only with ``scan.include_offresonant``.  A
-    row flagged at a pole is NaN throughout and its error is the reason.
+
+def _scan_blocks(system: HalfSpaceSystem, scan: ScanSpec, atom_b=None, atom_a=None, quad=None):
+    """The scan's columns in :class:`SpectrumRow` field order and its row errors, per block of ``_BLOCK`` points.
+
+    A block's resonant columns come from one :func:`resonant_terms` call;
+    u_resonant and u_resonant_no_lf are NaN without ``atom_b``, and
+    u_resonant_no_lf without ``scan.include_no_lf_curve``.  With ``atom_a``
+    and ``scan.include_offresonant``, u_offresonant follows: one
+    vector-valued integral over the block's unflagged rows.  A row flagged
+    at a pole is NaN throughout and its error is the reason.
     """
-    terms = resonant_terms(system, scan.grid(), atom_b)
-    u_no_lf = terms.u_no_lf if scan.include_no_lf_curve else np.full(terms.omega.shape, np.nan)
-    columns = [terms.omega, terms.u, u_no_lf, terms.g, terms.g_no_lf]
-    if scan.include_offresonant:
-        column = np.full(terms.omega.shape, np.nan)
-        column[~terms.flagged] = _offresonant_many(system, atom_a, atom_b, terms.omega[~terms.flagged], quad)[0]
-        columns.append(column)
-    return np.column_stack(columns), terms.errors
+    grid = scan.grid()
+    for start in range(0, grid.size, _BLOCK):
+        terms = resonant_terms(system, grid[start : start + _BLOCK], atom_b)
+        u_no_lf = terms.u_no_lf if scan.include_no_lf_curve else np.full(terms.omega.shape, np.nan)
+        columns = [terms.omega, terms.u, u_no_lf, terms.g, terms.g_no_lf]
+        if atom_a is not None and scan.include_offresonant:
+            column, clean = np.full(terms.omega.shape, np.nan), ~terms.flagged
+            if clean.any():  # a block flagged throughout runs no integral
+                column[clean] = _offresonant_many(system, atom_a, atom_b, terms.omega[clean], quad)[0]
+            columns.append(column)
+        yield columns, terms.errors
 
 
 def scan_spectrum(
@@ -118,31 +126,30 @@ def scan_spectrum(
 
     ``atom_a`` is a template whose ``omega0`` is replaced by each grid
     frequency.  Rows are ordered by frequency; grid points that fall exactly
-    on a pole are flagged rather than aborting the scan.  The resonant
-    columns come from one :func:`resonant_terms` call over the grid; the
-    off-resonant column, when requested, from one vector-valued integral
-    per block of rows, one component per row.
+    on a pole are flagged rather than aborting the scan.  Each block of
+    ``_BLOCK`` grid points takes one :func:`resonant_terms` call and, for
+    the off-resonant column, one vector-valued integral, one component per
+    row.
     """
-    table, errors = _spectrum_table(system, atom_a, atom_b, scan, quad)
     return [
         SpectrumRow(
             *cells[:5],
             u_offresonant=cells[5] if scan.include_offresonant and error is None else None,
             error=error,
         )
-        for cells, error in zip(table.tolist(), errors)
+        for columns, errors in _scan_blocks(system, scan, atom_b, atom_a, quad)
+        for cells, error in zip(zip(*(column.tolist() for column in columns)), errors)
     ]
 
 
 def scan_enhancement(system: HalfSpaceSystem, scan: ScanSpec):
     """Enhancement factors over the scan grid as a list of (omega, g, g_no_lf) rows.
 
-    Rows at a pole carry NaN factors.  The columns come from one
-    :func:`resonant_terms` call; ``vdw enhancement`` writes the same rows
-    streamed from those columns, without building this list.
+    Rows at a pole carry NaN factors.  ``vdw enhancement`` writes the same
+    rows from the same blocks of columns, without building this list.
     """
-    terms = resonant_terms(system, scan.grid())
-    return list(zip(terms.omega.tolist(), terms.g.tolist(), terms.g_no_lf.tolist()))
+    blocks = _scan_blocks(system, scan)
+    return [row for columns, _ in blocks for row in zip(*(columns[i].tolist() for i in _ENHANCEMENT))]
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0

@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import math
@@ -8,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,19 +17,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import vdwsurf
-from vdwsurf import interaction, spectra
+from vdwsurf import interaction, quadrature, spectra
 from vdwsurf.cli import (
     EXIT_CONFIG,
     EXIT_IO,
     EXIT_OK,
     EXIT_QUADRATURE,
     EXIT_VALIDATION,
+    _SPECTRUM_HEADER,
     _build_parser,
     _write_table,
     main,
 )
 from vdwsurf.config import load_config, resolve_config_path
-from vdwsurf.spectra import scan_enhancement, scan_spectrum
+from vdwsurf.errors import QuadratureError
+from vdwsurf.interaction import resonant_terms
+from vdwsurf.spectra import find_peaks, scan_enhancement, scan_spectrum
 
 
 def write_config(tmp_path, name="run.json", **overrides):
@@ -202,6 +207,34 @@ def test_offresonant_column_failure_exits_3_with_the_blocks_error(tmp_path, caps
     rc = main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "off.csv")])
     assert rc == EXIT_QUADRATURE
     assert capsys.readouterr().err.startswith(f"quadrature error: {message}")
+    # the scan's only block failed before the file was opened
+    assert not (tmp_path / "off.csv").exists()
+
+
+def test_validate_with_an_integrand_not_finite_exits_3_at_once(tmp_path, capsys, monkeypatch):
+    # matched vacuum light lines at a tight rel_tol: bisection reaches an
+    # abscissa where the kernel is NaN, and used to spend 985 _panel calls of
+    # the 1,000-panel budget there, with six RuntimeWarnings on stderr
+    count, panel = [0], quadrature._panel
+
+    def counted(*args):
+        count[0] += 1
+        return panel(*args)
+
+    monkeypatch.setattr(quadrature, "_panel", counted)
+    cfg = write_config(
+        tmp_path,
+        system={"upper": "vacuum", "lower": "vacuum", "omega_max": 5.0},
+        quadrature={"rel_tol": 3e-10, "max_panels": 1000},
+        validate={"omega": 4.3},
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["validate", "--config", str(cfg), "--out", str(tmp_path / "v.csv")])
+    assert rc == EXIT_QUADRATURE
+    err = capsys.readouterr().err
+    assert err.startswith("quadrature error: integrand not finite on the panel [") and err.count("\n") == 1
+    assert count[0] < 50
 
 
 def test_config_error_exit_and_message(tmp_path, capsys):
@@ -341,13 +374,15 @@ _AWKWARD_CELLS = [
 def test_streamed_table_equals_the_rowwise_writer_byte_for_byte(tmp_path, fmt, n_columns):
     header = ["c%d" % j for j in range(n_columns)]
     cells = _AWKWARD_CELLS * n_columns
-    # every cell in every column; 255 to 513 rows cross the edges of the writer's 256-row blocks
-    columns = [((cells[j:] + cells[:j]) * 33)[:513] for j in range(n_columns)]
-    for n_rows in (0, 1, len(cells), 255, 256, 257, 513):
+    # every cell in every column, in blocks of 0 to 2001 rows, with empty blocks between them
+    columns = [np.array(((cells[j:] + cells[:j]) * 300)[:4257]) for j in range(n_columns)]
+    for sizes in ([], [0], [1], [len(cells)], [255], [2000], [2001], [0, 1, 0, 255, 0, 0, 2000, 2001, 0]):
+        edges = np.cumsum([0] + sizes).tolist()
+        blocks = [[column[a:b] for column in columns] for a, b in zip(edges[:-1], edges[1:])]
         got, want = tmp_path / "got", tmp_path / "want"
-        _write_table(str(got), fmt, header, zip(*(column[:n_rows] for column in columns)))
-        _rowwise_write_table(want, fmt, header, [list(row) for row in zip(*columns)][:n_rows])
-        assert got.read_bytes() == want.read_bytes()
+        _write_table(str(got), fmt, header, iter(blocks))
+        _rowwise_write_table(want, fmt, header, list(zip(*(column[: edges[-1]].tolist() for column in columns))))
+        assert got.read_bytes() == want.read_bytes(), sizes
 
 
 def test_no_command_imports_numpy_polynomial(tmp_path):
@@ -727,7 +762,7 @@ def test_enhancement_equals_the_writer_over_scan_enhancement(tmp_path, fmt, pole
     assert any(math.isnan(row[1]) for row in rows) == pole
     got, want = tmp_path / f"got.{fmt}", tmp_path / f"want.{fmt}"
     assert main(["enhancement", "--config", str(cfg), "--out", str(got)]) == EXIT_OK
-    _write_table(str(want), fmt, ["omega_over_ref", "g", "g_no_lf"], rows)
+    _rowwise_write_table(want, fmt, ["omega_over_ref", "g", "g_no_lf"], rows)
     assert got.read_bytes() == want.read_bytes()
 
 
@@ -739,3 +774,92 @@ def test_output_format_applies_to_the_tables_only(tmp_path):
     peaks = write_config(tmp_path, "p.json", output={"path": str(tmp_path / "p-out.csv"), "format": "csv"})
     assert main(["peaks", "--config", str(peaks)]) == EXIT_OK
     assert {p["kind"] for p in json.loads((tmp_path / "p-out.csv").read_text())} >= {"surface_mode", "cavity_mode"}
+
+
+def test_every_command_evaluates_the_grid_one_block_at_a_time(tmp_path, monkeypatch):
+    # two whole blocks and one point: each command gives the bytes of one whole-grid evaluation
+    n = 2 * spectra._BLOCK + 1
+    cfg = load_config(resolve_config_path("fig2"))
+    scan = dataclasses.replace(cfg.scan, n_points=n)
+    whole, plain = (resonant_terms(cfg.system, scan.grid(), atom_b) for atom_b in (cfg.atom_b, None))
+    peaks = find_peaks(cfg.system, cfg.atom_b, scan_spectrum(cfg.system, cfg.atom_a, cfg.atom_b, scan))
+    sizes, terms = [], spectra.resonant_terms
+
+    def spy(system, omega, atom_b=None):
+        sizes.append(len(omega))
+        return terms(system, omega, atom_b)
+
+    monkeypatch.setattr(spectra, "resonant_terms", spy)
+    for command in ("spectrum", "enhancement", "peaks"):
+        sizes.clear()
+        assert main([command, "--config", "fig2", "--points", str(n), "--out", str(tmp_path / command)]) == EXIT_OK
+        assert sizes == [spectra._BLOCK, spectra._BLOCK, 1], command
+    want = tmp_path / "want"
+    columns = (whole.omega, whole.u, whole.u_no_lf, whole.g, whole.g_no_lf)
+    _rowwise_write_table(want, "csv", _SPECTRUM_HEADER[:5], zip(*(column.tolist() for column in columns)))
+    assert (tmp_path / "spectrum").read_bytes() == want.read_bytes()
+    columns = (plain.omega, plain.g, plain.g_no_lf)
+    _rowwise_write_table(want, "csv", ["omega_over_ref", "g", "g_no_lf"], zip(*(c.tolist() for c in columns)))
+    assert (tmp_path / "enhancement").read_bytes() == want.read_bytes()
+    assert json.loads((tmp_path / "peaks").read_text()) == [
+        {
+            "location": peak.location,
+            "height": peak.height,
+            "width_fwhm": None if math.isnan(peak.width_fwhm) else peak.width_fwhm,
+            "kind": peak.kind.value,
+        }
+        for peak in peaks
+    ]
+
+
+def test_offresonant_failure_in_a_later_block_leaves_the_earlier_blocks(tmp_path, capsys, monkeypatch):
+    # the rows of the first block are written before the second block's integral fails
+    integrate, calls = spectra._offresonant_many, []
+
+    def fail_second(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise QuadratureError("no convergence in the second block")
+        return integrate(*args)
+
+    monkeypatch.setattr(spectra, "_offresonant_many", fail_second)
+    scan = {"omega_min": 0.7, "omega_max": 1.3, "n_points": spectra._BLOCK + 1, "include_offresonant": True}
+    out = tmp_path / "off.csv"
+    assert main(["spectrum", "--config", str(write_config(tmp_path, scan=scan)), "--out", str(out)]) == EXIT_QUADRATURE
+    assert capsys.readouterr().err == "quadrature error: no convergence in the second block\n"
+    assert len(out.read_text().splitlines()) == 1 + spectra._BLOCK
+
+
+def test_flagged_grid_points_give_one_warning_line_per_command(tmp_path):
+    # an undamped oscillator medium whose resonance is the middle grid point;
+    # the exit code and the output bytes do not change, and fig2 warns of nothing
+    lower = {"kind": "lorentz", "eta": 2.71, "eps0": 6.57, "omega_t": 1.0, "gamma": 0.0}
+    pole = write_config(
+        tmp_path,
+        system={"upper": "vacuum", "lower": lower, "omega_max": 3.0},
+        scan={"omega_min": 0.5, "omega_max": 1.5, "n_points": 3},
+    )
+    script = """
+import sys, vdwsurf.cli
+
+for config in sys.argv[2:]:
+    for command in ("spectrum", "enhancement", "peaks"):
+        print("==", command, file=sys.stderr, flush=True)
+        if vdwsurf.cli.main([command, "--config", config, "--out", sys.argv[1] + command]) != 0:
+            sys.exit(command + " failed on " + config)
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(vdwsurf.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "out-"), str(pole), "fig2"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    warning = (
+        "WARNING vdwsurf: 1 of 3 grid points are on a pole and have no value;"
+        " the first: undamped oscillator evaluated at its resonance 1.0\n"
+    )
+    commands = ("spectrum", "enhancement", "peaks")
+    assert proc.stderr == "".join(f"== {c}\n{warning}" for c in commands) + "".join(f"== {c}\n" for c in commands)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -408,6 +410,46 @@ def test_a_tail_out_of_budget_does_not_stop_its_neighbours():
     for j, job in enumerate(jobs):
         _assert_same_outcome(outcomes[j], _alone_job(f, j, job))
     assert not any(isinstance(outcomes[j], QuadratureError) for j in (0, 2, 4))
+
+
+@pytest.mark.parametrize(
+    "integrand", [lambda x: 1.0 / (x - 0.5), lambda x: (x - 0.5) / (x - 0.5)], ids=["inf", "nan"]
+)
+def test_a_value_not_finite_ends_the_job_after_one_panel_call(monkeypatch, integrand):
+    # the midpoint 0.5 is an abscissa of the first panel; such a panel used
+    # to stay unsplit while bisection spent the whole budget around it
+    count, panel = [0], quadrature._panel
+
+    def counted(*args):
+        count[0] += 1
+        return panel(*args)
+
+    monkeypatch.setattr(quadrature, "_panel", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's RuntimeWarning would raise here
+        with pytest.raises(QuadratureError, match=r"^integrand not finite on the panel \[0\.0, 1\.0\]$") as info:
+            adaptive_gauss(integrand, 0.0, 1.0)
+    assert count[0] == 1
+    assert info.value.value is None and info.value.error_estimate is None
+
+
+def test_a_job_not_finite_does_not_stop_its_neighbours():
+    def f(x, which):
+        return np.where(which == 0, np.sin(20.0 * x), np.log(x - 1.0))  # NaN below x = 1
+
+    jobs = [
+        (quadrature._bisection, (0.0, 3.0, QuadratureSpec(rel_tol=1e-12), ())),
+        (quadrature._bisection, (0.0, 3.0, QuadratureSpec(rel_tol=1e-12), [2.0])),
+        (quadrature._tail, (0.0, 1.0, QuadratureSpec(rel_tol=1e-12))),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        outcomes = quadrature._integrate_many(f, _jobs(jobs))
+    assert str(outcomes[1]) == "integrand not finite on the panel [0.0, 2.0]"
+    assert str(outcomes[2]) == "integrand not finite on the panel [0.0, 1.0]"
+    for j, job in enumerate(jobs):
+        _assert_same_outcome(outcomes[j], _alone_job(f, j, job))
+    assert_allclose(outcomes[0][0], (1.0 - np.cos(60.0)) / 20.0, rtol=1e-11)
 
 
 def test_many_jobs_share_integrand_calls_of_at_most_64_panels(monkeypatch):

@@ -25,7 +25,7 @@ from vdwsurf import (
     spectra,
     surface_mode_frequency,
 )
-from vdwsurf.spectra import _spectrum_table
+from vdwsurf.spectra import _scan_blocks
 
 FIG_SCAN = ScanSpec(omega_min=0.7, omega_max=1.3, n_points=2000)
 
@@ -133,21 +133,22 @@ def oracle_column(request, sapphire, atom_b):
 
 class TestOffresonantColumn:
     def test_one_integral_per_block(self, sapphire_system, monkeypatch):
-        # more rows than one block; the undamped partner puts a pole on row 1234
-        n = interaction._ROWS + 37
+        # more points than one block; the undamped partner puts a pole on row 1234
+        n = spectra._BLOCK + 37
         scan = ScanSpec(0.7, 1.3, n_points=n, include_offresonant=True)
         partner = Atom(omega0=float(scan.grid()[1234]), alpha0=1.7)
         template = Atom(omega0=1.0, alpha0=2.5, dipole_weight=0.7, offres_sign=-1.0)
         quad = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14, max_panels=500)
         calls = _spy_integrals(monkeypatch)
-        table, errors = _spectrum_table(sapphire_system, template, partner, scan, quad)
-        column = table[:, 5]
+        blocks = list(_scan_blocks(sapphire_system, scan, partner, template, quad))
+        column = np.concatenate([columns[5] for columns, _ in blocks])
+        errors = [e for _, block_errors in blocks for e in block_errors]
         assert [i for i, e in enumerate(errors) if e is not None] == [1234]
         assert math.isnan(column[1234])
-        # one component per unflagged row, never more per integral than the block constant
-        assert [rows for rows, _ in calls] == [interaction._ROWS, n - 1 - interaction._ROWS]
+        # one integral per block of the grid, one component per unflagged row of the block
+        assert [rows for rows, _ in calls] == [spectra._BLOCK - 1, n - spectra._BLOCK]
         grid = scan.grid()
-        for i in [0, 1233, 1235, interaction._ROWS - 1, interaction._ROWS, n - 1]:
+        for i in [0, 1233, 1235, spectra._BLOCK - 1, spectra._BLOCK, n - 1]:
             u = offresonant_potential(sapphire_system, replace(template, omega0=grid[i]), partner, quad=quad)
             assert abs(column[i] - u) <= 1e-10 * abs(u), i
 
@@ -160,9 +161,9 @@ class TestOffresonantColumn:
 
         monkeypatch.setattr(interaction, "adaptive_gauss", refuse)
         scan = ScanSpec(0.7, 1.3, n_points=5, include_offresonant=True)
-        table, errors = _spectrum_table(system, Atom(omega0=1.0), atom_b, scan)
+        [(columns, errors)] = _scan_blocks(system, scan, atom_b, Atom(omega0=1.0))
         assert all(e is not None for e in errors)
-        assert np.all(np.isnan(table[:, 5]))
+        assert np.all(np.isnan(columns[5]))
 
     def test_fig2_column_is_one_panel_call_on_four_panels(self, sapphire_system, atom_b, monkeypatch):
         # one row at a time, the 200 integrals took 12 _panel calls on 722 panels
@@ -176,7 +177,7 @@ class TestOffresonantColumn:
         monkeypatch.setattr(quadrature, "_panel", counted)
         calls = _spy_integrals(monkeypatch)
         scan = ScanSpec(0.7, 1.3, n_points=200, include_offresonant=True)
-        _spectrum_table(sapphire_system, Atom(omega0=1.0), atom_b, scan)
+        scan_spectrum(sapphire_system, Atom(omega0=1.0), atom_b, scan)
         assert count[0] == 1 and calls == [(200, 4)]
 
     def test_every_row_meets_quadpack_at_the_default_tolerance(self, sapphire_system, atom_b, oracle_column):
