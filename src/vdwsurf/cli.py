@@ -17,12 +17,11 @@ import math
 import os
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 
 from .config import RunConfig, _config_error, load_config, resolve_config_path
-from .errors import ConfigError, ParameterError, QuadratureError, VdwError
+from .errors import ConfigError, ParameterError, QuadratureError, SingularityError, VdwError
 from .materials import AtomPositions
 from .spectra import _ENHANCEMENT, _find_peaks, _scan_blocks
 
@@ -35,8 +34,30 @@ EXIT_VALIDATION = 4
 log = logging.getLogger("vdwsurf")
 
 
-def _write_text(path: str, text: str) -> None:
-    Path(path).write_text(text, encoding="utf-8")
+def _write(path: str, pieces) -> None:
+    """Write the text ``pieces`` to ``path``: the whole file, or no change at all.
+
+    The pieces go to ``<target>.<pid>.part`` beside the file ``target`` that
+    ``path`` resolves to, and replace it after the last piece.  On any error
+    the part file is deleted, so ``path`` keeps its old bytes or stays
+    absent, and an OSError names ``path``.  The output is a new file: an old
+    file's hard links and permission bits are not kept.  A path to something
+    that exists and is not a regular file (a FIFO, a device, /dev/stdout) is
+    written in place.
+    """
+    target = os.path.realpath(path)
+    part = path if os.path.exists(path) and not os.path.isfile(path) else "%s.%d.part" % (target, os.getpid())
+    try:
+        with open(part, "wb") as out:
+            out.writelines(map(str.encode, pieces))  # map frees each piece of text once encoded
+        if part != path:
+            os.replace(part, target)
+    except BaseException as exc:
+        if part != path and os.path.lexists(part):
+            os.remove(part)
+        if isinstance(exc, OSError) and exc.filename == part:
+            raise OSError(exc.errno, exc.strerror, path) from None
+        raise
 
 
 def _json_cell(x) -> str:
@@ -44,18 +65,15 @@ def _json_cell(x) -> str:
     return repr(float("%.12g" % x)) if math.isfinite(x) else "null"
 
 
-def _write_table(path: str, fmt: str, header: list, blocks) -> None:
-    """Blocks of float columns in header order, as CSV or a JSON array.
+def _table(fmt: str, header: list, blocks):
+    """The text of a table of float columns in header order, as CSV or a JSON array, one piece per block.
 
     ``blocks`` is any iterable of blocks, each a list of equal-length float
-    arrays, one per header entry.  Both formats are streamed: each block's
-    rows are formatted from one template (``template % row``) and written as
-    bytes in one write, so no copy of the table is held as text.  The first
-    block is taken before the file is opened, so a scan that fails on its
-    first block leaves no file; one that fails later leaves the rows of the
-    blocks before it.  CSV cells hold up to 12 significant digits, trailing
-    zeros trimmed, and ``nan`` for a missing value; JSON cells hold the same
-    digits and null, and the file is byte for byte
+    arrays, one per header entry, with at least one row.  Each block's rows
+    are formatted from one template (``template % row``) into one piece, so
+    no copy of the table is held as text.  CSV cells hold up to 12
+    significant digits, trailing zeros trimmed, and ``nan`` for a missing
+    value; JSON cells hold the same digits and null, and the text is
     ``json.dumps(payload, indent=2) + "\n"`` of the list of row objects.
     """
     if fmt == "json":
@@ -65,22 +83,15 @@ def _write_table(path: str, fmt: str, header: list, blocks) -> None:
         def line(row):
             return template % tuple(map(_json_cell, row))
 
-        head, sep, tail, empty = "[", ",\n", "\n]\n", "]\n"
+        head, sep, tail = "[\n", ",\n", "\n]\n"
     else:
         line = ",".join(["%.12g"] * len(header)).__mod__
-        head, sep, tail, empty = ",".join(header), "\n", "\n", "\n"
-    blocks, count = iter(blocks), 0
-    block = next(blocks, None)
-    with open(path, "wb") as out:
-        out.write(head.encode())
-        while block is not None:
-            if len(block[0]):
-                # the first row follows the header line or the "[" on a new line
-                rows = zip(*(column.tolist() for column in block))
-                out.write(((sep if count else "\n") + sep.join(map(line, rows))).encode())
-                count += len(block[0])
-            block = next(blocks, None)
-        out.write((tail if count else empty).encode())
+        head, sep, tail = ",".join(header) + "\n", "\n", "\n"
+    for block in blocks:
+        # the first row follows the header line or the "[" line, the others a separator
+        yield head + sep.join(map(line, zip(*(column.tolist() for column in block))))
+        head = sep
+    yield tail
 
 
 def _out_path(cfg: RunConfig, args, default: str) -> tuple:
@@ -90,17 +101,23 @@ def _out_path(cfg: RunConfig, args, default: str) -> tuple:
 
 
 def _scan(cfg: RunConfig, atom_b=None, atom_a=None):
-    """The blocks of :func:`~vdwsurf.spectra._scan_blocks`; then one warning line if a grid point was flagged."""
+    """The blocks of :func:`~vdwsurf.spectra._scan_blocks`; then one warning line if a grid point was flagged.
+
+    A scan flagged at every grid point has no value to write: it raises
+    SingularityError with the text of that warning instead.
+    """
     flagged, first = 0, None
-    for columns, errors in _scan_blocks(cfg.system, cfg.scan, atom_b, atom_a, cfg.quadrature):
-        reasons = [error for error in errors if error is not None]
-        if reasons and first is None:
-            first = reasons[0]
-        flagged += len(reasons)
-        yield columns, errors
+    for columns, terms in _scan_blocks(cfg.system, cfg.scan, atom_b, atom_a, cfg.quadrature):
+        if first is None and terms.flagged.any():
+            first = terms.errors[terms.flagged.argmax()]
+        flagged += np.count_nonzero(terms.flagged)
+        yield columns, terms
     if flagged:
         message = "%d of %d grid points are on a pole and have no value; the first: %s"
-        log.warning(message, flagged, cfg.scan.n_points, first)
+        message %= (flagged, cfg.scan.n_points, first)
+        if flagged == cfg.scan.n_points:
+            raise SingularityError(message)
+        log.warning(message)
 
 
 _SPECTRUM_HEADER = ["omega_over_ref", "u_resonant", "u_resonant_no_lf", "g", "g_no_lf", "u_offresonant"]
@@ -109,7 +126,7 @@ _SPECTRUM_HEADER = ["omega_over_ref", "u_resonant", "u_resonant_no_lf", "g", "g_
 def cmd_spectrum(cfg: RunConfig, args) -> int:
     path, fmt = _out_path(cfg, args, "vdw_spectrum.csv")
     header = _SPECTRUM_HEADER[: 6 if cfg.scan.include_offresonant else 5]
-    _write_table(path, fmt, header, (columns for columns, _ in _scan(cfg, cfg.atom_b, cfg.atom_a)))
+    _write(path, _table(fmt, header, (columns for columns, _ in _scan(cfg, cfg.atom_b, cfg.atom_a))))
     log.info("wrote %d spectrum rows to %s", cfg.scan.n_points, path)
     return EXIT_OK
 
@@ -118,7 +135,7 @@ def cmd_enhancement(cfg: RunConfig, args) -> int:
     """The rows of :func:`~vdwsurf.spectra.scan_enhancement`, written block by block."""
     path, fmt = _out_path(cfg, args, "vdw_enhancement.csv")
     blocks = ([columns[i] for i in _ENHANCEMENT] for columns, _ in _scan(cfg))
-    _write_table(path, fmt, ["omega_over_ref", "g", "g_no_lf"], blocks)
+    _write(path, _table(fmt, ["omega_over_ref", "g", "g_no_lf"], blocks))
     log.info("wrote %d enhancement rows to %s", cfg.scan.n_points, path)
     return EXIT_OK
 
@@ -126,10 +143,9 @@ def cmd_enhancement(cfg: RunConfig, args) -> int:
 def cmd_peaks(cfg: RunConfig, args) -> int:
     """The refined, classified peaks as a JSON array; ``output.format`` does not apply."""
     omegas, metric = [], []  # the unflagged grid points of each block
-    for columns, errors in _scan(cfg, cfg.atom_b):
-        clean = np.array([error is None for error in errors])
-        omegas.append(columns[0][clean])
-        metric.append(abs(columns[1][clean]))
+    for columns, terms in _scan(cfg, cfg.atom_b):
+        omegas.append(columns[0][~terms.flagged])
+        metric.append(abs(columns[1][~terms.flagged]))
     peaks = _find_peaks(cfg.system, cfg.atom_b, np.concatenate(omegas), np.concatenate(metric))
     payload = [
         {
@@ -141,7 +157,7 @@ def cmd_peaks(cfg: RunConfig, args) -> int:
         for peak in peaks
     ]
     path, _ = _out_path(cfg, args, "vdw_peaks.json")
-    _write_text(path, json.dumps(payload, indent=2) + "\n")
+    _write(path, [json.dumps(payload, indent=2) + "\n"])
     log.info("wrote %d peaks to %s", len(payload), path)
     return EXIT_OK
 
@@ -164,7 +180,7 @@ def cmd_validate(cfg: RunConfig, args) -> int:
         for row in report.rows
     )
     path, _ = _out_path(cfg, args, "vdw_validate.csv")
-    _write_text(path, "\n".join(lines) + "\n")
+    _write(path, ["\n".join(lines) + "\n"])
     ok = report.passed(v.tolerance)
     smallest = min(v.scales)
     deviation = report.max_deviation(smallest)

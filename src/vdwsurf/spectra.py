@@ -93,14 +93,15 @@ _ENHANCEMENT = (0, 3, 4)  # omega, g and g_no_lf among a block's columns
 
 
 def _scan_blocks(system: HalfSpaceSystem, scan: ScanSpec, atom_b=None, atom_a=None, quad=None):
-    """The scan's columns in :class:`SpectrumRow` field order and its row errors, per block of ``_BLOCK`` points.
+    """The scan per block of ``_BLOCK`` points: its columns in :class:`SpectrumRow` field order and its ResonantTerms.
 
     A block's resonant columns come from one :func:`resonant_terms` call;
     u_resonant and u_resonant_no_lf are NaN without ``atom_b``, and
     u_resonant_no_lf without ``scan.include_no_lf_curve``.  With ``atom_a``
     and ``scan.include_offresonant``, u_offresonant follows: one
     vector-valued integral over the block's unflagged rows.  A row flagged
-    at a pole is NaN throughout and its error is the reason.
+    at a pole is True in ``terms.flagged``, NaN throughout, and its
+    ``terms.errors`` entry is the reason.
     """
     grid = scan.grid()
     for start in range(0, grid.size, _BLOCK):
@@ -112,7 +113,7 @@ def _scan_blocks(system: HalfSpaceSystem, scan: ScanSpec, atom_b=None, atom_a=No
             if clean.any():  # a block flagged throughout runs no integral
                 column[clean] = _offresonant_many(system, atom_a, atom_b, terms.omega[clean], quad)[0]
             columns.append(column)
-        yield columns, terms.errors
+        yield columns, terms
 
 
 def scan_spectrum(
@@ -137,8 +138,8 @@ def scan_spectrum(
             u_offresonant=cells[5] if scan.include_offresonant and error is None else None,
             error=error,
         )
-        for columns, errors in _scan_blocks(system, scan, atom_b, atom_a, quad)
-        for cells, error in zip(zip(*(column.tolist() for column in columns)), errors)
+        for columns, terms in _scan_blocks(system, scan, atom_b, atom_a, quad)
+        for cells, error in zip(zip(*(column.tolist() for column in columns)), terms.errors)
     ]
 
 

@@ -2,19 +2,24 @@ import ast
 import contextlib
 import copy
 import dataclasses
+import hashlib
 import io
 import json
+import logging
 import math
 import os
+import re
+import stat
 import subprocess
 import sys
 import tempfile
+import threading
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import vdwsurf
 from vdwsurf import interaction, quadrature, spectra
@@ -26,7 +31,7 @@ from vdwsurf.cli import (
     EXIT_VALIDATION,
     _SPECTRUM_HEADER,
     _build_parser,
-    _write_table,
+    _table,
     main,
 )
 from vdwsurf.config import load_config, resolve_config_path
@@ -262,10 +267,13 @@ def test_points_override_error_names_the_config_field(tmp_path, capsys):
     )
 
 
-def test_io_error_exit_code(tmp_path):
+def test_io_error_exit_code(tmp_path, capsys, monkeypatch):
+    # the message names the path as given, not the file written before the rename
     cfg = write_config(tmp_path)
-    out = tmp_path / "no_such_dir" / "x.csv"
-    assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == EXIT_IO
+    monkeypatch.chdir(tmp_path)
+    for command in ("spectrum", "enhancement", "peaks", "validate"):
+        assert main([command, "--config", str(cfg), "--out", "no_such_dir/x.csv"]) == EXIT_IO
+        assert capsys.readouterr().err == "i/o error: [Errno 2] No such file or directory: 'no_such_dir/x.csv'\n"
 
 
 def test_bundled_config_runs(tmp_path):
@@ -374,15 +382,14 @@ _AWKWARD_CELLS = [
 def test_streamed_table_equals_the_rowwise_writer_byte_for_byte(tmp_path, fmt, n_columns):
     header = ["c%d" % j for j in range(n_columns)]
     cells = _AWKWARD_CELLS * n_columns
-    # every cell in every column, in blocks of 0 to 2001 rows, with empty blocks between them
+    # every cell in every column, in blocks of 1 to 2001 rows; no command makes an empty block
     columns = [np.array(((cells[j:] + cells[:j]) * 300)[:4257]) for j in range(n_columns)]
-    for sizes in ([], [0], [1], [len(cells)], [255], [2000], [2001], [0, 1, 0, 255, 0, 0, 2000, 2001, 0]):
+    for sizes in ([1], [len(cells)], [255], [2000], [2001], [1, 255, 2000, 2001]):
         edges = np.cumsum([0] + sizes).tolist()
         blocks = [[column[a:b] for column in columns] for a, b in zip(edges[:-1], edges[1:])]
-        got, want = tmp_path / "got", tmp_path / "want"
-        _write_table(str(got), fmt, header, iter(blocks))
+        want = tmp_path / "want"
         _rowwise_write_table(want, fmt, header, list(zip(*(column[: edges[-1]].tolist() for column in columns))))
-        assert got.read_bytes() == want.read_bytes(), sizes
+        assert "".join(_table(fmt, header, iter(blocks))).encode() == want.read_bytes(), sizes
 
 
 def test_no_command_imports_numpy_polynomial(tmp_path):
@@ -812,22 +819,28 @@ def test_every_command_evaluates_the_grid_one_block_at_a_time(tmp_path, monkeypa
     ]
 
 
-def test_offresonant_failure_in_a_later_block_leaves_the_earlier_blocks(tmp_path, capsys, monkeypatch):
-    # the rows of the first block are written before the second block's integral fails
+def test_offresonant_failure_in_a_later_block_leaves_the_output_as_it_was(tmp_path, capsys, monkeypatch):
+    # the first block's rows are formatted before the second block's integral
+    # fails: a new path stays absent, an old file keeps its bytes
     integrate, calls = spectra._offresonant_many, []
 
     def fail_second(*args):
         calls.append(args)
-        if len(calls) == 2:
+        if len(calls) % 2 == 0:
             raise QuadratureError("no convergence in the second block")
         return integrate(*args)
 
     monkeypatch.setattr(spectra, "_offresonant_many", fail_second)
     scan = {"omega_min": 0.7, "omega_max": 1.3, "n_points": spectra._BLOCK + 1, "include_offresonant": True}
-    out = tmp_path / "off.csv"
-    assert main(["spectrum", "--config", str(write_config(tmp_path, scan=scan)), "--out", str(out)]) == EXIT_QUADRATURE
+    args = ["spectrum", "--config", str(write_config(tmp_path, scan=scan)), "--out", str(tmp_path / "off.csv")]
+    assert main(args) == EXIT_QUADRATURE
     assert capsys.readouterr().err == "quadrature error: no convergence in the second block\n"
-    assert len(out.read_text().splitlines()) == 1 + spectra._BLOCK
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+    (tmp_path / "off.csv").write_bytes(b"old,table\n")
+    assert main(args) == EXIT_QUADRATURE
+    assert len(calls) == 4
+    assert (tmp_path / "off.csv").read_bytes() == b"old,table\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["off.csv", "run.json"]
 
 
 def test_flagged_grid_points_give_one_warning_line_per_command(tmp_path):
@@ -863,3 +876,207 @@ for config in sys.argv[2:]:
     )
     commands = ("spectrum", "enhancement", "peaks")
     assert proc.stderr == "".join(f"== {c}\n{warning}" for c in commands) + "".join(f"== {c}\n" for c in commands)
+
+
+_FIG2_SPECTRUM_SHA256 = "760132c283236107eb363c7ed1509eecacb359e335e19c1194d9abe2ff82ebb3"  # bench/golden.json
+
+
+@pytest.mark.parametrize("kind", ["fifo", "proc-fd"])
+def test_a_fifo_or_pipe_at_out_is_written_in_place(tmp_path, kind):
+    # not replaced by a regular file: the reader gets the table.  A pipe named
+    # by /proc/self/fd/N is what /dev/stdout is when stdout is a pipe; its
+    # real path, /proc/<pid>/fd/pipe:[inode], names no file
+    if kind == "fifo":
+        out = tmp_path / "fifo"
+        os.mkfifo(out)
+        open_reader, write_end = (lambda: open(out, "rb")), None
+    else:
+        if not os.path.isdir("/proc/self/fd"):
+            pytest.skip("no /proc/self/fd")
+        read_end, write_end = os.pipe()
+        out, open_reader = f"/proc/self/fd/{write_end}", (lambda: os.fdopen(read_end, "rb"))
+    received = []
+
+    def read():
+        with open_reader() as pipe:
+            received.append(pipe.read())
+
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    try:
+        assert main(["spectrum", "--config", "fig2", "--out", str(out)]) == EXIT_OK
+    finally:
+        if write_end is not None:
+            os.close(write_end)
+    reader.join(timeout=60)
+    assert not reader.is_alive()
+    assert hashlib.sha256(received[0]).hexdigest() == _FIG2_SPECTRUM_SHA256
+    if kind == "fifo":
+        assert stat.S_ISFIFO(os.lstat(out).st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["fifo"] if kind == "fifo" else [])
+
+
+def test_a_symlink_at_out_stays_a_link_to_the_new_table(tmp_path):
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_bytes(b"old,table\n")
+    link.symlink_to(target)
+    assert main(["spectrum", "--config", "fig2", "--out", str(link)]) == EXIT_OK
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == _FIG2_SPECTRUM_SHA256
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "target.csv"]
+
+
+def test_a_scan_flagged_at_every_grid_point_exits_1_and_writes_nothing(tmp_path):
+    # a constant medium at the Onsager cavity pole (-0.5) or at the screening
+    # pole against vacuum (-1.0) has no value at any frequency
+    configs, reasons = [], []
+    for eps, reason in ((-0.5, "Onsager cavity pole"), (-1.0, "average permittivity vanishes")):
+        for offresonant in (False, True):
+            system = {"upper": "vacuum", "lower": {"kind": "constant", "eps": eps}, "omega_max": 3.0}
+            scan = {"omega_min": 0.7, "omega_max": 1.3, "n_points": 5, "include_offresonant": offresonant}
+            configs.append(str(write_config(tmp_path, f"{eps}-{offresonant}.json", system=system, scan=scan)))
+            reasons.append(reason)
+    script = """
+import os, sys, vdwsurf.cli
+
+for config in sys.argv[2:]:
+    for command in ("spectrum", "enhancement", "peaks"):
+        print("==", file=sys.stderr, flush=True)
+        rc = vdwsurf.cli.main([command, "--config", config, "--out", sys.argv[1]])
+        print(rc, os.path.lexists(sys.argv[1]), flush=True)
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(vdwsurf.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "out"), *configs],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.stdout == "1 False\n" * 12, proc.stderr
+    errors = proc.stderr.split("==\n")[1:]
+    message = "error: 5 of 5 grid points are on a pole and have no value; the first: %s at omega_a = 0.7\n"
+    assert errors == [message % reason for reason in reasons for _ in range(3)]
+    assert not any(p.name.startswith("out") for p in tmp_path.iterdir())
+
+
+@st.composite
+def _physical_config(draw):
+    """A valid config: vacuum, sapphire, constant and undamped Lorentz media, poles on and off the grid."""
+    n = draw(st.integers(2, 30))
+    lo = draw(st.floats(0.3, 1.2))
+    hi = lo + draw(st.floats(0.05, 1.0))
+    # a frequency on a grid point, where an undamped resonance is flagged, or anywhere in the scan
+    frequency = st.sampled_from(np.linspace(lo, hi, n).tolist()) | st.floats(lo, hi)
+    constant = st.sampled_from([2.25, 9.0, -0.5, -1.0, -2.0, [2.0, 0.1], [-1.0, 0.5]])
+    medium = st.one_of(
+        st.sampled_from(["vacuum", "sapphire-ir"]),
+        constant.map(lambda eps: {"kind": "constant", "eps": eps}),
+        frequency.map(lambda w: {"kind": "lorentz", "eta": 2.71, "eps0": 6.57, "gamma": 0.0, "omega_t": w}),
+    )
+    return {
+        "system": {"upper": draw(medium), "lower": draw(medium), "omega_max": 3.0},
+        "atom_a": {"omega0": draw(frequency), "gamma": 0.0},
+        "atom_b": {"omega0": draw(frequency), "gamma": draw(st.sampled_from([0.0, 1e-3]))},
+        "scan": {
+            "omega_min": lo,
+            "omega_max": hi,
+            "n_points": n,
+            "include_offresonant": draw(st.booleans()),
+            "include_no_lf_curve": draw(st.booleans()),
+        },
+        "quadrature": {"rel_tol": 10.0 ** draw(st.floats(-12, -3)), "max_panels": draw(st.integers(50, 1000))},
+        "validate": {"omega": draw(frequency)},
+        "output": {"path": "ignored", "format": draw(st.sampled_from(["csv", "json"]))},
+    }
+
+
+_ERROR_LINES = {
+    EXIT_CONFIG: ("config error: ", "error: "),
+    EXIT_QUADRATURE: ("quadrature error: ",),
+    EXIT_VALIDATION: ("validation FAILED: ",),
+}
+_WARNING = re.compile(r"WARNING vdwsurf: (\d+) of (\d+) grid points are on a pole and have no value; the first: \S")
+
+
+def _main_and_stderr(args):
+    """``main(args)`` and the lines a run of ``vdw`` would write to stderr: its messages, log lines and warnings."""
+    err, logger = io.StringIO(), logging.getLogger("vdwsurf")
+    handler = logging.StreamHandler(err)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))  # the format main sets
+    logger.addHandler(handler)
+    logger.propagate = False  # the root handler may write to an earlier stderr
+    try:
+        with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(args)
+    finally:
+        logger.removeHandler(handler)
+        logger.propagate = True
+    return rc, err.getvalue().splitlines() + ["%s: %s" % (w.category.__name__, w.message) for w in caught]
+
+
+def _table_rows(text, fmt):
+    """A table as a list of {column: float} rows, NaN for a missing value."""
+    if fmt == "json":
+        return [{k: math.nan if v is None else v for k, v in row.items()} for row in _strict_json(text)]
+    header, *lines = text.splitlines()
+    return [dict(zip(header.split(","), map(float, line.split(",")))) for line in lines]
+
+
+_CAVITY_POLE = {
+    "system": {"upper": "vacuum", "lower": {"kind": "constant", "eps": -0.5}, "omega_max": 3.0},
+    "atom_a": {"omega0": 1.0, "gamma": 0.0},
+    "atom_b": {"omega0": 0.9, "gamma": 0.0},
+    "scan": {"omega_min": 0.7, "omega_max": 1.3, "n_points": 5, "include_offresonant": True},
+    "output": {"path": "ignored", "format": "json"},
+}
+
+
+@given(cfg=_physical_config())
+@example(cfg=_CAVITY_POLE)  # on a pole at every grid point: once an all-nan table with exit 0
+@settings(max_examples=60, deadline=None)
+def test_physical_configs_exit_0_with_finite_values_or_report_an_error(cfg):
+    # every command exits 0, 1, 3 or 4 without a traceback and with only the
+    # documented lines on stderr; on exit 0 a value is missing only in a whole
+    # row flagged at a pole (reported in one warning line) or in an unused column
+    scan = cfg["scan"]
+    with tempfile.TemporaryDirectory() as tmp:
+        config_path = Path(tmp) / "run.json"
+        config_path.write_text(json.dumps(cfg))
+        for command in ("spectrum", "enhancement", "peaks", "validate"):
+            out = Path(tmp) / command
+            rc, lines = _main_and_stderr([command, "--config", str(config_path), "--out", str(out)])
+            assert not list(Path(tmp).glob("*.part")), command
+            warned = [line for line in lines if _WARNING.match(line)]
+            # peaks warns after its scan, and its refinement may still stop at a pole
+            assert len(warned) <= 1, (command, rc, lines)
+            errors = [line for line in lines if line not in warned]
+            if rc != EXIT_OK:
+                assert len(errors) == 1 and errors[0].startswith(_ERROR_LINES[rc]), (command, rc, lines)
+                assert out.exists() == (rc == EXIT_VALIDATION), command
+                continue
+            assert not errors, (command, lines)
+            if command == "peaks":
+                for peak in json.loads(out.read_text()):
+                    assert math.isfinite(peak["location"]) and math.isfinite(peak["height"]), peak
+                    assert peak["width_fwhm"] is None or math.isfinite(peak["width_fwhm"]), peak
+            elif command == "validate":
+                for line in out.read_text().splitlines()[1:]:
+                    assert all(math.isfinite(float(c)) for c in line.split(",")[2:]), line
+            else:
+                rows = _table_rows(out.read_text(), cfg["output"]["format"])
+                assert len(rows) == scan["n_points"]
+                flagged = 0
+                for row in rows:
+                    values = {k: v for k, v in row.items() if k != "omega_over_ref"}
+                    if math.isnan(row["g"]):
+                        flagged += 1
+                        assert all(math.isnan(v) for v in values.values()), (command, row)
+                        continue
+                    if not scan["include_no_lf_curve"] and "u_resonant_no_lf" in values:
+                        assert math.isnan(values.pop("u_resonant_no_lf")), row
+                    assert all(math.isfinite(v) for v in values.values()), (command, row)
+                assert 0 <= flagged < scan["n_points"]
+                counts = [tuple(map(int, _WARNING.match(line).groups())) for line in warned]
+                assert counts == ([(flagged, scan["n_points"])] if flagged else []), (command, lines)

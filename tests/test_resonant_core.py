@@ -1,8 +1,9 @@
 """The array core of the resonant path against the scalar functions.
 
-Scans evaluate permittivity, coupling and polarizability over the whole
-frequency grid at once; these tests pin that this changes no output byte
-and no value, including at poles.
+Scans evaluate permittivity, coupling and polarizability over a frequency
+array, one block of up to ``spectra._BLOCK`` grid points per call; these
+tests pin that this changes no output byte and no value, including at
+poles.
 """
 
 import hashlib

@@ -142,7 +142,7 @@ class TestOffresonantColumn:
         calls = _spy_integrals(monkeypatch)
         blocks = list(_scan_blocks(sapphire_system, scan, partner, template, quad))
         column = np.concatenate([columns[5] for columns, _ in blocks])
-        errors = [e for _, block_errors in blocks for e in block_errors]
+        errors = [e for _, terms in blocks for e in terms.errors]
         assert [i for i, e in enumerate(errors) if e is not None] == [1234]
         assert math.isnan(column[1234])
         # one integral per block of the grid, one component per unflagged row of the block
@@ -161,8 +161,8 @@ class TestOffresonantColumn:
 
         monkeypatch.setattr(interaction, "adaptive_gauss", refuse)
         scan = ScanSpec(0.7, 1.3, n_points=5, include_offresonant=True)
-        [(columns, errors)] = _scan_blocks(system, scan, atom_b, Atom(omega0=1.0))
-        assert all(e is not None for e in errors)
+        [(columns, terms)] = _scan_blocks(system, scan, atom_b, Atom(omega0=1.0))
+        assert terms.flagged.all() and all(e is not None for e in terms.errors)
         assert np.all(np.isnan(columns[5]))
 
     def test_fig2_column_is_one_panel_call_on_four_panels(self, sapphire_system, atom_b, monkeypatch):
