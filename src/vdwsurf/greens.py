@@ -11,7 +11,7 @@ below the interface, observation point above):
 The closed form is the exact integral of the kernel's large-wavenumber
 limit, so :func:`sommerfeld_green` adds it analytically and integrates only
 the retardation residual: adaptively up to a few Bessel periods past the
-light lines, then as an extrapolated sum over half-periods.
+light lines, then as a weighted average of sums over half-periods.
 
 The Green function is normalized to the wave equation with a 4*pi*delta
 source, so the free-space near field is (3*RR - R^2 I)/(omega^2 R^5) in the
@@ -272,8 +272,11 @@ def sommerfeld_green(
     against the largest component of residual or closed form: adaptively
     over a propagating segment up to the largest Re(n*omega) and a head up
     to K0 = max(20*k_split, 10/rho), and beyond K0, while the e^{-k dz}
-    envelope has not decayed, as an extrapolated sum over half-periods
-    pi/rho of the Bessel oscillation.  The propagating segment is split at
+    envelope has not decayed, as a weighted average of sums over
+    half-periods pi/rho, under the remainder model (-1)^n e^{-dz k_n}
+    sqrt(k_n) of the residual's form J(k rho) k e^{-k dz} at large k; its
+    estimate bounds rule and extrapolation error, but not the residual's
+    rounding, (k/omega)^2 eps of it.  The propagating segment is split at
     the light lines Re(n*omega), and each piece [k_lo, k_hi] is integrated
     in a variable t with k - k_lo and k_hi - k proportional to t^2 near
     either end, which removes the square-root branch point of beta at a
@@ -349,7 +352,7 @@ def _sommerfeld_many(
         )
         own = [_bisection(k_split, k0, spec, seeds)]
         if k0 < k_end:
-            own.append(_tail(k0, np.pi / rho, spec))
+            own.append(_tail(k0, np.pi / rho, dz, spec))
         rows += [(z_a, z_b, rho, *ends) for ends in [(np.nan, np.nan)] * len(own) + pieces]  # NaN: in k
         own += [_bisection(0.0, 2.0, spec, [1.0]) for _ in pieces]
         jobs += own

@@ -282,7 +282,7 @@ def local_field_factor(eps) -> complex:
     eps = -1/2.
     """
     eps = complex(eps)
-    if _cavity_pole(eps):
+    if _cavity_pole(eps, abs(eps)):
         raise SingularityError(f"local-field factor pole at eps = {eps!r}")
     return 3.0 * eps / (2.0 * eps + 1.0)
 
@@ -293,9 +293,9 @@ def _pole(den, scale):
     return abs(den) <= _POLE_RTOL * scale
 
 
-def _cavity_pole(eps):
-    """True where 2*eps + 1 is within roundoff of zero (elementwise for CArrays)."""
-    return _pole(2.0 * eps + 1.0, 1.0 + 2.0 * abs(eps))
+def _cavity_pole(eps, size):
+    """True where 2*eps + 1 is within roundoff of zero, for ``size`` = |eps| (elementwise for CArrays)."""
+    return _pole(2.0 * eps + 1.0, 1.0 + 2.0 * size)
 
 
 class _Poles:
@@ -338,8 +338,7 @@ def _coupling(e_u, e_l, poles: _Poles | None = None):
     if poles is not None:
         a_u, a_l = abs(e_u), abs(e_l)
         poles.check(_pole(s, a_u + a_l + 1.0), "average permittivity vanishes at {name} = {}")
-        cavity = _pole(2.0 * e_u + 1.0, 1.0 + 2.0 * a_u) | _pole(2.0 * e_l + 1.0, 1.0 + 2.0 * a_l)
-        poles.check(cavity, "Onsager cavity pole at {name} = {}")
+        poles.check(_cavity_pole(e_u, a_u) | _cavity_pole(e_l, a_l), "Onsager cavity pole at {name} = {}")
     return 18.0 * e_u * e_l / (s * (2.0 * e_u + 1.0) * (2.0 * e_l + 1.0)), 2.0 / s
 
 

@@ -7,10 +7,10 @@ the rest already meet the requested tolerance, and evaluates all children
 in batched integrand calls, until every component of the integral meets the
 tolerance or the panel budget is exhausted.
 
-Oscillatory integrands on a half-line are summed over half-periods with the
-same rule pair, and the partial sums are extrapolated with Wynn's epsilon
-algorithm (:func:`oscillatory_tail`); such a tail takes its new panels from
-a fixed schedule of half-periods instead of from bisection.
+An oscillatory integrand on a half-line (:func:`_tail`) is summed over
+half-periods, a fixed schedule of panels, and the partial sums S_n ending
+at x_n are averaged linearly, with weights from the remainder model
+(-1)^n e^{-dz x_n} sqrt(x_n) of a Bessel oscillation under e^{-dz x}.
 
 One loop carries many independent integrals ("jobs") of one integrand at
 once, as vectorized cubature interfaces do.  Each job is a generator that
@@ -151,25 +151,6 @@ def adaptive_gauss(f, a, b, spec: QuadratureSpec | None = None, breakpoints=()):
     return _result(_integrate_many(lambda x, job: f(x), [_bisection(a, b, spec, breakpoints)])[0])
 
 
-def oscillatory_tail(f, a, half_period, spec: QuadratureSpec | None = None):
-    """Integrate an oscillating ``f`` over [a, inf) by extrapolated half-period sums.
-
-    The half-periods [a + j*half_period, a + (j + 1)*half_period] are
-    integrated with the rule pair of :func:`adaptive_gauss`, one panel each,
-    in batches of 8, then 16, then 40 more (one integrand call per batch,
-    never more panels than ``spec.max_panels``).  The partial sums are
-    extrapolated with Wynn's epsilon algorithm; the spread of the last two
-    extrapolants is the error estimate, held to the bound of
-    :func:`adaptive_gauss`.  ``f`` is called as there.
-
-    Returns ``(value, error_estimate, panels)``, value and error shaped as
-    in :func:`adaptive_gauss` (NumPy scalars for a scalar integrand).
-    Raises QuadratureError, carrying the last extrapolant and its spread,
-    if the budget runs out.
-    """
-    return _result(_integrate_many(lambda x, job: f(x), [_tail(a, half_period, spec)])[0])
-
-
 def _str(x) -> str:
     """``str(x)`` for a message, or the size of an integer too long to print."""
     return _shown(x) if isinstance(x, int) else str(x)
@@ -222,34 +203,67 @@ def _bisection(a, b, spec: QuadratureSpec | None = None, breakpoints=()):
 _BATCHES = (8, 16, 40)  # half-periods a tail takes in its first, second and third sweep
 
 
-def _tail(a, half_period, spec: QuadratureSpec | None = None):
-    """:func:`oscillatory_tail` as a job of :func:`_integrate_many`.
+def _tail(a, half_period, dz, spec: QuadratureSpec | None = None):
+    """The integral over [a, inf) of an integrand that oscillates with
+    ``half_period`` under e^{-dz x}, as a job of :func:`_integrate_many`.
 
-    It takes the half-periods of ``_BATCHES`` in turn, within the budget,
-    and after each batch runs Wynn's table on its own partial sums.
+    The half-periods from ``a`` on take one panel each, in the batches of
+    ``_BATCHES`` (at most ``spec.max_panels`` in all).  After each batch the
+    partial sums S_0, S_1, ... are averaged with the weights of
+    :func:`_weights`.  The estimate of the average of S_0 ... S_n is its
+    change from that of S_0 ... S_{n-1}, plus the S_i's summed |G15 - G7|
+    carried through its weights; the average with the smallest estimate is
+    taken, and held to the bound of :func:`_bisection`.  For an integrand
+    of the remainder model, the estimate bounds the rule and extrapolation
+    error; rounding in the integrand's values it estimates by |G15 - G7|.
     """
-    if not _is_finite(a):
-        raise ParameterError(f"tail start must be finite, got {_str(a)}")
+    if not (_is_finite(a) and a >= 0.0):
+        raise ParameterError(f"tail start must be finite and >= 0, got {_str(a)}")
     if not (half_period > 0.0 and _is_finite(half_period)):
         raise ParameterError(f"half_period must be positive and finite, got {_str(half_period)}")
+    if not (dz >= 0.0 and _is_finite(dz)):
+        raise ParameterError(f"envelope decay dz must be >= 0 and finite, got {_str(dz)}")
     if spec is None:
         spec = QuadratureSpec()
-    # the half-period integrals received and their concatenation; the last extrapolant and spread
-    terms, part, value, err = [], np.empty(0), None, None
+    received, count, value, err = [], 0, None, None  # (values, rule errors) per batch
     for batch in _BATCHES:
-        left = a + half_period * np.arange(len(part), min(len(part) + batch, spec.max_panels))
+        left = a + half_period * np.arange(count, min(count + batch, spec.max_panels))
         if not left.size:  # the budget is spent
             break
-        new_val, _ = yield left, left + half_period
-        terms.append(new_val)
-        part = np.concatenate(terms)
-        if len(part) >= 2:
-            value, previous = _wynn(np.cumsum(part, axis=0))
-            err = np.abs(value - previous)
+        received.append((yield left, left + half_period))
+        count += left.size
+        if count >= 2:
+            part, part_err = (np.concatenate(x) for x in zip(*received))
+            # row n: the average of S_0 ... S_n, and the rule errors it carries
+            weights = _weights(a + half_period * np.arange(1, count + 1), dz)[:, :, None]
+            averages, rule = ((weights * np.cumsum(x, axis=0)).sum(axis=1) for x in (part, part_err))
+            estimates = np.abs(averages[1:] - averages[:-1]) + rule[1:]
+            best = np.argmin(estimates.max(axis=1))
+            value, err = averages[best + 1], estimates[best]
             if np.all(err <= _bound(spec, value, np.abs(part).sum(axis=0))):
-                return value, err, len(part)
-    message = f"no convergence of the oscillatory tail within {len(part)} half-periods"
-    return QuadratureError(message, value=value, error_estimate=err, panels=len(part))
+                return value, err, count
+    message = f"no convergence of the oscillatory tail within {count} half-periods"
+    return QuadratureError(message, value=value, error_estimate=err, panels=count)
+
+
+def _weights(x, dz):
+    """Row n: the weights c_i of the average sum(c_i S_i) of partial sums S_0 ... S_n ending at ``x``.
+
+    They are Sidi's W transformation (Math. Comp. 51, 249 (1988)) with the
+    remainder model S - S_i ~ w_i = (-1)^i e^{-dz x_i} sqrt(x_i) times a
+    series in 1/x_i, that of a Bessel oscillation under x e^{-dz x}
+    (Michalski, IEEE Trans. Antennas Propag. 46, 1405 (1998)): its
+    recurrence M_k(i) = (M_{k-1}(i+1) - M_{k-1}(i)) / (1/x_{i+k} - 1/x_i)
+    from M_0 = S/w, and alike for N from 1/w, gives W = M_n(0)/N_n(0).  For
+    equally spaced x, c_i ~ C(n, i) x_i^(n-1) / |w_i|: positive, summing to
+    1, and formed in logarithms, which neither overflow nor cancel.
+    """
+    n, i = np.arange(x.size)[:, None], np.arange(x.size)
+    log_factorial = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, x.size)))])
+    log_c = (n - 1.5) * np.log(x) + dz * (x - x[0]) - log_factorial[i] - log_factorial[n - i]
+    log_c = np.where(i <= n, log_c, -np.inf)  # no weight beyond S_n
+    c = np.exp(log_c - log_c.max(axis=1, keepdims=True))
+    return c / c.sum(axis=1, keepdims=True)
 
 
 def _integrate_many(f, jobs):
@@ -267,6 +281,8 @@ def _integrate_many(f, jobs):
     the values of its own panels only, so it ends as it ends alone.  A job
     one of whose panels has a value or error that is not finite ends at
     once, with a QuadratureError that names that panel and carries no value.
+    A job's estimate is its panels' |G15 - G7|, in a tail job carried
+    through its weighted average under the remainder model of :func:`_weights`.
     ``f(x, job)`` maps abscissae of shape (n,), and the index of the job
     each belongs to, to values of shape (n,) or (n, m).  Returns per job
     its outcome, value and error in the shape of ``f``'s values (NumPy
@@ -312,23 +328,3 @@ def _bound(spec: QuadratureSpec, value, magnitude) -> float:
     """Error bound for an integral ``value`` whose panel values sum to ``magnitude`` in size."""
     tol = spec.abs_tol + spec.rel_tol * np.max(np.abs(value))
     return max(tol, _ROUNDOFF * np.max(magnitude))
-
-
-def _wynn(sums):
-    """Last two extrapolants of Wynn's epsilon table over partial sums of shape (n, m).
-
-    Each even column of the table holds extrapolants; the last two entries
-    of the deepest column with two finite entries are returned, per
-    component (a component whose sums stop changing keeps the shallower
-    column that last had them).
-    """
-    best = sums[-1].copy(), sums[-2].copy()
-    odd, even = np.zeros((sums.shape[0] + 1,) + sums.shape[1:], dtype=sums.dtype), sums
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        while even.shape[0] >= 4:
-            odd = odd[1:-1] + 1.0 / (even[1:] - even[:-1])
-            even = even[1:-1] + 1.0 / (odd[1:] - odd[:-1])
-            ok = np.isfinite(even[-2:]).all(axis=0)
-            np.copyto(best[0], even[-1], where=ok)
-            np.copyto(best[1], even[-2], where=ok)
-    return best

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
+from scipy.special import jv
 
 from vdwsurf import (
     AtomPositions,
@@ -818,6 +819,156 @@ def test_matched_vacuum_at_large_aspect_equals_free_space(vacuum_system, aspect)
     got = sommerfeld_green(vacuum_system, 0.5, pos)
     want = free_space_green(pos.r_vec, 0.5)
     assert np.max(np.abs(got - want)) <= 1e-7 * np.max(np.abs(want))
+
+
+def _residual_without_cancellation(kernel: _Kernel, p0, s0, z_a, z_b, rho):
+    """Oracle: the integrand of ``_radial_integrand`` (k in k) at large k, written without cancellation.
+
+    There the integrand is the difference of two terms about (k/omega)^2
+    times larger, so its float values carry rounding of about that many
+    ulps.  Here beta - ik = n^2 omega^2/(beta + ik), the phase over the
+    envelope minus 1 is an expm1, and ik*p - p0 and ik*s - s0 are formed
+    from the exact differences of the float constants, in mpmath.
+    """
+    mp = [mpmath.mpc(z) for z in (kernel.mu_u, kernel.mu_l, kernel.eps_u, kernel.eps_l, p0, s0)]
+    mu_u, mu_l, eps_u, eps_l, mp0, ms0 = mp
+    c_p = mu_u * mpmath.mpc(kernel._tp_num) * mpmath.mpc(kernel.p_norm)  # ik*p = c_p*ik/den_p
+    with mpmath.workdps(40):
+        d_p = complex(c_p - mp0 * (eps_u + eps_l))
+        d_s = complex(2 * mu_u * mu_l - ms0 * (mu_u + mu_l))  # ik*s = 2*mu_u*mu_l*ik/den_s
+    c_p, c_s = complex(c_p), 2.0 * kernel.mu_u * kernel.mu_l
+    dz = z_a - z_b
+
+    def integrand(k):
+        ik, k2, envelope = 1j * k, k * k, np.exp(-k * dz)
+        beta, beta_m = _upward_root(kernel._nw2_u - k2), _upward_root(kernel._nw2_l - k2)
+        d_u, d_l = kernel._nw2_u / (beta + ik), kernel._nw2_l / (beta_m + ik)  # beta - ik, beta_m - ik
+        den_p = ik * (kernel.eps_l + kernel.eps_u) + kernel.eps_l * d_u + kernel.eps_u * d_l
+        den_s = ik * (kernel.mu_l + kernel.mu_u) + kernel.mu_l * d_u + kernel.mu_u * d_l
+        q, r = c_p * ik / den_p, c_s * ik / den_s  # ik*p, ik*s
+        dq = (ik * d_p - p0 * (kernel.eps_l * d_u + kernel.eps_u * d_l)) / den_p  # ik*p - p0
+        dr = (ik * d_s - s0 * (kernel.mu_l * d_u + kernel.mu_u * d_l)) / den_s  # ik*s - s0
+        phi = np.expm1(1j * (d_u * z_a - d_l * z_b))  # phase/envelope - 1
+        core = dq + q * phi  # (ik*p*phase - p0*envelope)/envelope
+        cp = 0.5 * envelope * (q * (ik * (d_u + d_l) + d_u * d_l) * (1.0 + phi) - k2 * core)
+        cs = 0.5 * envelope * (dr + r * phi)
+        b0, b1, b2 = (jv(n, k * rho) for n in range(3))
+        p = q / ik
+        return np.stack(
+            [
+                cp * (b0 - b2) + cs * (b0 + b2),
+                cp * (b0 + b2) + cs * (b0 - b2),
+                k2 * envelope * core * b0,
+                k2 * envelope * (core + d_u * p * (1.0 + phi)) * b1,
+                k2 * envelope * (core + d_l * p * (1.0 + phi)) * b1,
+            ],
+            axis=-1,
+        )
+
+    return integrand
+
+
+# Round 0 of the seeded sommerfeld-near benchmark draw (bench/workloads.py,
+# seed 1): omega, r_a and r_b of each of its eight validate operations.
+_NEAR_SEED_1 = [
+    (1.3765768500766051, 0.07408083697016696, (-0.9613755402069943, -0.27524002378235224)),
+    (0.7375099095686322, 0.02712070493028859, (0.9558189617556752, 0.2939559700844724)),
+    (0.49646675164644516, 0.054786111696037545, (0.8308059973070814, -0.5565621212754115)),
+    (0.5402525396938032, 0.45359939383958675, (-0.8396845488275808, -0.5430744502001746)),
+    (0.5335532396898074, 0.010364859882933548, (-0.3823358439753939, 0.9240234317438185)),
+    (1.096495704304966, 0.30615024402089924, (-0.8547626099494502, 0.5190191524716636)),
+    (0.7268435124803472, 0.6503197993553799, (-0.9319863936356358, -0.36249325797598175)),
+    (1.2576955637418614, 0.12782947867659672, (0.9890142475546857, -0.14782022234403108)),
+]
+
+
+def test_tail_estimates_bound_their_errors_on_the_seeded_near_draw(sapphire_system, monkeypatch):
+    # Each tail job of the draw's 24 tensors (8 geometries at scales 0.1,
+    # 0.01, 0.001), with the start, half-period, dz and tolerance that
+    # sommerfeld_green gives it, is run on the oracle integrand and checked
+    # against the direct sum of its half-periods (Gauss-Legendre, 30 points
+    # each) out to where e^{-(k - K0) dz} < eps^2.  Wynn's epsilon table,
+    # the tail's former extrapolation, fell short of its error on 6 of
+    # these tails and read exactly 0 in some component on 3.
+    import vdwsurf.greens as greens
+
+    tails, make = [], greens._tail
+    monkeypatch.setattr(greens, "_tail", lambda *args: tails.append(args) or make(*args))
+    x, w = np.polynomial.legendre.leggauss(30)
+    for omega, half_dz, (bx, by) in _NEAR_SEED_1:
+        kernel = _Kernel(sapphire_system, omega)
+        p0 = 2.0 / (kernel.eps_u + kernel.eps_l) / omega**2  # as _sommerfeld_many forms it
+        s0 = 2.0 * kernel.mu_u * kernel.mu_l / (kernel.mu_u + kernel.mu_l)
+        for scale in (0.1, 0.01, 0.001):
+            pos = AtomPositions([0.0, 0.0, half_dz], [bx, by, -half_dz]).scaled(scale)
+            sommerfeld_green(sapphire_system, omega, pos)
+            args, dz = tails[-1], pos.r_a[2] - pos.r_b[2]
+            oracle = _residual_without_cancellation(kernel, p0, s0, pos.r_a[2], pos.r_b[2], pos.rho)
+            value, err, panels = _result(_integrate_many(lambda k, which: oracle(k), [make(*args)])[0])
+            k0, half_period = args[:2]
+            lefts = k0 + half_period * np.arange(np.ceil(-2.0 * np.log(np.finfo(float).eps) / (dz * half_period)))
+            nodes = (lefts[:, None] + 0.5 * half_period * (x + 1.0)).ravel()
+            want = 0.5 * half_period * np.einsum("j,pjm->m", w, oracle(nodes).reshape(lefts.size, x.size, -1))
+            assert panels == 8
+            assert np.all(err > 0.0)
+            assert np.all(np.abs(value - want) <= err), (omega, scale)
+    assert len(tails) == 24
+
+
+def test_one_ulp_of_p0_moves_the_tensor_by_about_one_ulp(sapphire_system, monkeypatch):
+    # Operation #2.6 of the seeded sommerfeld-near draw (rho/dz = 25.4,
+    # scale 0.1): p0*(1 + 2^-52) in the integrand alone.  The weighted
+    # averages are linear with positive weights; Wynn's epsilon table
+    # amplified the bump in the tail to 4.8e-14 of the tensor.
+    import vdwsurf.greens as greens
+
+    pos = AtomPositions(
+        [0.0, 0.0, 0.019716107227750242], [0.9892733458656361, 0.14607616903454726, -0.019716107227750242]
+    ).scaled(0.1)
+    omega = 0.83819538089477
+    base = sommerfeld_green(sapphire_system, omega, pos)
+    radial = greens._radial_integrand
+    monkeypatch.setattr(
+        greens, "_radial_integrand", lambda kernel, jobs, p0, s0: radial(kernel, jobs, p0 * (1.0 + 2.0**-52), s0)
+    )
+    bumped = sommerfeld_green(sapphire_system, omega, pos)
+    assert np.max(np.abs(bumped - base)) <= 1e-14 * np.max(np.abs(base))
+
+
+def test_seeded_large_aspect_draw_converges_at_rel_tol_1e_12(sapphire_system):
+    # 60 geometries with omega*rho <= 0.1 and rho/dz from 1e2 to 3e3; draw 1
+    # (omega 1.276, rho/dz 787) ended in "no convergence of the oscillatory
+    # tail within 64 half-periods" with Wynn's epsilon table
+    rng = np.random.default_rng(0)
+    quad = QuadratureSpec(rel_tol=1e-12)
+    for _ in range(60):
+        omega = rng.uniform(0.3, 1.5)
+        rho = 10.0 ** rng.uniform(-3.0, -1.0) / omega
+        dz = rho / np.exp(rng.uniform(np.log(1e2), np.log(3e3)))
+        phi = rng.uniform(0.0, 2.0 * np.pi)
+        pos = AtomPositions([0.0, 0.0, 0.5 * dz], [rho * np.cos(phi), rho * np.sin(phi), -0.5 * dz])
+        assert np.all(np.isfinite(sommerfeld_green(sapphire_system, omega, pos, quad)))
+
+
+def test_tail_takes_the_average_with_the_smallest_estimate(sapphire_system, monkeypatch):
+    # rho/dz 1612 and omega*rho 0.09 at rel_tol 1e-12: the average of all 24
+    # partial sums carries more of their rule error than the bound allows,
+    # while the average of fewer of them meets it
+    import vdwsurf.greens as greens
+
+    integrate, outcomes = greens._integrate_many, []
+
+    def recorded(f, jobs):
+        names = [job.__name__ for job in jobs]
+        outcomes.extend(zip(names, integrate(f, jobs)))
+        return [outcome for _, outcome in outcomes[-len(jobs) :]]
+
+    monkeypatch.setattr(greens, "_integrate_many", recorded)
+    half_dz = 3.9555982935203246e-05
+    pos = AtomPositions([0.0, 0.0, half_dz], [0.12751725073873202, -0.0022858930116776326, -half_dz])
+    green = sommerfeld_green(sapphire_system, 0.7061563573320948, pos, QuadratureSpec(rel_tol=1e-12))
+    assert np.all(np.isfinite(green))
+    assert [outcome[2] for name, outcome in outcomes if name == "_tail"] == [24]
 
 
 def test_on_axis_sommerfeld_green_matches_mpmath_quadrature(sapphire_system):

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from scipy.special import itj0y0, j0, sici
+import mpmath
+from scipy.special import itj0y0, j0, j1
 
 from vdwsurf import ParameterError, QuadratureError, QuadratureSpec, adaptive_gauss, quadrature
-from vdwsurf.quadrature import oscillatory_tail
 
 
 def test_rules_equal_leggauss_bit_for_bit():
@@ -90,7 +90,7 @@ def test_empty_interval_rejected():
 @pytest.mark.parametrize("a, b", [(0.0, np.inf), (-np.inf, 0.0), (np.inf, 1.0)])
 def test_infinite_interval_rejected(a, b):
     # bisection of an infinite interval evaluates NaN panels until the budget
-    # runs out; a half-line is for oscillatory_tail
+    # runs out; a half-line is for quadrature._tail
     with pytest.raises(ParameterError, match="must be finite"):
         adaptive_gauss(lambda x: np.exp(-x * x), a, b)
 
@@ -239,30 +239,61 @@ def test_seeded_panels_count_against_the_budget(max_panels):
 
 
 def _tails(x):
-    return np.stack([np.sin(x) / x, j0(x), np.exp(-0.1 * x) * np.cos(x)], axis=-1)
+    # Bessel oscillations under e^{-x/10}: the class of the tail's remainder model
+    envelope = np.exp(-0.1 * x)
+    return np.stack([envelope * j0(x), envelope * j1(x), x * envelope * j0(x)], axis=-1)
 
 
-def test_oscillatory_tail_closed_forms():
-    a, b = 2.0, 0.1
-    exact = [
-        np.pi / 2.0 - sici(a)[0],
-        1.0 - itj0y0(a)[0],
-        np.exp(-b * a) * (b * np.cos(a) - np.sin(a)) / (1.0 + b * b),
+def _one_tail(f, *args):
+    """``quadrature._tail(*args)`` of ``f`` as the only job: ``(value, error, panels)``, or its QuadratureError."""
+    return quadrature._integrate_many(lambda x, which: f(x), [quadrature._tail(*args)])[0]
+
+
+def test_tail_closed_forms():
+    # Laplace transforms of J0, J1 and x J0 at b = 1/10 (dz = b), less
+    # their integrals over [0, a] by mpmath
+    a, b = 10.0, 0.1
+    r = np.sqrt(1.0 + b * b)
+    heads = [
+        mpmath.quad(lambda x: mpmath.exp(-b * x) * x**m * mpmath.besselj(n, x), mpmath.linspace(0.0, a, 5))
+        for n, m in ((0, 0), (1, 0), (0, 1))
     ]
-    val, err, panels = oscillatory_tail(_tails, a, np.pi, QuadratureSpec(rel_tol=1e-12))
-    assert val.shape == err.shape == (3,)
-    assert_allclose(val, exact, rtol=0.0, atol=1e-12)
-    assert np.all(err <= 1e-12 * np.max(np.abs(val)))
-    assert panels in (8, 24, 64)
-    # a scalar integrand gives scalars, as adaptive_gauss does
-    val, err, _ = oscillatory_tail(lambda x: np.sin(x) / x, a, np.pi)
+    exact = np.array([1.0 / r, 1.0 - b / r, b / r**3]) - np.array(heads, dtype=float)
+    for rel_tol in (1e-6, 1e-8, 1e-10):
+        val, err, panels = _one_tail(_tails, a, np.pi, b, QuadratureSpec(rel_tol=rel_tol))
+        assert val.shape == err.shape == (3,)
+        assert np.all(np.abs(val - exact) <= err)  # the estimate bounds the error
+        assert np.all(err <= rel_tol * np.max(np.abs(val)))
+        assert panels in (8, 24, 64)
+    # J0 alone, without an envelope (dz = 0): 1 - int_0^a J0, and a scalar
+    # integrand gives scalars, as adaptive_gauss does
+    val, err, _ = _one_tail(j0, a, np.pi, 0.0, QuadratureSpec(rel_tol=1e-8))
     assert np.ndim(val) == np.ndim(err) == 0
-    assert_allclose(val, exact[0], rtol=1e-8)
+    assert 0.0 < abs(val - (1.0 - itj0y0(a)[0])) <= err <= 1e-8 * abs(val)
 
 
-def test_oscillatory_tail_batches_go_through_panel_within_the_budget(monkeypatch):
+def test_tail_weights_are_sidis_w_recurrence_on_the_identity():
+    # M_0 = diag(1/w), N_0 = 1/w, M_k(i) = (M_{k-1}(i+1) - M_{k-1}(i)) /
+    # (1/x_{i+k} - 1/x_i), and W = M/N: row n of _weights is W over S_0 ... S_n
+    for a, h, dz in ((10.0, np.pi, 0.1), (100.0, 31.4, 0.0024), (2.0, 1.0, 0.0), (5.0, 0.5, 3.0)):
+        x = a + h * np.arange(1, 13)
+        weights = quadrature._weights(x, dz)
+        w = (-1.0) ** np.arange(x.size) * np.exp(-dz * (x - x[0])) * np.sqrt(x)
+        for n in range(x.size):
+            m, norm = np.diag(1.0 / w[: n + 1]), 1.0 / w[: n + 1]
+            for k in range(1, n + 1):
+                step = 1.0 / x[k : n + 1] - 1.0 / x[: n + 1 - k]
+                m, norm = (m[1:] - m[:-1]) / step[:, None], (norm[1:] - norm[:-1]) / step
+            assert_allclose(weights[n, : n + 1], m[0] / norm[0], rtol=1e-9, atol=1e-15)
+            assert np.all(weights[n, n + 1 :] == 0.0)
+        assert np.all(weights >= 0.0)
+        assert_allclose(weights.sum(axis=1), 1.0, rtol=1e-14)
+
+
+def test_tail_batches_go_through_panel_within_the_budget(monkeypatch):
     # half-periods are evaluated by quadrature._panel in batches of 8, 16
-    # and 40, never past max_panels
+    # and 40, never past max_panels; rel_tol 1e-14 is below the rule error
+    # of a half-period, so the tail takes all 64
     batches = []
     panel = quadrature._panel
 
@@ -271,28 +302,31 @@ def test_oscillatory_tail_batches_go_through_panel_within_the_budget(monkeypatch
         return panel(f, lefts, rights)
 
     monkeypatch.setattr(quadrature, "_panel", counted)
-    _, _, panels = oscillatory_tail(_tails, 2.0, np.pi, QuadratureSpec(rel_tol=1e-14))
-    assert batches == [8, 16, 40][: len(batches)] and sum(batches) == panels
+    _, _, panels = _one_tail(_tails, 10.0, np.pi, 0.1, QuadratureSpec(rel_tol=1e-8))
+    assert batches == [8] and panels == 8
     batches.clear()
-    with pytest.raises(QuadratureError) as excinfo:
-        oscillatory_tail(_tails, 2.0, np.pi, QuadratureSpec(rel_tol=1e-14, max_panels=10))
-    assert excinfo.value.panels == sum(batches) == 10
+    out = _one_tail(_tails, 10.0, np.pi, 0.1, QuadratureSpec(rel_tol=1e-14))
+    assert str(out) == "no convergence of the oscillatory tail within 64 half-periods"
+    assert batches == [8, 16, 40] and out.panels == 64
+    batches.clear()
+    out = _one_tail(_tails, 10.0, np.pi, 0.1, QuadratureSpec(rel_tol=1e-14, max_panels=10))
+    assert isinstance(out, QuadratureError) and out.panels == sum(batches) == 10
     assert batches == [8, 2]
-    assert excinfo.value.value.shape == excinfo.value.error_estimate.shape == (3,)
+    assert out.value.shape == out.error_estimate.shape == (3,)
 
 
-def test_oscillatory_tail_rejects_bad_half_period():
-    for half_period in (0.0, -1.0, np.inf, np.nan):
-        with pytest.raises(ParameterError):
-            oscillatory_tail(_tails, 2.0, half_period)
-
-
-def _alone(run):
-    """``run()``'s result, or the QuadratureError it raises."""
-    try:
-        return run()
-    except QuadratureError as exc:
-        return exc
+@pytest.mark.parametrize(
+    "args",
+    [(2.0, half_period, 0.1) for half_period in (0.0, -1.0, np.inf, np.nan)]
+    + [(2.0, np.pi, dz) for dz in (-0.1, np.inf, np.nan)]
+    + [(-1.0, np.pi, 0.1)],
+    ids=[
+        "half-period-0", "half-period-neg", "half-period-inf", "half-period-nan", "dz-neg", "dz-inf", "dz-nan", "a-neg",
+    ],
+)
+def test_tail_rejects_bad_half_period_dz_and_start(args):
+    with pytest.raises(ParameterError):
+        quadrature._tail(*args).send(None)
 
 
 def _assert_same_outcome(got, want):
@@ -308,18 +342,15 @@ def _assert_same_outcome(got, want):
         assert (a is None and b is None) or np.array_equal(a, b)
 
 
-_ONE_JOB = {quadrature._bisection: adaptive_gauss, quadrature._tail: oscillatory_tail}
-
-
 def _jobs(described):
     """The job generators of ``described = [(constructor, args), ...]``."""
     return [make(*args) for make, args in described]
 
 
 def _alone_job(f, j, job):
-    """What the one-job function gives for ``job = (constructor, args)`` of ``f(x, j)`` alone."""
+    """What ``job = (constructor, args)`` of ``f(x, j)`` gives as the only job."""
     make, args = job
-    return _alone(lambda: _ONE_JOB[make](lambda x: f(x, np.full(x.shape, j)), *args))
+    return quadrature._integrate_many(lambda x, which: f(x, np.full(x.shape, j)), [make(*args)])[0]
 
 
 _TOLERANCES = {
@@ -366,7 +397,7 @@ def test_many_jobs_equal_each_job_alone(jobs):
             b = a + job["length"]
             specs.append((quadrature._bisection, (a, b, spec, [a + t * (b - a) for t in job["breakpoints"]])))
         else:
-            specs.append((quadrature._tail, (a, np.pi / job["freq"], spec)))
+            specs.append((quadrature._tail, (a, np.pi / job["freq"], -job["rate"], spec)))
     outcomes = quadrature._integrate_many(f, _jobs(specs))
     assert len(outcomes) == len(jobs)
     for j, (outcome, job) in enumerate(zip(outcomes, specs)):
@@ -397,10 +428,10 @@ def test_a_tail_out_of_budget_does_not_stop_its_neighbours():
         return _tails(x) * np.where(which == 1, 2.0, 1.0)[:, None]
 
     jobs = [
-        (quadrature._tail, (2.0, np.pi, QuadratureSpec(rel_tol=1e-12))),
-        (quadrature._tail, (2.0, np.pi, QuadratureSpec(rel_tol=1e-14, max_panels=10))),
-        (quadrature._tail, (3.0, np.pi, QuadratureSpec(rel_tol=1e-10))),
-        (quadrature._tail, (2.0, np.pi, QuadratureSpec(max_panels=1))),  # one term: nothing to extrapolate
+        (quadrature._tail, (10.0, np.pi, 0.1, QuadratureSpec(rel_tol=1e-10))),
+        (quadrature._tail, (10.0, np.pi, 0.1, QuadratureSpec(rel_tol=1e-14, max_panels=10))),
+        (quadrature._tail, (11.0, np.pi, 0.1, QuadratureSpec(rel_tol=1e-8))),
+        (quadrature._tail, (10.0, np.pi, 0.1, QuadratureSpec(max_panels=1))),  # one term: nothing to average
         (quadrature._bisection, (1.0, 40.0, QuadratureSpec(rel_tol=1e-12), ())),  # bisected in the same sweeps
     ]
     outcomes = quadrature._integrate_many(f, _jobs(jobs))
@@ -440,7 +471,7 @@ def test_a_job_not_finite_does_not_stop_its_neighbours():
     jobs = [
         (quadrature._bisection, (0.0, 3.0, QuadratureSpec(rel_tol=1e-12), ())),
         (quadrature._bisection, (0.0, 3.0, QuadratureSpec(rel_tol=1e-12), [2.0])),
-        (quadrature._tail, (0.0, 1.0, QuadratureSpec(rel_tol=1e-12))),
+        (quadrature._tail, (0.0, 1.0, 0.0, QuadratureSpec(rel_tol=1e-12))),
     ]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -479,16 +510,16 @@ def test_many_jobs_share_integrand_calls_of_at_most_64_panels(monkeypatch):
         assert_allclose(outcome[0], (1.0 - np.cos(10.0 * w)) / w, rtol=1e-10)
 
     batches.clear()
-    jobs = [quadrature._tail(2.0, np.pi, QuadratureSpec(rel_tol=1e-14)) for _ in range(3)]
+    jobs = [quadrature._tail(10.0, np.pi, 0.1, QuadratureSpec(rel_tol=1e-14)) for _ in range(3)]
     tails = quadrature._integrate_many(lambda x, which: _tails(x) * (1.0 + which)[:, None], jobs)
-    assert max(batches) <= 64 and sum(batches) == sum(t[2] for t in tails)
-    assert batches[:2] == [24, 48]  # 8, then 16 half-periods of each of the three jobs
+    assert [t.panels for t in tails] == [64] * 3  # below the rule error of a half-period
+    assert batches == [24, 48, 64, 56]  # 8, 16, then 40 half-periods of each of the three jobs
 
 
 def test_scalar_tail_returns_the_scalar_type_of_adaptive_gauss():
     spec = QuadratureSpec(rel_tol=1e-10)
-    tail = oscillatory_tail(lambda x: np.exp(-0.1 * x) * np.cos(x), 0.0, np.pi, spec)
-    head = adaptive_gauss(lambda x: np.exp(-0.1 * x) * np.cos(x), 0.0, np.pi, spec)
+    tail = _one_tail(lambda x: np.exp(-0.1 * x) * j0(x), 10.0, np.pi, 0.1, spec)
+    head = adaptive_gauss(lambda x: np.exp(-0.1 * x) * j0(x), 0.0, 10.0, spec)
     assert type(tail[0]) is type(head[0]) is np.float64
     assert type(tail[1]) is type(head[1]) is np.float64
 
@@ -500,7 +531,7 @@ def test_bad_job_raises_before_any_integrand_call():
         calls.append(x.size)
         return np.cos(x)
 
-    jobs = [quadrature._bisection(0.0, 1.0), quadrature._tail(0.0, -1.0)]
+    jobs = [quadrature._bisection(0.0, 1.0), quadrature._tail(0.0, -1.0, 0.0)]
     with pytest.raises(ParameterError, match="half_period"):
         quadrature._integrate_many(f, jobs)
     assert calls == []
@@ -511,12 +542,16 @@ def test_bad_job_raises_before_any_integrand_call():
     [
         lambda f: adaptive_gauss(f, 0.0, 10**400),
         lambda f: adaptive_gauss(f, np.nan, 1.0),
-        lambda f: oscillatory_tail(f, np.inf, 1.0),
-        lambda f: oscillatory_tail(f, np.nan, 1.0),
-        lambda f: oscillatory_tail(f, 10**400, 1.0),
-        lambda f: oscillatory_tail(f, 0.0, 10**400),
+        lambda f: _one_tail(f, np.inf, 1.0, 0.0),
+        lambda f: _one_tail(f, np.nan, 1.0, 0.0),
+        lambda f: _one_tail(f, 10**400, 1.0, 0.0),
+        lambda f: _one_tail(f, 0.0, 10**400, 0.0),
+        lambda f: _one_tail(f, 0.0, 1.0, 10**400),
     ],
-    ids=["gauss-b-1e400", "gauss-a-nan", "tail-a-inf", "tail-a-nan", "tail-a-1e400", "tail-half-period-1e400"],
+    ids=[
+        "gauss-b-1e400", "gauss-a-nan", "tail-a-inf", "tail-a-nan", "tail-a-1e400", "tail-half-period-1e400",
+        "tail-dz-1e400",
+    ],
 )
 def test_limits_not_finite_as_floats_raise_before_any_integrand_call(call):
     # the tail used to sum 64 half-periods of NaN, and 10**400 overflowed float()
@@ -535,10 +570,11 @@ def test_limits_not_finite_as_floats_raise_before_any_integrand_call(call):
     "call",
     [
         lambda f: adaptive_gauss(f, 0, 10**5000),
-        lambda f: oscillatory_tail(f, 0, 10**5000),
-        lambda f: oscillatory_tail(f, 10**5000, 1),
+        lambda f: _one_tail(f, 0, 10**5000, 0),
+        lambda f: _one_tail(f, 10**5000, 1, 0),
+        lambda f: _one_tail(f, 0, 1, 10**5000),
     ],
-    ids=["gauss-b", "tail-half-period", "tail-a"],
+    ids=["gauss-b", "tail-half-period", "tail-a", "tail-dz"],
 )
 def test_limits_too_long_to_print_raise_parameter_error(call):
     # formatting 10**5000 into the message raised ValueError from str()
@@ -556,8 +592,8 @@ def test_limits_too_long_to_print_raise_parameter_error(call):
 def test_limit_messages_show_floats_as_str():
     with pytest.raises(ParameterError, match=r"^integration interval \[0\.0, inf\] must be finite$"):
         adaptive_gauss(np.cos, np.float64(0.0), np.inf)
-    with pytest.raises(ParameterError, match="^tail start must be finite, got nan$"):
-        oscillatory_tail(np.cos, np.float64(np.nan), 1.0)
+    with pytest.raises(ParameterError, match="^tail start must be finite and >= 0, got nan$"):
+        _one_tail(np.cos, np.float64(np.nan), 1.0, 0.0)
 
 
 def test_breakpoints_outside_the_interval_are_dropped_before_float():
@@ -575,11 +611,11 @@ def test_a_finished_job_is_never_evaluated_again():
 
     def f(x, which):
         seen.append(which)
-        return np.where(which == 0, x**3, np.where(which == 1, np.exp(-10.0 * x) * np.cos(x), _oscillating(x)))
+        return np.where(which == 0, x**3, np.where(which == 1, np.exp(-x) * np.cos(x), _oscillating(x)))
 
     jobs = [
         quadrature._bisection(0.0, 1.0),
-        quadrature._tail(0.0, np.pi, QuadratureSpec(rel_tol=1e-6)),
+        quadrature._tail(0.0, np.pi, 1.0, QuadratureSpec(rel_tol=1e-6)),
         quadrature._bisection(0.0, 3.0, QuadratureSpec(rel_tol=1e-12)),
     ]
     outcomes = quadrature._integrate_many(f, jobs)
