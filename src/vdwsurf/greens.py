@@ -287,7 +287,7 @@ def sommerfeld_green(
     any integral, SingularityError when a lossless interface mode sits on
     the path or at a pole of ``_coupling`` (either way) or of mu_u + mu_l.
     """
-    return _sommerfeld_many(system, omega, [pos], quad, local_field)[0]
+    return _sommerfeld_many(system, omega, [pos], quad, local_field)[0][0]
 
 
 def _sommerfeld_many(
@@ -297,7 +297,7 @@ def _sommerfeld_many(
     quad: QuadratureSpec | None = None,
     local_field: bool = True,
 ) -> list:
-    """:func:`sommerfeld_green` at each of ``positions``, with every integral in one loop.
+    """Pairs of :func:`sommerfeld_green` and :func:`nonretarded_green` at each of ``positions``, in one loop.
 
     The kernel depends on omega only, so one residual integrand serves all
     positions.  Each position's head, tail and the pieces of its
@@ -312,7 +312,8 @@ def _sommerfeld_many(
     if quad is None:
         quad = QuadratureSpec()
     kernel.check_path_poles()
-    _, screening = _coupling(kernel.eps_u, kernel.eps_l, _Poles(omega, "omega"))
+    coupling, screening = _coupling(kernel.eps_u, kernel.eps_l, _Poles(omega, "omega"))
+    near = (coupling if local_field else screening) / complex(omega) ** 2  # as nonretarded_green forms it
     mu_u, mu_l = kernel.mu_u, kernel.mu_l
     if _pole(mu_u + mu_l, abs(mu_u) + abs(mu_l)):
         raise SingularityError(f"mu_u + mu_l vanishes at omega = {omega!r}")
@@ -362,7 +363,7 @@ def _sommerfeld_many(
     outcomes = iter(_integrate_many(_radial_integrand(kernel, rows, p0, s0), jobs))
 
     greens = []
-    for frame, phi, count in frames:
+    for pos, (frame, phi, count) in zip(positions, frames):
         flat = np.sum([_result(next(outcomes))[0] for _ in range(count)], axis=0)
         for name, value in zip(COMPONENTS, flat):
             frame[_COMPONENT_INDEX[name]] += value
@@ -373,7 +374,7 @@ def _sommerfeld_many(
         green = np.einsum("ij,jk,lk->il", rot, frame, rot) * cavity
         if not np.all(np.isfinite(green)):
             raise SingularityError("non-finite Green tensor")
-        greens.append(green)
+        greens.append((green, _dipole_tensor(pos.r_vec) * near))
     return greens
 
 
@@ -510,11 +511,9 @@ def nonretarded_limit_check(
         if not (s > 0.0 and _is_finite(s)):
             raise ParameterError(f"scales[{i}] must be positive and finite, got {_shown(s)}", f"scales[{i}]")
     scales = tuple(float(s) for s in scales)
-    shrunk = [pos.scaled(s) for s in scales]
-    retarded = _sommerfeld_many(system, omega, shrunk, quad, local_field) if shrunk else []
+    tensors = _sommerfeld_many(system, omega, [pos.scaled(s) for s in scales], quad, local_field) if scales else []
     rows = []
-    for s, scaled, green in zip(scales, shrunk, retarded):
-        closed = nonretarded_green(system, omega, scaled, local_field)
+    for s, (green, closed) in zip(scales, tensors):
         floor = 1e-12 * np.max(np.abs(closed))
         for name in COMPONENTS:
             idx = _COMPONENT_INDEX[name]

@@ -573,7 +573,8 @@ def _count_integrand_calls(monkeypatch):
 @pytest.mark.parametrize("aspect", [0.0, 0.5, 50.0, 500.0])
 def test_every_scale_in_one_loop_equals_each_scale_alone(sapphire_system, aspect):
     # nonretarded_limit_check integrates all scales' jobs together; each
-    # tensor is the one sommerfeld_green computes for that scale alone
+    # tensor is the one sommerfeld_green computes for that scale alone, and
+    # each closed form, taken from the same pass, is nonretarded_green's
     from vdwsurf.greens import _sommerfeld_many
 
     if aspect == 0.0:
@@ -583,15 +584,32 @@ def test_every_scale_in_one_loop_equals_each_scale_alone(sapphire_system, aspect
     scales, omega = (0.1, 0.01, 0.001), 0.5
     shrunk = [pos.scaled(s) for s in scales]
     alone = [sommerfeld_green(sapphire_system, omega, p) for p in shrunk]
+    closed = [nonretarded_green(sapphire_system, omega, p) for p in shrunk]
     together = _sommerfeld_many(sapphire_system, omega, shrunk)
-    for got, want in zip(together, alone):
+    assert len(together) == len(scales)
+    for (got, got_closed), want, want_closed in zip(together, alone, closed):
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        assert np.array_equal(got_closed, want_closed)
     report = nonretarded_limit_check(sapphire_system, omega, pos, scales)
     for row in report.rows:
         i = scales.index(row.scale)
         idx = _COMPONENT_INDEX[row.component]
-        want = alone[i][idx] / nonretarded_green(sapphire_system, omega, shrunk[i])[idx]
-        assert abs(row.ratio - want) <= 1e-14 * abs(want)
+        assert row.ratio == alone[i][idx] / closed[i][idx]  # bit for bit
+
+
+@pytest.mark.parametrize("omega", [0.5, 0.9, 1.3])
+@pytest.mark.parametrize("local_field", [True, False])
+def test_limit_check_closed_form_is_nonretarded_green_bit_for_bit(sapphire_system, omega, local_field):
+    # nonretarded_limit_check reads the closed form from the Sommerfeld pass
+    # instead of calling nonretarded_green per scale; it is the same tensor
+    from vdwsurf import greens
+
+    pos = AtomPositions([0.0, 0.0, 0.05], [0.3, -0.4, -0.02])
+    shrunk = [pos.scaled(s) for s in (0.1, 0.01)]
+    pairs = greens._sommerfeld_many(sapphire_system, omega, shrunk, local_field=local_field)
+    for (green, closed), p in zip(pairs, shrunk):
+        assert np.array_equal(green, sommerfeld_green(sapphire_system, omega, p, local_field=local_field))
+        assert np.array_equal(closed, nonretarded_green(sapphire_system, omega, p, local_field))
 
 
 def _count_panel_calls(monkeypatch):
@@ -608,20 +626,30 @@ def _count_panel_calls(monkeypatch):
     return calls
 
 
-def test_fig2_validate_takes_at_most_4_integrand_calls(monkeypatch):
+def test_fig2_validate_takes_2_integrand_calls_one_per_sweep(monkeypatch):
     # the propagating pieces are integrated in t, with k - k_lo and k_hi - k
     # proportional to t^2 at the light lines, toward whose branch points
-    # bisection in k halves one sweep at a time: 11 calls in k
+    # bisection in k halves one sweep at a time: 11 calls in k.  Each sweep
+    # is one integrand call: the first asks for 72 panels, within _CHUNK
+    # (with 64 panels per call it took 3 calls)
+    from vdwsurf import greens, quadrature
     from vdwsurf.config import load_config, resolve_config_path
     from vdwsurf.config import ValidateSpec
 
     cfg = load_config(resolve_config_path("fig2"))
     spec = ValidateSpec()
-    calls = _count_panel_calls(monkeypatch)
+    calls, sweeps, evaluate = _count_panel_calls(monkeypatch), [0], quadrature._evaluate
+
+    def counted(f, parts):
+        sweeps[0] += 1
+        return evaluate(f, parts)
+
+    monkeypatch.setattr(quadrature, "_evaluate", counted)
+    monkeypatch.setattr(greens, "nonretarded_green", None)  # the closed forms come from the same pass
     pos = AtomPositions(spec.r_a, spec.r_b)
     report = nonretarded_limit_check(cfg.system, spec.omega, pos, spec.scales, cfg.quadrature)
     assert report.passed(spec.tolerance)
-    assert 1 <= calls[0] <= 4
+    assert calls[0] == sweeps[0] == 2
 
 
 @pytest.mark.parametrize(
