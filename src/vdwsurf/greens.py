@@ -271,7 +271,8 @@ def sommerfeld_green(
     integrated numerically along the real k axis, to ``quad``'s rel_tol
     against the largest component of residual or closed form: adaptively
     over a propagating segment up to the largest Re(n*omega) and a head up
-    to K0 = max(20*k_split, 10/rho), and beyond K0, while the e^{-k dz}
+    to K0 = max(20*k_split, 10/rho), whose first panels bracket the zero of
+    den_p when it lies there, and beyond K0, while the e^{-k dz}
     envelope has not decayed, as a weighted average of sums over
     half-periods pi/rho, under the remainder model (-1)^n e^{-dz k_n}
     sqrt(k_n) of the residual's form J(k rho) k e^{-k dz} at large k; its
@@ -332,6 +333,11 @@ def _sommerfeld_many(
     # 1/beta peak of a matched light line.  No piece when k_split = 0.
     edges = sorted({0.0, *kernel.k_breaks})
     pieces = list(zip(edges[:-1], edges[1:]))
+    # The p pole, the zero of den_p at k_p = omega sqrt(eps_u eps_l/(eps_u + eps_l))
+    # (mu = 1), is a peak of half width |Im k_p| that the head's panels bracket
+    # when it lies in (k_split, K0); the edges outside that range are dropped.
+    k_p = omega * np.sqrt(kernel.eps_u * kernel.eps_l / (kernel.eps_u + kernel.eps_l))
+    pole_edges = k_p.real + np.array([-8.0, -2.0, -0.5, 0.5, 2.0, 8.0]) * abs(k_p.imag)
 
     frames, jobs, rows = [], [], []  # per position (closed form, phi, job count); per job
     for pos in positions:
@@ -351,7 +357,7 @@ def _sommerfeld_many(
         seeds = k_split + omega * 1e-3 * 4.0 ** np.arange(
             np.log((k0 - k_split) / (omega * 1e-3)) / np.log(4.0)
         )
-        own = [_bisection(k_split, k0, spec, seeds)]
+        own = [_bisection(k_split, k0, spec, [*seeds, *pole_edges])]
         if k0 < k_end:
             own.append(_tail(k0, np.pi / rho, dz, spec))
         rows += [(z_a, z_b, rho, *ends) for ends in [(np.nan, np.nan)] * len(own) + pieces]  # NaN: in k

@@ -55,7 +55,7 @@ _HI_W = np.array([
 # Both rules' abscissae on [-1, 1], and the weights that pick each rule out.
 _X = np.concatenate([_LO_X, _HI_X])
 _W = np.block([[_LO_W, np.zeros(_HI_X.size)], [np.zeros(_LO_X.size), _HI_W]])
-_CHUNK = 128  # panels per integrand call: a validate run's first sweep asks for <= 73, an off-resonant one <= 4
+_CHUNK = 128  # panels per integrand call: a default validate run's first sweep asks for <= 89, an off-resonant one <= 4
 
 
 @dataclass(frozen=True)

@@ -669,6 +669,28 @@ def test_lateral_tensor_integrand_call_gate(sapphire_system, monkeypatch, scale,
     assert 1 <= calls[0] <= most
 
 
+def test_reststrahlen_head_brackets_the_p_pole_in_fewer_integrand_calls(sapphire_system, monkeypatch):
+    # at omega = 0.9 eps_l is about -3.19 + 0.25i, so den_p vanishes at k_p,
+    # about 1.084 + 0.019i, past k_split = 0.9 and within the head.  Panel edges
+    # at Re k_p +- (0.5, 2, 8)|Im k_p| bracket its peak from the first sweep:
+    # the three scales take 1 integrand call, which took 3 (3 sweeps) with the
+    # light-line ladder alone
+    omega, scales = 0.9, (0.1, 0.01, 0.001)
+    kernel = _Kernel(sapphire_system, omega)
+    k_p = omega * np.sqrt(kernel.eps_u * kernel.eps_l / (kernel.eps_u + kernel.eps_l))
+    assert max(kernel.k_breaks) < k_p.real - 8.0 * k_p.imag and 0.0 < k_p.imag
+    pos = AtomPositions([0.0, 0.0, 0.5], [1.0, 0.0, -0.5])
+    calls = _count_panel_calls(monkeypatch)
+    report = nonretarded_limit_check(sapphire_system, omega, pos, scales)
+    assert calls[0] == 1
+    assert report.passed()
+    for s in scales:
+        shrunk = pos.scaled(s)
+        got = sommerfeld_green(sapphire_system, omega, shrunk)
+        want = sommerfeld_green(sapphire_system, omega, shrunk, QuadratureSpec(rel_tol=1e-13))
+        assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("omega", [0.5, 0.9], ids=["below-omega_t", "reststrahlen"])
 def test_propagating_segment_in_t_matches_mpmath_in_k(sapphire_system, omega):
     # The propagating pieces, each integrated in t with k = k_lo + w*t^2 and

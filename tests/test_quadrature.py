@@ -172,7 +172,7 @@ def test_budget_is_never_exceeded(max_panels):
     assert 1 <= panels <= max_panels
 
 
-def test_integrand_calls_are_capped_at_64_panels():
+def test_integrand_calls_are_capped_at_128_panels():
     sizes = []
 
     def integrand(x):
@@ -180,8 +180,8 @@ def test_integrand_calls_are_capped_at_64_panels():
         return np.sin(500 * x)
 
     val, _, panels = adaptive_gauss(integrand, 0.0, 10.0, QuadratureSpec(rel_tol=1e-12))
-    assert panels > 64
-    assert max(sizes) == 64 * 22
+    assert panels > 128
+    assert max(sizes) == 128 * 22
     assert_allclose(val, (1.0 - np.cos(5000.0)) / 500.0, rtol=1e-10)
 
 
@@ -483,9 +483,9 @@ def test_a_job_not_finite_does_not_stop_its_neighbours():
     assert_allclose(outcomes[0][0], (1.0 - np.cos(60.0)) / 20.0, rtol=1e-11)
 
 
-def test_many_jobs_share_integrand_calls_of_at_most_64_panels(monkeypatch):
+def test_many_jobs_share_integrand_calls_of_at_most_128_panels(monkeypatch):
     # every batch goes through quadrature._panel, and one call carries
-    # panels of several jobs but never more than 64
+    # panels of several jobs but never more than 128
     batches, calls = [], []
     panel = quadrature._panel
 
@@ -502,7 +502,7 @@ def test_many_jobs_share_integrand_calls_of_at_most_64_panels(monkeypatch):
     outcomes = quadrature._integrate_many(f, jobs)
     panels = [outcome[2] for outcome in outcomes]
     assert [size for size, _ in calls] == [22 * n for n in batches]
-    assert max(batches) == 64 and sum(batches) == sum(2 * p - 1 for p in panels)
+    assert max(batches) == 128 and sum(batches) == sum(2 * p - 1 for p in panels)
     assert max(jobs for _, jobs in calls) > 1
     assert len(calls) < sum(len(_alone_calls(j)) for j in range(5))
     for j, outcome in enumerate(outcomes):
@@ -513,7 +513,7 @@ def test_many_jobs_share_integrand_calls_of_at_most_64_panels(monkeypatch):
     jobs = [quadrature._tail(10.0, np.pi, 0.1, QuadratureSpec(rel_tol=1e-14)) for _ in range(3)]
     tails = quadrature._integrate_many(lambda x, which: _tails(x) * (1.0 + which)[:, None], jobs)
     assert [t.panels for t in tails] == [64] * 3  # below the rule error of a half-period
-    assert batches == [24, 48, 64, 56]  # 8, 16, then 40 half-periods of each of the three jobs
+    assert batches == [24, 48, 120]  # 8, 16, then 40 half-periods of each of the three jobs
 
 
 def test_scalar_tail_returns_the_scalar_type_of_adaptive_gauss():
