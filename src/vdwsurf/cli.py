@@ -100,8 +100,10 @@ def _out_path(cfg: RunConfig, args, default: str) -> tuple:
     return path, fmt
 
 
-def _scan(cfg: RunConfig, atom_b=None, atom_a=None):
+def _scan(cfg: RunConfig, atom_b=None, atom_a=None, warn=None):
     """The blocks of :func:`~vdwsurf.spectra._scan_blocks`; then one warning line if a grid point was flagged.
+
+    The warning goes to ``log.warning``, or its text to ``warn`` if given.
 
     A scan flagged at every grid point has no value to write: it raises
     SingularityError with the text of that warning instead.
@@ -117,7 +119,7 @@ def _scan(cfg: RunConfig, atom_b=None, atom_a=None):
         message %= (flagged, cfg.scan.n_points, first)
         if flagged == cfg.scan.n_points:
             raise SingularityError(message)
-        log.warning(message)
+        (warn or log.warning)(message)
 
 
 _SPECTRUM_HEADER = ["omega_over_ref", "u_resonant", "u_resonant_no_lf", "g", "g_no_lf", "u_offresonant"]
@@ -141,12 +143,19 @@ def cmd_enhancement(cfg: RunConfig, args) -> int:
 
 
 def cmd_peaks(cfg: RunConfig, args) -> int:
-    """The refined, classified peaks as a JSON array; ``output.format`` does not apply."""
-    omegas, metric = [], []  # the unflagged grid points of each block
-    for columns, terms in _scan(cfg, cfg.atom_b):
+    """The refined, classified peaks as a JSON array; ``output.format`` does not apply.
+
+    Flagged grid points and grid maxima left out at a pole share one warning line.
+    """
+    omegas, metric, notes = [], [], []  # the unflagged grid points of each block; the warnings
+    for columns, terms in _scan(cfg, cfg.atom_b, warn=notes.append):
         omegas.append(columns[0][~terms.flagged])
         metric.append(abs(columns[1][~terms.flagged]))
-    peaks = _find_peaks(cfg.system, cfg.atom_b, np.concatenate(omegas), np.concatenate(metric))
+    peaks, left_out = _find_peaks(cfg.system, cfg.atom_b, np.concatenate(omegas), np.concatenate(metric))
+    if left_out:
+        notes.append("grid maxima left out for a pole between their grid neighbours: %d" % left_out)
+    if notes:
+        log.warning("; ".join(notes))
     payload = [
         {
             "location": peak.location,

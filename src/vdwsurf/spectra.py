@@ -214,30 +214,34 @@ def find_peaks(
 
     Strict local maxima of |u_resonant| on the grid are refined by
     golden-section search on the continuous evaluator and classified by
-    proximity to the known mode frequencies.  Several grid maxima matching
-    the same mode (e.g. the two flanks of a dispersive atomic line) collapse
-    into the single tallest report; unclassified peaks are kept
-    individually.  Returns peaks ordered by location; an empty list for
-    monotone input.
+    proximity to the known mode frequencies.  A maximum whose bracket
+    between its grid neighbours holds a pole of the evaluator (an undamped
+    medium's resonance, surface or cavity mode, or an undamped atom B's
+    transition) is left out, as the search would converge onto the pole.
+    Several grid maxima matching the same mode (e.g. the two flanks of a
+    dispersive atomic line) collapse into the single tallest report;
+    unclassified peaks are kept individually.  Returns peaks ordered by
+    location; an empty list for monotone input.
     """
     clean = [row for row in rows if row.error is None]
     omegas = np.array([row.omega for row in clean], dtype=float)
     metric = np.array([abs(row.u_resonant) for row in clean], dtype=float)
-    return _find_peaks(system, atom_b, omegas, metric, refine_tol)
+    return _find_peaks(system, atom_b, omegas, metric, refine_tol)[0]
 
 
 def _find_peaks(
     system: HalfSpaceSystem, atom_b: Atom, omegas: np.ndarray, metric: np.ndarray, refine_tol: float = 1e-6
-) -> list[PeakReport]:
-    """:func:`find_peaks` on columns: ``metric`` is |u_resonant| at ``omegas``.
+) -> tuple:
+    """:func:`find_peaks` on columns, and the number of grid maxima it left out at a pole.
 
-    Both arrays hold the unflagged grid points only, in frequency order.
-    The grid step is the median step, taken as np.median takes it (the
-    middle of the sorted steps, or the mean of the two middle ones) without
-    np.median, which loads numpy.ma into the process.
+    ``metric`` is |u_resonant| at ``omegas``; both hold the unflagged grid
+    points only, in frequency order.  The grid step is the median step,
+    taken as np.median takes it (the middle of the sorted steps, or the mean
+    of the two middle ones) without np.median, which loads numpy.ma into
+    the process.
     """
     if len(metric) < 3:
-        return []
+        return [], 0
     steps = np.sort(np.diff(omegas))
     grid_step = float(np.mean(steps[(steps.size - 1) // 2 : steps.size // 2 + 1]))
 
@@ -246,14 +250,19 @@ def _find_peaks(
         return abs(res.u_resonant)
 
     modes = _known_modes(system, atom_b, grid_step)
+    poles = [atom_b.omega0] if atom_b.gamma == 0.0 else []
+    for mat in (system.upper, system.lower):
+        if mat.kind is MaterialKind.LORENTZ and mat.gamma == 0.0:
+            poles += [mat.omega_t, surface_mode_frequency(mat), cavity_mode_frequency(mat)]
     inner = metric[1:-1]
     maxima = np.flatnonzero((inner > metric[:-2]) & (inner > metric[2:])) + 1
 
     raw: list[PeakReport] = []
     for i in maxima.tolist():
-        loc, height = golden_section_max(
-            evaluator, float(omegas[i - 1]), float(omegas[i + 1]), refine_tol
-        )
+        lo, hi = float(omegas[i - 1]), float(omegas[i + 1])
+        if any(lo <= pole <= hi for pole in poles):
+            continue
+        loc, height = golden_section_max(evaluator, lo, hi, refine_tol)
         kind = PeakKind.UNCLASSIFIED
         best = math.inf
         for freq, window, mode_kind in modes:
@@ -273,7 +282,7 @@ def _find_peaks(
             merged[peak.kind] = peak
     peaks.extend(merged.values())
     peaks.sort(key=lambda p: p.location)
-    return peaks
+    return peaks, maxima.size - len(raw)
 
 
 def _fwhm(omegas: np.ndarray, metric: np.ndarray, i_peak: int, height: float) -> float:

@@ -274,6 +274,19 @@ class TestFindPeaks:
         rows = scan_spectrum(vacuum_system, Atom(omega0=1.0), atom_b, ScanSpec(0.7, 1.3, 2))
         assert find_peaks(vacuum_system, atom_b, rows) == []
 
+    def test_a_pole_between_grid_points_is_not_refined_onto(self, vacuum_system):
+        # the undamped partner's pole at 1.0 lies between the grid points 0.833
+        # and 1.167, which flag nothing; refining their maximum would converge
+        # onto it, and an unbounded height is no peak
+        undamped, damped = Atom(omega0=1.0, gamma=0.0), Atom(omega0=1.0, gamma=1e-3)
+        scan = ScanSpec(0.5, 1.5, 4)
+        rows = scan_spectrum(vacuum_system, Atom(omega0=1.0), undamped, scan)
+        assert all(row.error is None for row in rows)
+        assert find_peaks(vacuum_system, undamped, rows) == []
+        assert spectra._find_peaks(vacuum_system, undamped, scan.grid(), np.array([1.0, 2.0, 1.0, 0.5]))[1] == 1
+        rows = scan_spectrum(vacuum_system, Atom(omega0=1.0), damped, scan)
+        assert [p.kind for p in find_peaks(vacuum_system, damped, rows)] == [PeakKind.ATOMIC_RESONANCE]
+
     def test_vacuum_single_atomic_feature(self, vacuum_system, atom_b):
         rows = scan_spectrum(vacuum_system, Atom(omega0=1.0), atom_b, ScanSpec(0.7, 1.3, 2000))
         peaks = find_peaks(vacuum_system, atom_b, rows)
