@@ -100,10 +100,8 @@ def _out_path(cfg: RunConfig, args, default: str) -> tuple:
     return path, fmt
 
 
-def _scan(cfg: RunConfig, atom_b=None, atom_a=None, warn=None):
-    """The blocks of :func:`~vdwsurf.spectra._scan_blocks`; then one warning line if a grid point was flagged.
-
-    The warning goes to ``log.warning``, or its text to ``warn`` if given.
+def _scan(cfg: RunConfig, atom_b=None, atom_a=None, warn=log.warning):
+    """The blocks of :func:`~vdwsurf.spectra._scan_blocks`; then one warning to ``warn`` if a grid point was flagged.
 
     A scan flagged at every grid point has no value to write: it raises
     SingularityError with the text of that warning instead.
@@ -119,7 +117,7 @@ def _scan(cfg: RunConfig, atom_b=None, atom_a=None, warn=None):
         message %= (flagged, cfg.scan.n_points, first)
         if flagged == cfg.scan.n_points:
             raise SingularityError(message)
-        (warn or log.warning)(message)
+        warn(message)
 
 
 _SPECTRUM_HEADER = ["omega_over_ref", "u_resonant", "u_resonant_no_lf", "g", "g_no_lf", "u_offresonant"]
