@@ -631,7 +631,6 @@ def test_fig2_validate_takes_2_integrand_calls_one_per_sweep(monkeypatch):
     # proportional to t^2 at the light lines, toward whose branch points
     # bisection in k halves one sweep at a time: 11 calls in k.  Each sweep
     # is one integrand call: the first asks for 72 panels, within _CHUNK
-    # (with 64 panels per call it took 3 calls)
     from vdwsurf import greens, quadrature
     from vdwsurf.config import load_config, resolve_config_path
     from vdwsurf.config import ValidateSpec
