@@ -342,25 +342,70 @@ def _coupling(e_u, e_l, poles: _Poles | None = None):
     return 18.0 * e_u * e_l / (s * (2.0 * e_u + 1.0) * (2.0 * e_l + 1.0)), 2.0 / s
 
 
+def _zero(m: Material, c: float) -> float:
+    """Frequency where the undamped oscillator ``m`` has eps = -c, for a real constant c.
+
+    The closed form omega_t * sqrt((eps0 + c)/(eta + c)), real when
+    (eps0 + c)/(eta + c) > 0: against vacuum (c = 1) the surface mode, for
+    the cavity condition 2*eps + 1 = 0 (c = 1/2) the cavity mode.
+    """
+    return math.sqrt((m.eps0 + c) / (m.eta + c)) * m.omega_t
+
+
+def _screening_zeros(upper: Material, lower: Material) -> list:
+    """(frequency, damping) of each real zero of eps_u + eps_l, the screening pole of :func:`_coupling`.
+
+    Frequencies are those of the undamped media.  An oscillator against a
+    constant c has its zero at :func:`_zero` of Re c; its damping is gamma
+    plus the width 2 |Im c| / (d eps/d omega) that Im c adds there.  For two
+    oscillators x = omega**2 solves
+
+        (eta_u + eta_l) x**2 - (a (eps0_u + eta_l) + b (eps0_l + eta_u)) x + (eps0_u + eps0_l) a b = 0
+
+    with a and b the squared omega_t (scaled by the larger), taken in its
+    cancellation-free form: one root lies above max(a, b) and, unless
+    a == b, one between them; the damping is the larger gamma.  So the
+    damping is 0.0 exactly when both media are lossless.
+    """
+    u, l = upper, lower
+    if u.kind is MaterialKind.LORENTZ and l.kind is MaterialKind.LORENTZ:
+        scale = max(u.omega_t, l.omega_t)
+        a, b = (u.omega_t / scale) ** 2, (l.omega_t / scale) ** 2
+        eta, eps0 = u.eta + l.eta, u.eps0 + l.eps0
+        p = a * (u.eps0 + l.eta) + b * (l.eps0 + u.eta)
+        q = 0.5 * (p + math.sqrt(max(p * p - 4.0 * eta * eps0 * a * b, 0.0)))
+        roots = [q / eta] + ([eps0 * a * b / q] if a != b else [])
+        return [(scale * math.sqrt(x), max(u.gamma, l.gamma)) for x in roots]
+    for m, other in ((u, l), (l, u)):
+        c = other.eps_const
+        if m.kind is MaterialKind.LORENTZ and (c.real > -m.eta or c.real < -m.eps0):
+            width = abs(c.imag) * (m.eps0 - m.eta) * m.omega_t / abs(m.eta + c.real)
+            return [(_zero(m, c.real), m.gamma + width / math.sqrt((m.eps0 + c.real) * (m.eta + c.real)))]
+    return []
+
+
 def surface_mode_frequency(m: Material) -> float:
     """Frequency where the average permittivity against vacuum vanishes.
 
-    For the oscillator model this is sqrt((eps0 + 1)/(eta + 1)) * omega_t,
-    the interface (surface polariton) resonance of a vacuum boundary.
+    For the oscillator model this is :func:`_zero` at c = 1,
+    sqrt((eps0 + 1)/(eta + 1)) * omega_t, the interface (surface polariton)
+    resonance of a vacuum boundary.
     """
     if m.kind is not MaterialKind.LORENTZ:
         raise UnsupportedModelError("surface-mode frequency is defined for the oscillator model")
-    return math.sqrt((m.eps0 + 1.0) / (m.eta + 1.0)) * m.omega_t
+    return _zero(m, 1.0)
 
 
 def cavity_mode_frequency(m: Material) -> float:
     """Frequency of the Onsager-cavity resonance, where 2*eps + 1 vanishes.
 
-    For the oscillator model this is sqrt((2*eps0 + 1)/(2*eta + 1)) * omega_t.
+    For the oscillator model this is :func:`_zero` at c = 1/2,
+    sqrt((eps0 + 1/2)/(eta + 1/2)) * omega_t, which equals
+    sqrt((2*eps0 + 1)/(2*eta + 1)) * omega_t bit for bit.
     """
     if m.kind is not MaterialKind.LORENTZ:
         raise UnsupportedModelError("cavity-mode frequency is defined for the oscillator model")
-    return math.sqrt((2.0 * m.eps0 + 1.0) / (2.0 * m.eta + 1.0)) * m.omega_t
+    return _zero(m, 0.5)
 
 
 def resonant_inv_avg_eps(m: Material, omega) -> complex:

@@ -3,8 +3,9 @@
 A scan sweeps the excited atom's transition frequency over a uniform grid
 and records the normalized resonant potential together with the enhancement
 factors; peaks of |u_resonant| are refined off-grid by golden-section search
-and classified against the known mode frequencies of the system (surface
-mode, Onsager-cavity mode, atomic transition of the ground-state partner).
+and classified against one table of the system's resonances (surface modes
+of the two media, Onsager-cavity modes, atomic transition of the
+ground-state partner).
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from .interaction import Atom, _offresonant_many, resonant_potential, resonant_t
 from .materials import (
     HalfSpaceSystem,
     MaterialKind,
+    _screening_zeros,
     cavity_mode_frequency,
-    surface_mode_frequency,
 )
 from .quadrature import QuadratureSpec
 
@@ -185,23 +186,38 @@ def golden_section_max(f, a: float, b: float, rel_tol: float = 1e-6):
     return x, f(x)
 
 
-def _known_modes(system: HalfSpaceSystem, atom_b: Atom, grid_step: float):
-    """(frequency, window, kind) triples the classifier matches against.
+def _resonances(system: HalfSpaceSystem, atom_b: Atom) -> list:
+    """The system's one resonance table: (frequency, damping, kind) entries.
 
-    Mode windows are twice the relevant damping (the Lorentzian half width
-    of each resonance), floored at one grid step so barely resolved features
-    still classify.
+    The entries are the real zeros of eps_u + eps_l (surface modes, from
+    :func:`~vdwsurf.materials._screening_zeros`), the zeros of 2*eps + 1
+    of each oscillator medium (cavity modes), each oscillator's omega_t and
+    atom B's omega0 (atomic resonance).  Frequencies are those of the
+    undamped media; ``kind`` is None for omega_t, a pole that is no
+    classified mode.  ``damping`` is 0.0 exactly when the media or the atom
+    of the entry are lossless, and then the entry is a pole of the
+    evaluator.
     """
-    modes = []
-    for mat in (system.upper, system.lower):
-        if mat.kind is MaterialKind.LORENTZ:
-            window = max(2.0 * mat.gamma, grid_step)
-            modes.append((surface_mode_frequency(mat), window, PeakKind.SURFACE_MODE))
-            modes.append((cavity_mode_frequency(mat), window, PeakKind.CAVITY_MODE))
-    modes.append(
-        (atom_b.omega0, max(2.0 * atom_b.gamma, grid_step), PeakKind.ATOMIC_RESONANCE)
-    )
-    return modes
+    table = [(w, damping, PeakKind.SURFACE_MODE) for w, damping in _screening_zeros(system.upper, system.lower)]
+    for m in (system.upper, system.lower):
+        if m.kind is MaterialKind.LORENTZ:
+            table += [(cavity_mode_frequency(m), m.gamma, PeakKind.CAVITY_MODE), (m.omega_t, m.gamma, None)]
+    return table + [(atom_b.omega0, atom_b.gamma, PeakKind.ATOMIC_RESONANCE)]
+
+
+def _match(table: list, location: float, grid_step: float):
+    """The classified entry of ``table`` nearest ``location``, or None if none is within its window.
+
+    An entry's window is twice its damping (the Lorentzian half width of
+    the resonance), floored at one grid step so barely resolved features
+    still classify.  Of equally near entries the first wins.
+    """
+    near = [
+        (abs(location - freq), i)
+        for i, (freq, damping, kind) in enumerate(table)
+        if kind is not None and abs(location - freq) < max(2.0 * damping, grid_step)
+    ]
+    return table[min(near)[1]] if near else None
 
 
 def find_peaks(
@@ -214,14 +230,17 @@ def find_peaks(
 
     Strict local maxima of |u_resonant| on the grid are refined by
     golden-section search on the continuous evaluator and classified by
-    proximity to the known mode frequencies.  A maximum whose bracket
-    between its grid neighbours holds a pole of the evaluator (an undamped
-    medium's resonance, surface or cavity mode, or an undamped atom B's
-    transition) is left out, as the search would converge onto the pole.
-    Several grid maxima matching the same mode (e.g. the two flanks of a
-    dispersive atomic line) collapse into the single tallest report;
-    unclassified peaks are kept individually.  Returns peaks ordered by
-    location; an empty list for monotone input.
+    proximity to the system's resonances: the surface modes, where
+    eps_u + eps_l vanishes (two for two oscillator media), each oscillator
+    medium's cavity mode, and atom B's transition.  A maximum whose bracket
+    between its grid neighbours holds a resonance of lossless media or of
+    an undamped atom B (a surface or cavity mode, an oscillator's omega_t,
+    atom B's omega0) is left out, as the search would converge onto that
+    pole.  Several grid maxima matching the same resonance (e.g. the two
+    flanks of a dispersive atomic line) collapse into the single tallest
+    report; unclassified peaks are kept individually.  A width is NaN when
+    no half-height crossing bounds it on the grid.  Returns peaks ordered
+    by location; an empty list for monotone input.
     """
     clean = [row for row in rows if row.error is None]
     omegas = np.array([row.omega for row in clean], dtype=float)
@@ -235,10 +254,12 @@ def _find_peaks(
     """:func:`find_peaks` on columns, and the number of grid maxima it left out at a pole.
 
     ``metric`` is |u_resonant| at ``omegas``; both hold the unflagged grid
-    points only, in frequency order.  The grid step is the median step,
-    taken as np.median takes it (the middle of the sorted steps, or the mean
-    of the two middle ones) without np.median, which loads numpy.ma into
-    the process.
+    points only, in frequency order.  Classification (:func:`_match`), the
+    pole rule (an entry of damping 0 in the bracket) and the merge (per
+    matched entry) all read the one table of :func:`_resonances`.  The grid
+    step is the median step, taken as np.median takes it (the middle of the
+    sorted steps, or the mean of the two middle ones) without np.median,
+    which loads numpy.ma into the process.
     """
     if len(metric) < 3:
         return [], 0
@@ -249,46 +270,42 @@ def _find_peaks(
         res = resonant_potential(system, Atom(omega0=w), atom_b)
         return abs(res.u_resonant)
 
-    modes = _known_modes(system, atom_b, grid_step)
-    poles = [atom_b.omega0] if atom_b.gamma == 0.0 else []
-    for mat in (system.upper, system.lower):
-        if mat.kind is MaterialKind.LORENTZ and mat.gamma == 0.0:
-            poles += [mat.omega_t, surface_mode_frequency(mat), cavity_mode_frequency(mat)]
+    table = _resonances(system, atom_b)
     inner = metric[1:-1]
     maxima = np.flatnonzero((inner > metric[:-2]) & (inner > metric[2:])) + 1
 
-    raw: list[PeakReport] = []
+    peaks: list[PeakReport] = []
+    merged: dict = {}  # the tallest peak per matched entry
+    left_out = 0
     for i in maxima.tolist():
         lo, hi = float(omegas[i - 1]), float(omegas[i + 1])
-        if any(lo <= pole <= hi for pole in poles):
+        if any(damping == 0.0 and lo <= freq <= hi for freq, damping, _ in table):
+            left_out += 1
             continue
         loc, height = golden_section_max(evaluator, lo, hi, refine_tol)
-        kind = PeakKind.UNCLASSIFIED
-        best = math.inf
-        for freq, window, mode_kind in modes:
-            dist = abs(loc - freq)
-            if dist < window and dist < best:
-                best = dist
-                kind = mode_kind
-        width = _fwhm(omegas, metric, i, height)
-        raw.append(PeakReport(location=loc, height=height, width_fwhm=width, kind=kind))
-
-    merged: dict[PeakKind, PeakReport] = {}
-    peaks: list[PeakReport] = []
-    for peak in raw:
-        if peak.kind is PeakKind.UNCLASSIFIED:
+        entry = _match(table, loc, grid_step)
+        kind = PeakKind.UNCLASSIFIED if entry is None else entry[2]
+        peak = PeakReport(location=loc, height=height, width_fwhm=_fwhm(omegas, metric, i, height), kind=kind)
+        if entry is None:
             peaks.append(peak)
-        elif peak.kind not in merged or peak.height > merged[peak.kind].height:
-            merged[peak.kind] = peak
+        elif entry not in merged or height > merged[entry].height:
+            merged[entry] = peak
     peaks.extend(merged.values())
     peaks.sort(key=lambda p: p.location)
-    return peaks, maxima.size - len(raw)
+    return peaks, left_out
 
 
 def _fwhm(omegas: np.ndarray, metric: np.ndarray, i_peak: int, height: float) -> float:
-    """Full width at half maximum from grid crossings, NaN if unbounded."""
+    """Full width at half maximum from grid crossings, NaN if unbounded.
+
+    NaN too when the grid value at the maximum is not above half the
+    refined height: the line is narrower than the grid resolves, and the
+    crossings would be extrapolated.
+    """
     half = 0.5 * height
     left = right = float("nan")
+    if not metric[i_peak] > half:
+        return left
     for i in range(i_peak, 0, -1):
         if metric[i - 1] <= half:
             frac = (metric[i] - half) / (metric[i] - metric[i - 1])

@@ -1001,6 +1001,7 @@ _WARNING = re.compile(r"WARNING vdwsurf: (\d+) of (\d+) grid points are on a pol
 _PEAKS_WARNING = re.compile(
     r"WARNING vdwsurf: (.+; )?grid maxima left out for a pole between their grid neighbours: [1-9]\d*$"
 )
+_ALL_FLAGGED = re.compile(r"error: (\d+) of \1 grid points are on a pole and have no value; the first: \S")
 
 
 def _main_and_stderr(args):
@@ -1054,19 +1055,20 @@ def test_physical_configs_exit_0_with_finite_values_or_report_an_error(cfg):
             assert not list(Path(tmp).glob("*.part")), command
             peaks = command == "peaks"
             warned = [line for line in lines if _WARNING.match(line) or peaks and _PEAKS_WARNING.match(line)]
-            # peaks warns once, after its refinement, which leaves out the maxima next to
-            # a pole it knows; it may still stop at one it does not (CHANGES.md FOUND)
+            # peaks warns once, after its refinement, which leaves out the maxima next to a pole
             assert len(warned) <= 1, (command, rc, lines)
             errors = [line for line in lines if line not in warned]
             if rc != EXIT_OK:
                 assert len(errors) == 1 and errors[0].startswith(_ERROR_LINES[rc]), (command, rc, lines)
+                # the search never refines onto a pole: peaks stops only on a scan without a value
+                assert not peaks or _ALL_FLAGGED.match(errors[0]), lines
                 assert out.exists() == (rc == EXIT_VALIDATION), command
                 continue
             assert not errors, (command, lines)
             if command == "peaks":
                 for peak in json.loads(out.read_text()):
                     assert math.isfinite(peak["location"]) and math.isfinite(peak["height"]), peak
-                    assert peak["width_fwhm"] is None or math.isfinite(peak["width_fwhm"]), peak
+                    assert peak["width_fwhm"] is None or 0.0 < peak["width_fwhm"] < math.inf, peak
             elif command == "validate":
                 for line in out.read_text().splitlines()[1:]:
                     assert all(math.isfinite(float(c)) for c in line.split(",")[2:]), line
@@ -1120,3 +1122,35 @@ def test_peaks_leaves_out_a_grid_maximum_with_a_pole_in_its_bracket(tmp_path, et
     for peak in json.loads(out.read_text()):
         assert math.isfinite(peak["location"]) and math.isfinite(peak["height"]), peak
         assert peak["width_fwhm"] is None or math.isfinite(peak["width_fwhm"]), peak
+
+
+# 8-point scans over which the upper medium moves the screening pole eps_u + eps_l = 0
+# off the vacuum surface mode: a constant eps 2.25, or an undamped oscillator, over an
+# undamped Lorentz medium (eta 2.71, eps0 6.57, omega_t 1); the pole lies between grid points
+_SCREENING_POLE_SCANS = {
+    "constant-upper": ({"kind": "constant", "eps": 2.25}, 1.2335, 1.3335013335020003),
+    "two-oscillators": (
+        {"kind": "lorentz", "eta": 1.5, "eps0": 3.0, "omega_t": 1.4, "gamma": 0.0},
+        1.0856,
+        1.1856277233637502,
+    ),
+}
+
+
+@pytest.mark.parametrize("upper, omega_min, pole", _SCREENING_POLE_SCANS.values(), ids=_SCREENING_POLE_SCANS)
+def test_peaks_leaves_out_a_grid_maximum_at_the_screening_pole_of_two_media(tmp_path, upper, omega_min, pole):
+    cfg = json.loads(resolve_config_path("fig2").read_text())
+    lower = {"kind": "lorentz", "eta": 2.71, "eps0": 6.57, "omega_t": 1.0, "gamma": 0.0}
+    cfg["system"].update(upper=upper, lower=lower)
+    cfg["scan"].update(omega_min=omega_min, omega_max=omega_min + 0.2, n_points=8)
+    config, out = tmp_path / "run.json", tmp_path / "peaks.json"
+    config.write_text(json.dumps(cfg))
+    rc, lines = _main_and_stderr(["peaks", "--config", str(config), "--out", str(out)])
+    assert rc == EXIT_OK, lines
+    assert lines == ["WARNING vdwsurf: grid maxima left out for a pole between their grid neighbours: 1"], lines
+    grid = np.linspace(omega_min, omega_min + 0.2, 8)
+    # grid[i - 1] < pole < grid[i]: the brackets holding it span grid[i - 2] to grid[i + 1]
+    i = int(np.searchsorted(grid, pole))
+    for peak in json.loads(out.read_text()):
+        assert not grid[i - 2] <= peak["location"] <= grid[i + 1], peak
+        assert math.isfinite(peak["height"]) and (peak["width_fwhm"] is None or peak["width_fwhm"] > 0), peak

@@ -23,6 +23,7 @@ from vdwsurf import (
 )
 from vdwsurf._carray import operand
 from vdwsurf.interaction import _polarizability
+from vdwsurf.materials import _screening_zeros
 
 # Frozen by direct hand evaluation of the oscillator's rational form with
 # eta=2.71, eps0=6.57, gamma=0.015 and the surface mode pinned at 1.
@@ -180,6 +181,37 @@ class TestInterfaceQuantities:
             surface_mode_frequency(Material.vacuum())
         with pytest.raises(UnsupportedModelError):
             cavity_mode_frequency(Material.constant(4.0))
+
+    def test_mode_frequencies_are_the_vacuum_and_cavity_forms_bit_for_bit(self):
+        # both are omega_t*sqrt((eps0 + c)/(eta + c)), at c = 1 and c = 1/2
+        rng = np.random.default_rng(7)
+        for eta, gap, omega_t in zip(rng.uniform(1, 20, 20000), rng.exponential(5, 20000), rng.exponential(1, 20000)):
+            m = Material.lorentz(eta=eta, eps0=eta + gap + 1e-9, omega_t=omega_t + 1e-6, gamma=0.0)
+            assert surface_mode_frequency(m) == math.sqrt((m.eps0 + 1.0) / (m.eta + 1.0)) * m.omega_t
+            assert cavity_mode_frequency(m) == math.sqrt((2.0 * m.eps0 + 1.0) / (2.0 * m.eta + 1.0)) * m.omega_t
+
+    @pytest.mark.parametrize(
+        "upper, lower, zeros",
+        [
+            (Material.vacuum(), Material.constant(2.0), []),
+            # eps = -c has no real solution for c in (-eps0, -eta)
+            (Material.constant(-4.0), Material.lorentz(2.71, 6.57, 1.0, 0.0), []),
+            (Material.constant(-8.0), Material.lorentz(2.71, 6.57, 1.0, 0.0), [math.sqrt(1.43 / 5.29)]),
+            # equal omega_t: eps_u + eps_l = 0 only at sqrt((eps0_u + eps0_l)/(eta_u + eta_l)) omega_t
+            (Material.lorentz(1.5, 3.0, 1.2, 0.0), Material.lorentz(2.0, 5.0, 1.2, 0.0), [1.2 * math.sqrt(8.0 / 3.5)]),
+            # omega_t far below 1e-154 squares to 0 unless scaled
+            (
+                Material.lorentz(1.5, 3.0, 1e-200, 0.0),
+                Material.lorentz(2.0, 5.0, 1e-200, 0.0),
+                [1e-200 * math.sqrt(8.0 / 3.5)],
+            ),
+        ],
+    )
+    def test_screening_zeros(self, upper, lower, zeros):
+        found = _screening_zeros(upper, lower)
+        assert_allclose([w for w, _ in found], zeros, rtol=1e-15)
+        assert all(damping == 0.0 for _, damping in found)
+        assert _screening_zeros(lower, upper) == found
 
     def test_preset_scaled_to_surface_mode(self, sapphire):
         # the preset derives its resonance from the pinned surface mode

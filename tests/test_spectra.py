@@ -314,35 +314,50 @@ class TestFindPeaks:
 
     @pytest.mark.parametrize("n_points", [200, 201, 2000])
     def test_grid_step_is_the_median_step_bit_for_bit(self, vacuum_system, n_points, monkeypatch):
-        # flagged rows leave gaps, so the steps differ; each round flags 3
-        # more rows, which alternates odd and even step counts
-        far = Atom(omega0=5.0, gamma=1e-3)
-        rows = scan_spectrum(vacuum_system, Atom(omega0=1.0), far, ScanSpec(0.7, 1.3, n_points))
-        steps, known_modes = [], spectra._known_modes
+        # the step reaches the classification windows through _match; flagged
+        # rows leave gaps, so the steps differ; each round flags 3 more rows,
+        # which alternates odd and even step counts
+        line = Atom(omega0=1.0, gamma=1e-2)
+        rows = scan_spectrum(vacuum_system, Atom(omega0=1.0), line, ScanSpec(0.7, 1.3, n_points))
+        steps, match = [], spectra._match
 
-        def spy(system, atom_b, grid_step):
+        def spy(table, location, grid_step):
             steps.append(grid_step)
-            return known_modes(system, atom_b, grid_step)
+            return match(table, location, grid_step)
 
-        monkeypatch.setattr(spectra, "_known_modes", spy)
+        monkeypatch.setattr(spectra, "_match", spy)
         rng = np.random.default_rng(n_points)
         for flagged in range(0, 30, 3):
             marked = set(rng.choice(n_points, flagged, replace=False).tolist())
             scanned = [replace(row, error="pole") if i in marked else row for i, row in enumerate(rows)]
-            find_peaks(vacuum_system, far, scanned)
+            find_peaks(vacuum_system, line, scanned)
             omegas = [row.omega for i, row in enumerate(rows) if i not in marked]
-            assert steps.pop() == float(np.median(np.diff(omegas)))
-        # and on uneven grids of 2 to 41 steps
+            assert steps and set(steps) == {float(np.median(np.diff(omegas)))}
+            steps.clear()
+        # and on uneven grids of 2 to 41 steps, with one maximum each
         for n in range(3, 43):
             omegas = np.cumsum(rng.uniform(0.01, 0.02, n))
-            spectra._find_peaks(vacuum_system, far, omegas, np.zeros(n))
-            assert steps.pop() == float(np.median(np.diff(omegas)))
+            metric = np.zeros(n)
+            metric[n // 2] = 1.0
+            spectra._find_peaks(vacuum_system, line, omegas, metric)
+            assert steps == [float(np.median(np.diff(omegas)))]
+            steps.clear()
 
     def test_widths_resolve_line_scales(self, sapphire_system, sapphire, atom_b, fig_rows):
         peaks = {p.kind: p for p in find_peaks(sapphire_system, atom_b, fig_rows)}
         # atomic line width tracks the partner linewidth, mode widths the damping
         assert peaks[PeakKind.ATOMIC_RESONANCE].width_fwhm < 5 * atom_b.gamma
         assert peaks[PeakKind.SURFACE_MODE].width_fwhm < 5 * sapphire.gamma
+
+    def test_a_line_narrower_than_the_grid_has_no_width(self, sapphire_system):
+        # on a 50-point grid the grid value at the atomic maximum is below half
+        # the refined height, so the half-height crossings cannot be located
+        narrow = Atom(omega0=0.9, gamma=1e-5)
+        rows = scan_spectrum(sapphire_system, Atom(omega0=1.0), narrow, ScanSpec(0.7, 1.3, 50))
+        peaks = find_peaks(sapphire_system, narrow, rows)
+        atomic = [p for p in peaks if p.kind is PeakKind.ATOMIC_RESONANCE]
+        assert len(atomic) == 1 and math.isnan(atomic[0].width_fwhm), peaks
+        assert all(math.isnan(p.width_fwhm) or p.width_fwhm > 0.0 for p in peaks), peaks
 
 
 class TestScanEnhancement:
@@ -355,3 +370,45 @@ class TestScanEnhancement:
     def test_vacuum_all_ones(self, vacuum_system):
         rows = scan_enhancement(vacuum_system, ScanSpec(0.5, 1.5, n_points=7))
         assert all(g == 1.0 and g_no == 1.0 for _, g, g_no in rows)
+
+
+_LOWER = Material.lorentz(eta=2.71, eps0=6.57, omega_t=1.0, gamma=0.015)
+_UPPER = Material.lorentz(eta=1.5, eps0=3.0, omega_t=1.4, gamma=0.015)
+
+
+class TestScreeningZeros:
+    """The surface modes of two media in contact: eps_u + eps_l = 0, whatever the upper medium."""
+
+    @pytest.mark.parametrize(
+        "upper, lower, omega_min, surface, damping",
+        [
+            (Material.constant(2.25), _LOWER, 1.2335, 1.33350, _LOWER.gamma),
+            (_UPPER, _LOWER, 1.0856, 1.18563, _LOWER.gamma),
+            # an undamped oscillator against a lossy constant is no pole: the
+            # width 2 Im(c)/(d eps/d omega) = 0.00235 takes the place of gamma
+            (Material.constant(2.25 + 0.02j), replace(_LOWER, gamma=0.0), 1.2335, 1.33350, 0.00235),
+        ],
+        ids=["constant-upper", "two-oscillators", "lossy-constant-upper"],
+    )
+    def test_damped_screening_peak_is_a_surface_mode(self, upper, lower, omega_min, surface, damping):
+        system, atom_b = HalfSpaceSystem(upper, lower, omega_max=3.0), Atom(omega0=0.9, gamma=1e-3)
+        rows = scan_spectrum(system, Atom(omega0=1.0), atom_b, ScanSpec(omega_min, omega_min + 0.2, 200))
+        peaks, left_out = spectra._find_peaks(
+            system, atom_b, np.array([r.omega for r in rows]), np.array([abs(r.u_resonant) for r in rows])
+        )
+        assert [p.kind for p in peaks] == [PeakKind.SURFACE_MODE] and left_out == 0, peaks
+        assert abs(peaks[0].location - surface) < 2 * damping
+        assert 0.5 * damping < peaks[0].width_fwhm < 2 * damping
+
+    def test_two_oscillators_report_both_surface_modes(self):
+        # the merge is per resonance, not per kind: the zero between the two
+        # omega_t and the one above both are surface modes
+        system, atom_b = HalfSpaceSystem(_UPPER, _LOWER, omega_max=3.0), Atom(omega0=0.9, gamma=1e-3)
+        zeros = [w for w, _, kind in spectra._resonances(system, atom_b) if kind is PeakKind.SURFACE_MODE]
+        assert_allclose(sorted(zeros), [1.1856277233637502, 1.7803058169395558], rtol=1e-14)
+        lossless = HalfSpaceSystem(replace(_UPPER, gamma=0.0), replace(_LOWER, gamma=0.0))
+        for w in zeros:
+            assert abs(lossless.avg_eps(w)) < 1e-14 * (abs(lossless.upper.eps(w)) + abs(lossless.lower.eps(w)))
+        rows = scan_spectrum(system, Atom(omega0=1.0), atom_b, ScanSpec(1.05, 1.95, 600))
+        surface = [p.location for p in find_peaks(system, atom_b, rows) if p.kind is PeakKind.SURFACE_MODE]
+        assert len(surface) == 2 and all(abs(a - b) < 2 * _LOWER.gamma for a, b in zip(surface, sorted(zeros)))
