@@ -94,17 +94,11 @@ def _table(fmt: str, header: list, blocks):
     yield tail
 
 
-def _out_path(cfg: RunConfig, args, default: str) -> tuple:
-    fmt = cfg.output.format if cfg.output else "csv"
-    path = args.out or (cfg.output.path if cfg.output else default)
-    return path, fmt
-
-
-def _scan(cfg: RunConfig, atom_b=None, atom_a=None, warn=log.warning):
-    """The blocks of :func:`~vdwsurf.spectra._scan_blocks`; then one warning to ``warn`` if a grid point was flagged.
+def _scan(cfg: RunConfig, notes: list, atom_b=None, atom_a=None):
+    """The blocks of :func:`~vdwsurf.spectra._scan_blocks`; then one note in ``notes`` if a grid point was flagged.
 
     A scan flagged at every grid point has no value to write: it raises
-    SingularityError with the text of that warning instead.
+    SingularityError with the text of that note instead.
     """
     flagged, first = 0, None
     for columns, terms in _scan_blocks(cfg.system, cfg.scan, atom_b, atom_a, cfg.quadrature):
@@ -117,43 +111,39 @@ def _scan(cfg: RunConfig, atom_b=None, atom_a=None, warn=log.warning):
         message %= (flagged, cfg.scan.n_points, first)
         if flagged == cfg.scan.n_points:
             raise SingularityError(message)
-        warn(message)
+        notes.append(message)
 
 
 _SPECTRUM_HEADER = ["omega_over_ref", "u_resonant", "u_resonant_no_lf", "g", "g_no_lf", "u_offresonant"]
 
 
-def cmd_spectrum(cfg: RunConfig, args) -> int:
-    path, fmt = _out_path(cfg, args, "vdw_spectrum.csv")
+def cmd_spectrum(cfg: RunConfig, notes: list) -> tuple:
+    """The potential table over the scan grid, block by block."""
     header = _SPECTRUM_HEADER[: 6 if cfg.scan.include_offresonant else 5]
-    _write(path, _table(fmt, header, (columns for columns, _ in _scan(cfg, cfg.atom_b, cfg.atom_a))))
-    log.info("wrote %d spectrum rows to %s", cfg.scan.n_points, path)
-    return EXIT_OK
+    blocks = (columns for columns, _ in _scan(cfg, notes, cfg.atom_b, cfg.atom_a))
+    fmt = cfg.output.format if cfg.output else "csv"
+    return "vdw_spectrum.csv", _table(fmt, header, blocks), EXIT_OK
 
 
-def cmd_enhancement(cfg: RunConfig, args) -> int:
-    """The rows of :func:`~vdwsurf.spectra.scan_enhancement`, written block by block."""
-    path, fmt = _out_path(cfg, args, "vdw_enhancement.csv")
-    blocks = ([columns[i] for i in _ENHANCEMENT] for columns, _ in _scan(cfg))
-    _write(path, _table(fmt, ["omega_over_ref", "g", "g_no_lf"], blocks))
-    log.info("wrote %d enhancement rows to %s", cfg.scan.n_points, path)
-    return EXIT_OK
+def cmd_enhancement(cfg: RunConfig, notes: list) -> tuple:
+    """The rows of :func:`~vdwsurf.spectra.scan_enhancement`, block by block."""
+    blocks = ([columns[i] for i in _ENHANCEMENT] for columns, _ in _scan(cfg, notes))
+    fmt = cfg.output.format if cfg.output else "csv"
+    return "vdw_enhancement.csv", _table(fmt, ["omega_over_ref", "g", "g_no_lf"], blocks), EXIT_OK
 
 
-def cmd_peaks(cfg: RunConfig, args) -> int:
+def cmd_peaks(cfg: RunConfig, notes: list) -> tuple:
     """The refined, classified peaks as a JSON array; ``output.format`` does not apply.
 
-    Flagged grid points and grid maxima left out at a pole share one warning line.
+    Flagged grid points and grid maxima left out at a pole are notes of the one warning line.
     """
-    omegas, metric, notes = [], [], []  # the unflagged grid points of each block; the warnings
-    for columns, terms in _scan(cfg, cfg.atom_b, warn=notes.append):
+    omegas, metric = [], []  # the unflagged grid points of each block
+    for columns, terms in _scan(cfg, notes, cfg.atom_b):
         omegas.append(columns[0][~terms.flagged])
         metric.append(abs(columns[1][~terms.flagged]))
     peaks, left_out = _find_peaks(cfg.system, cfg.atom_b, np.concatenate(omegas), np.concatenate(metric))
     if left_out:
         notes.append("grid maxima left out for a pole between their grid neighbours: %d" % left_out)
-    if notes:
-        log.warning("; ".join(notes))
     payload = [
         {
             "location": peak.location,
@@ -163,14 +153,11 @@ def cmd_peaks(cfg: RunConfig, args) -> int:
         }
         for peak in peaks
     ]
-    path, _ = _out_path(cfg, args, "vdw_peaks.json")
-    _write(path, [json.dumps(payload, indent=2) + "\n"])
-    log.info("wrote %d peaks to %s", len(payload), path)
-    return EXIT_OK
+    return "vdw_peaks.json", [json.dumps(payload, indent=2) + "\n"], EXIT_OK
 
 
-def cmd_validate(cfg: RunConfig, args) -> int:
-    """The convergence table as CSV, whatever ``output.format``.
+def cmd_validate(cfg: RunConfig, notes: list) -> tuple:
+    """The convergence table as CSV, whatever ``output.format``; exit 4 when it fails.
 
     greens is imported here: no other command runs it.
     """
@@ -178,31 +165,27 @@ def cmd_validate(cfg: RunConfig, args) -> int:
 
     v = cfg.validate
     pos = AtomPositions(v.r_a, v.r_b)
-    report = nonretarded_limit_check(
-        cfg.system, v.omega, pos, v.scales, cfg.quadrature
-    )
+    report = nonretarded_limit_check(cfg.system, v.omega, pos, v.scales, cfg.quadrature)
     lines = ["scale,component,ratio_re,ratio_im"]
     lines.extend(
         "%.12g,%s,%.12g,%.12g" % (row.scale, row.component, row.ratio.real, row.ratio.imag)
         for row in report.rows
     )
-    path, _ = _out_path(cfg, args, "vdw_validate.csv")
-    _write(path, ["\n".join(lines) + "\n"])
     ok = report.passed(v.tolerance)
     smallest = min(v.scales)
     deviation = report.max_deviation(smallest)
-    verdict = "PASS" if ok else "FAIL"
-    log.info("validation %s (max deviation %.3e at scale %s)", verdict, deviation, smallest)
+    log.info("validation %s (max deviation %.3e at scale %s)", "PASS" if ok else "FAIL", deviation, smallest)
     if not ok:
         print(
             f"validation FAILED: ratios at scale {smallest} deviate "
             f"by up to {deviation:.3e} (> {v.tolerance})",
             file=sys.stderr,
         )
-        return EXIT_VALIDATION
-    return EXIT_OK
+    return "vdw_validate.csv", ["\n".join(lines) + "\n"], EXIT_OK if ok else EXIT_VALIDATION
 
 
+# Each command maps the config and the list of its warnings to (default file
+# name, text pieces, exit code); main writes the pieces and logs the warnings.
 _COMMANDS = {
     "spectrum": cmd_spectrum,
     "enhancement": cmd_enhancement,
@@ -246,7 +229,14 @@ def main(argv=None) -> int:
             except ParameterError as exc:
                 error = _config_error(exc, "config.scan")
                 raise ConfigError(f"--points: {error}", field=error.field) from None
-        return _COMMANDS[args.command](cfg, args)
+        notes = []  # the command's warnings: one line, once its output is written
+        default, pieces, code = _COMMANDS[args.command](cfg, notes)
+        path = args.out or (cfg.output.path if cfg.output else default)
+        _write(path, pieces)
+        log.info("wrote %s", path)
+        if notes:
+            log.warning("; ".join(notes))
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
