@@ -17,10 +17,11 @@ from enum import Enum
 import numpy as np
 
 from .errors import ParameterError, _is_count, _is_finite, _shown
-from .interaction import Atom, _offresonant_many, resonant_potential, resonant_terms
+from .interaction import Atom, _offresonant_many, _resonant, resonant_terms
 from .materials import (
     HalfSpaceSystem,
     MaterialKind,
+    _Poles,
     _screening_zeros,
     cavity_mode_frequency,
 )
@@ -267,8 +268,8 @@ def _find_peaks(
     grid_step = float(np.mean(steps[(steps.size - 1) // 2 : steps.size // 2 + 1]))
 
     def evaluator(w: float) -> float:
-        res = resonant_potential(system, Atom(omega0=w), atom_b)
-        return abs(res.u_resonant)
+        # the arithmetic of resonant_potential at omega0 = w, without building an Atom or a PotentialResult
+        return abs(_resonant(system, w, atom_b, _Poles(w, "omega_a"))[2])
 
     table = _resonances(system, atom_b)
     inner = metric[1:-1]

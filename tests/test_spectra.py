@@ -264,6 +264,23 @@ class TestFindPeaks:
             lo, hi = max(i - 1, 0), min(i + 1, len(metric) - 1)
             assert p.height >= metric[lo] and p.height >= metric[hi]
 
+    def test_refinement_builds_no_atom_and_calls_the_resonant_core(
+        self, sapphire_system, atom_b, fig_rows, monkeypatch
+    ):
+        # each golden-section step is one _resonant call: no Atom to validate, no PotentialResult
+        want = find_peaks(sapphire_system, atom_b, fig_rows)
+        atoms, steps, core = [], [], interaction._resonant
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the refinement called resonant_potential")
+
+        monkeypatch.setattr(interaction.Atom, "__post_init__", lambda atom: atoms.append(atom))
+        monkeypatch.setattr(interaction, "resonant_potential", refuse)
+        monkeypatch.setattr(spectra, "resonant_potential", refuse, raising=False)
+        monkeypatch.setattr(spectra, "_resonant", lambda *args: steps.append(args[1]) or core(*args))
+        assert repr(find_peaks(sapphire_system, atom_b, fig_rows)) == repr(want)  # repr: a NaN width is no peak's equal
+        assert atoms == [] and len(steps) > 3 * len(want)
+
     def test_monotone_input_gives_empty_list(self, vacuum_system):
         # partner resonance far outside the window: |u| is monotone there
         far = Atom(omega0=5.0, gamma=1e-3)
