@@ -143,10 +143,13 @@ def _resonant(system: HalfSpaceSystem, omega, atom_b: Atom | None, poles: _Poles
     coupling, coupling_no_lf = _coupling(e_u, e_l, poles)
     g = abs_squared(coupling)
     g_no_lf = abs_squared(coupling_no_lf)
+    poles.check_finite("the enhancement", g, g_no_lf)
     if atom_b is None:
         return g, g_no_lf, None, None
     alpha_ratio = _polarizability(atom_b, w2, iw, poles).real / atom_b.alpha0
-    return g, g_no_lf, -alpha_ratio * g, -alpha_ratio * g_no_lf
+    u, u_no_lf = -alpha_ratio * g, -alpha_ratio * g_no_lf
+    poles.check_finite("the resonant potential", u, u_no_lf)
+    return g, g_no_lf, u, u_no_lf
 
 
 def resonant_terms(system: HalfSpaceSystem, omega, atom_b: Atom | None = None) -> ResonantTerms:
@@ -166,7 +169,8 @@ def resonant_terms(system: HalfSpaceSystem, omega, atom_b: Atom | None = None) -
     if not np.all((omega > 0.0) & np.isfinite(omega)):
         raise ParameterError("omega must be positive and finite", "omega")
     poles = _Poles(omega, "omega_a")
-    g, g_no_lf, u, u_no_lf = _resonant(system, omega, atom_b, poles)
+    with np.errstate(all="ignore"):  # a value beyond the float range is flagged, not warned of
+        g, g_no_lf, u, u_no_lf = _resonant(system, omega, atom_b, poles)
     flagged = poles.flagged
 
     def column(values):

@@ -289,8 +289,12 @@ def local_field_factor(eps) -> complex:
 
 def _pole(den, scale):
     """True where the denominator ``den`` is within roundoff of zero against
-    the size ``scale`` of its terms (elementwise for arrays and CArrays)."""
-    return abs(den) <= _POLE_RTOL * scale
+    the size ``scale`` of its terms (elementwise for arrays and CArrays).
+
+    Never where ``scale`` is infinite: terms beyond the float range make
+    a value that is not finite, which :meth:`_Poles.check_finite` flags.
+    """
+    return (abs(den) <= _POLE_RTOL * scale) & (scale < math.inf)
 
 
 def _cavity_pole(eps, size):
@@ -323,6 +327,14 @@ class _Poles:
         for i in np.flatnonzero(hit & ~self.flagged):
             self.reasons[i] = message.format(float(np.ravel(self.omega)[i]), name=self.name)
         self.flagged |= hit
+
+    def check_finite(self, what: str, *values) -> None:
+        """Flag, as a pole, where one of ``values`` is not finite: its terms are beyond the float range."""
+        if self.reasons is None:
+            hit = not all(map(math.isfinite, values))
+        else:
+            hit = ~np.isfinite(values).all(axis=0)
+        self.check(hit, what + " is not finite at {name} = {}")
 
 
 def _coupling(e_u, e_l, poles: _Poles | None = None):

@@ -8,6 +8,7 @@ poles.
 
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -116,6 +117,40 @@ def test_pole_grid_point_flagged_with_scalar_reason(system, atom_b, reason):
     scan = ScanSpec(omega_min=0.5, omega_max=1.5, n_points=5)
     flagged = _assert_rows_match_scalar(system, atom_b, scan)
     assert [(row.omega, row.error) for row in flagged if row.omega == 1.0] == [(1.0, reason)]
+
+
+BEYOND_FLOAT_RANGE = Material.lorentz(eta=2.0, eps0=1e160, omega_t=1.0, gamma=0.01)
+
+
+@pytest.mark.parametrize(
+    "system, atom_b, reason",
+    [
+        (
+            HalfSpaceSystem(Material.vacuum(), BEYOND_FLOAT_RANGE),
+            Atom(omega0=0.9, gamma=1e-3),
+            "the enhancement is not finite at omega_a = 0.5",
+        ),
+        (
+            HalfSpaceSystem(Material.vacuum(), preset("sapphire-ir")),
+            Atom(omega0=1e160, gamma=1e-3),
+            "the resonant potential is not finite at omega_a = 0.5",
+        ),
+    ],
+    ids=["eps0-1e160", "omega0-1e160"],
+)
+def test_a_value_beyond_the_float_range_is_flagged_with_scalar_reason(system, atom_b, reason):
+    # the products of the coupling overflow, or omega0**2 does: an infinite
+    # omega0**2 is no polarizability pole, and no numpy warning is issued
+    scan = ScanSpec(omega_min=0.5, omega_max=1.5, n_points=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        flagged = _assert_rows_match_scalar(system, atom_b, scan)
+    assert flagged[0].omega == 0.5 and flagged[0].error == reason
+
+
+def test_enhancement_factor_raises_beyond_the_float_range():
+    with pytest.raises(SingularityError, match="^the enhancement is not finite at omega_a = 0.7$"):
+        enhancement_factor(HalfSpaceSystem(Material.vacuum(), BEYOND_FLOAT_RANGE), 0.7)
 
 
 def test_terms_mask_and_columns(sapphire_system):
