@@ -21,6 +21,7 @@ reduced units of this package (c = 1).
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass, replace
 from importlib import resources
 
@@ -116,6 +117,9 @@ def _dipole_tensor(r_vec) -> np.ndarray:
     return (3.0 * np.outer(rhat, rhat) - np.eye(3)) / r**3
 
 
+_TINY, _HUGE = sys.float_info.min, sys.float_info.max  # the normal float range
+
+
 class _Kernel:
     """Plane-wave transmission kernel of one system at one frequency.
 
@@ -135,6 +139,10 @@ class _Kernel:
         self.mu_u, self.mu_l = system.upper.mu(omega), system.lower.mu(omega)
         n_u = complex(_upward_root(self.eps_u * self.mu_u))
         n_l = complex(_upward_root(self.eps_l * self.mu_l))
+        # omega**2 and each (n*omega)**2 must be normal floats: complex ** 2 raises
+        # OverflowError above them, and p_norm divides by zero below
+        if not all(_TINY <= (x * omega) * (x * omega) <= _HUGE for x in (1.0, abs(n_u), abs(n_l)) if x):
+            raise ParameterError(f"omega**2 and (n*omega)**2 must be within the float range, got {omega!r}", "omega")
         self._nw2_u, self._nw2_l = (n_u * omega) ** 2, (n_l * omega) ** 2
         # sqrt(eps_u*mu_l/(eps_l*mu_u)) written as n_u*mu_l/(n_l*mu_u) so its
         # branch follows the same roots that normalize the polarization vectors.
@@ -286,7 +294,9 @@ def sommerfeld_green(
 
     Raises QuadratureError when the panel budget is exhausted and, before
     any integral, SingularityError when a lossless interface mode sits on
-    the path or at a pole of ``_coupling`` (either way) or of mu_u + mu_l.
+    the path or at a pole of ``_coupling`` (either way) or of mu_u + mu_l,
+    and ParameterError when omega or the geometry put the kernel constants
+    or the closed form beyond the float range, or leave no head.
     """
     return _sommerfeld_many(system, omega, [pos], quad, local_field)[0][0]
 
@@ -297,6 +307,7 @@ def _sommerfeld_many(
     positions,
     quad: QuadratureSpec | None = None,
     local_field: bool = True,
+    fields=None,
 ) -> list:
     """Pairs of :func:`sommerfeld_green` and :func:`nonretarded_green` at each of ``positions``, in one loop.
 
@@ -307,7 +318,9 @@ def _sommerfeld_many(
     integrand) of one integration loop, each with the tolerance of its own
     position.  Every tensor, and the error raised (the first in position
     order, and per position head, tail, then the pieces from k = 0 up), is
-    what :func:`sommerfeld_green` gives alone.
+    what :func:`sommerfeld_green` gives alone.  A position whose closed
+    form is beyond the float range raises ParameterError naming its entry
+    of ``fields`` ("pos" for each by default) before any integral.
     """
     kernel = _Kernel(system, omega)
     if quad is None:
@@ -340,19 +353,25 @@ def _sommerfeld_many(
     pole_edges = k_p.real + np.array([-8.0, -2.0, -0.5, 0.5, 2.0, 8.0]) * abs(k_p.imag)
 
     frames, jobs, rows = [], [], []  # per position (closed form, phi, job count); per job
-    for pos in positions:
+    for pos, field in zip(positions, fields or ["pos"] * len(positions)):
         z_a, z_b, rho = pos.r_a[2], pos.r_b[2], pos.rho
         dz = z_a - z_b
         dist = np.hypot(rho, dz)
-        # the closed form in the frame whose x axis is the in-plane separation
-        frame = _dipole_tensor(np.array([rho, 0.0, dz])) * p0
-        j2 = rho * rho / ((dist + dz) ** 2 * dist)  # (R - dz)^2/(rho^2 R), 0 on axis
-        frame[0, 0] += 0.5 * s0 * (1.0 / dist + j2)
-        frame[1, 1] += 0.5 * s0 * (1.0 / dist - j2)
+        with np.errstate(all="ignore"):  # checked below, a length beyond the float range raising ParameterError
+            # the closed form in the frame whose x axis is the in-plane separation
+            frame = _dipole_tensor(np.array([rho, 0.0, dz])) * p0
+            j2 = rho * rho / ((dist + dz) ** 2 * dist)  # (R - dz)^2/(rho^2 R), 0 on axis
+            frame[0, 0] += 0.5 * s0 * (1.0 / dist + j2)
+            frame[1, 1] += 0.5 * s0 * (1.0 / dist - j2)
+        if not np.all(np.isfinite(frame)):
+            raise ParameterError(f"the closed form at {field} is not finite: a length beyond the float range", field)
         spec = replace(quad, abs_tol=quad.abs_tol + quad.rel_tol * np.max(np.abs(frame)))
         # beyond k_end the envelope e^{-k dz} is below eps^2 of its value at k_split
         k_end = k_split - 2.0 * np.log(np.finfo(float).eps) / dz
         k0 = min(max(20.0 * k_split, 10.0 / rho if rho > 0.0 else np.inf), k_end)
+        if not k0 > k_split:  # k_split * dz beyond 1/eps: no head to integrate, and no seeds
+            message = f"{field} puts the atoms dz = {float(dz)!r} apart, beyond the near field at omega = {omega!r}"
+            raise ParameterError(message, field, "omega")
         # panel edges k_split + omega*1e-3*4^j below K0, dense next to the light line
         seeds = k_split + omega * 1e-3 * 4.0 ** np.arange(
             np.log((k0 - k_split) / (omega * 1e-3)) / np.log(4.0)
@@ -517,7 +536,8 @@ def nonretarded_limit_check(
         if not (s > 0.0 and _is_finite(s)):
             raise ParameterError(f"scales[{i}] must be positive and finite, got {_shown(s)}", f"scales[{i}]")
     scales = tuple(float(s) for s in scales)
-    tensors = _sommerfeld_many(system, omega, [pos.scaled(s) for s in scales], quad, local_field) if scales else []
+    positions, fields = [pos.scaled(s) for s in scales], [f"scales[{i}]" for i in range(len(scales))]
+    tensors = _sommerfeld_many(system, omega, positions, quad, local_field, fields) if scales else []
     rows = []
     for s, (green, closed) in zip(scales, tensors):
         floor = 1e-12 * np.max(np.abs(closed))

@@ -203,7 +203,7 @@ def _bisection(a, b, spec: QuadratureSpec | None = None, breakpoints=()):
 _BATCHES = (8, 16, 40)  # half-periods a tail takes in its first, second and third sweep
 
 
-def _tail(a, half_period, dz, spec: QuadratureSpec | None = None):
+def _tail(a, half_period, dz, spec: QuadratureSpec):
     """The integral over [a, inf) of an integrand that oscillates with
     ``half_period`` under e^{-dz x}, as a job of :func:`_integrate_many`.
 
@@ -223,8 +223,6 @@ def _tail(a, half_period, dz, spec: QuadratureSpec | None = None):
         raise ParameterError(f"half_period must be positive and finite, got {_str(half_period)}")
     if not (dz >= 0.0 and _is_finite(dz)):
         raise ParameterError(f"envelope decay dz must be >= 0 and finite, got {_str(dz)}")
-    if spec is None:
-        spec = QuadratureSpec()
     received, count, value, err = [], 0, None, None  # (values, rule errors) per batch
     for batch in _BATCHES:
         left = a + half_period * np.arange(count, min(count + batch, spec.max_panels))

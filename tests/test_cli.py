@@ -960,6 +960,63 @@ for config in sys.argv[2:]:
     assert not any(p.name.startswith("out") for p in tmp_path.iterdir())
 
 
+_BEYOND_FLOAT_RANGE = {"kind": "lorentz", "eta": 2.0, "eps0": 1e160, "omega_t": 1.0, "gamma": 0.01}
+
+
+@pytest.mark.parametrize(
+    "overrides, flagged, reason",
+    [
+        (
+            {"system": {"upper": "vacuum", "lower": _BEYOND_FLOAT_RANGE, "omega_max": 3.0}},
+            ("spectrum", "enhancement", "peaks"),
+            "the enhancement is not finite",
+        ),
+        ({"atom_b": {"omega0": 1e160, "gamma": 0.001}}, ("spectrum", "peaks"), "the resonant potential is not finite"),
+    ],
+    ids=["eps0-1e160", "atom_b-omega0-1e160"],
+)
+def test_a_scan_beyond_the_float_range_exits_1_without_nan_or_warnings(tmp_path, overrides, flagged, reason):
+    # the coupling's products, or atom B's omega0**2, overflow at every grid point:
+    # once nan tables with exit 0 and numpy warnings, or a polarizability pole everywhere
+    cfg = write_config(tmp_path, **overrides)
+    for command in ("spectrum", "enhancement", "peaks"):
+        out = tmp_path / command
+        rc, lines = _main_and_stderr([command, "--config", str(cfg), "--out", str(out)])
+        if command in flagged:
+            message = "error: 400 of 400 grid points are on a pole and have no value; the first: %s at omega_a = 0.7"
+            assert (rc, lines, out.exists()) == (EXIT_CONFIG, [message % reason], False)
+        else:  # enhancement does not evaluate atom B
+            assert (rc, lines) == (EXIT_OK, [])
+
+
+@pytest.mark.parametrize(
+    "validate, field",
+    [
+        ({"omega": 1e160}, "omega"),
+        ({"omega": 1e300}, "omega"),
+        ({"omega": 1e-300}, "omega"),
+        ({"scales": [1e-300]}, "scales[0]"),
+        ({"scales": [0.1, 1e-120]}, "scales[1]"),
+        ({"scales": [1e300]}, "scales[0]"),
+        ({"scales": [1e20]}, "scales[0]"),
+        ({"omega": 1e50}, "scales[0]"),
+    ],
+    ids=[
+        "omega-1e160", "omega-1e300", "omega-1e-300", "scale-1e-300", "scale-1e-120", "scale-1e300", "far-scale-1e20",
+        "far-omega-1e50",
+    ],
+)
+def test_validate_beyond_the_float_range_exits_1_naming_the_field(tmp_path, validate, field):
+    # once an OverflowError or ZeroDivisionError traceback from the kernel, numpy
+    # warnings and an abs_tol error from a closed form that is not finite, or a
+    # ValueError from the head's seeds when the envelope left no head
+    cfg = write_config(tmp_path, validate=validate)
+    out = tmp_path / "v.csv"
+    rc, lines = _main_and_stderr(["validate", "--config", str(cfg), "--out", str(out)])
+    assert rc == EXIT_CONFIG and len(lines) == 1 and not out.exists(), lines
+    assert lines[0].startswith("error: ") and field in lines[0], lines
+
+
 @st.composite
 def _physical_config(draw):
     """A valid config: vacuum, sapphire, constant and undamped Lorentz media, poles on and off the grid."""

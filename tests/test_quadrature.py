@@ -326,7 +326,7 @@ def test_tail_batches_go_through_panel_within_the_budget(monkeypatch):
 )
 def test_tail_rejects_bad_half_period_dz_and_start(args):
     with pytest.raises(ParameterError):
-        quadrature._tail(*args).send(None)
+        quadrature._tail(*args, QuadratureSpec()).send(None)
 
 
 def _assert_same_outcome(got, want):
@@ -531,7 +531,7 @@ def test_bad_job_raises_before_any_integrand_call():
         calls.append(x.size)
         return np.cos(x)
 
-    jobs = [quadrature._bisection(0.0, 1.0), quadrature._tail(0.0, -1.0, 0.0)]
+    jobs = [quadrature._bisection(0.0, 1.0), quadrature._tail(0.0, -1.0, 0.0, QuadratureSpec())]
     with pytest.raises(ParameterError, match="half_period"):
         quadrature._integrate_many(f, jobs)
     assert calls == []
@@ -542,11 +542,11 @@ def test_bad_job_raises_before_any_integrand_call():
     [
         lambda f: adaptive_gauss(f, 0.0, 10**400),
         lambda f: adaptive_gauss(f, np.nan, 1.0),
-        lambda f: _one_tail(f, np.inf, 1.0, 0.0),
-        lambda f: _one_tail(f, np.nan, 1.0, 0.0),
-        lambda f: _one_tail(f, 10**400, 1.0, 0.0),
-        lambda f: _one_tail(f, 0.0, 10**400, 0.0),
-        lambda f: _one_tail(f, 0.0, 1.0, 10**400),
+        lambda f: _one_tail(f, np.inf, 1.0, 0.0, QuadratureSpec()),
+        lambda f: _one_tail(f, np.nan, 1.0, 0.0, QuadratureSpec()),
+        lambda f: _one_tail(f, 10**400, 1.0, 0.0, QuadratureSpec()),
+        lambda f: _one_tail(f, 0.0, 10**400, 0.0, QuadratureSpec()),
+        lambda f: _one_tail(f, 0.0, 1.0, 10**400, QuadratureSpec()),
     ],
     ids=[
         "gauss-b-1e400", "gauss-a-nan", "tail-a-inf", "tail-a-nan", "tail-a-1e400", "tail-half-period-1e400",
@@ -570,9 +570,9 @@ def test_limits_not_finite_as_floats_raise_before_any_integrand_call(call):
     "call",
     [
         lambda f: adaptive_gauss(f, 0, 10**5000),
-        lambda f: _one_tail(f, 0, 10**5000, 0),
-        lambda f: _one_tail(f, 10**5000, 1, 0),
-        lambda f: _one_tail(f, 0, 1, 10**5000),
+        lambda f: _one_tail(f, 0, 10**5000, 0, QuadratureSpec()),
+        lambda f: _one_tail(f, 10**5000, 1, 0, QuadratureSpec()),
+        lambda f: _one_tail(f, 0, 1, 10**5000, QuadratureSpec()),
     ],
     ids=["gauss-b", "tail-half-period", "tail-a", "tail-dz"],
 )
@@ -593,7 +593,7 @@ def test_limit_messages_show_floats_as_str():
     with pytest.raises(ParameterError, match=r"^integration interval \[0\.0, inf\] must be finite$"):
         adaptive_gauss(np.cos, np.float64(0.0), np.inf)
     with pytest.raises(ParameterError, match="^tail start must be finite and >= 0, got nan$"):
-        _one_tail(np.cos, np.float64(np.nan), 1.0, 0.0)
+        _one_tail(np.cos, np.float64(np.nan), 1.0, 0.0, QuadratureSpec())
 
 
 def test_breakpoints_outside_the_interval_are_dropped_before_float():
