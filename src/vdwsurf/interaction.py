@@ -67,6 +67,8 @@ class Atom:
                 raise ParameterError(f"atom {name} must be finite, got {_shown(getattr(self, name))}", name)
         if not (self.omega0 > 0.0):
             raise ParameterError(f"transition frequency must be positive, got {self.omega0}", "omega0")
+        if not _is_finite(self.omega0 * self.omega0):  # omega0**2 enters the polarizability
+            raise ParameterError(f"transition frequency must have a finite square, got {self.omega0}", "omega0")
         if not (self.gamma >= 0.0):
             raise ParameterError(f"linewidth must be >= 0, got {self.gamma}", "gamma")
         if not (self.alpha0 > 0.0):

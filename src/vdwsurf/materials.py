@@ -81,6 +81,8 @@ class Material:
             _check_oscillator(self.eta, self.eps0)
             if not (self.omega_t > 0.0):
                 raise ParameterError(f"oscillator resonance must be positive, got {self.omega_t}", "omega_t")
+            if not _is_finite(self.omega_t * self.omega_t):  # omega_t**2 enters the oscillator formula
+                raise ParameterError(f"oscillator resonance must have a finite square, got {self.omega_t}", "omega_t")
             if not (self.gamma >= 0.0):
                 raise ParameterError(f"oscillator damping must be >= 0, got {self.gamma}", "gamma")
         elif self.kind is MaterialKind.VACUUM:

@@ -971,13 +971,17 @@ _BEYOND_FLOAT_RANGE = {"kind": "lorentz", "eta": 2.0, "eps0": 1e160, "omega_t": 
             ("spectrum", "enhancement", "peaks"),
             "the enhancement is not finite",
         ),
-        ({"atom_b": {"omega0": 1e160, "gamma": 0.001}}, ("spectrum", "peaks"), "the resonant potential is not finite"),
+        (
+            {"atom_b": {"omega0": 1e10, "gamma": 0.001, "alpha0": 1e300}},
+            ("spectrum", "peaks"),
+            "the resonant potential is not finite",
+        ),
     ],
-    ids=["eps0-1e160", "atom_b-omega0-1e160"],
+    ids=["eps0-1e160", "atom_b-alpha0-1e300"],
 )
 def test_a_scan_beyond_the_float_range_exits_1_without_nan_or_warnings(tmp_path, overrides, flagged, reason):
-    # the coupling's products, or atom B's omega0**2, overflow at every grid point:
-    # once nan tables with exit 0 and numpy warnings, or a polarizability pole everywhere
+    # the coupling's products, or atom B's alpha0*omega0**2, overflow at every
+    # grid point: once nan tables with exit 0 and numpy warnings
     cfg = write_config(tmp_path, **overrides)
     for command in ("spectrum", "enhancement", "peaks"):
         out = tmp_path / command
@@ -987,6 +991,27 @@ def test_a_scan_beyond_the_float_range_exits_1_without_nan_or_warnings(tmp_path,
             assert (rc, lines, out.exists()) == (EXIT_CONFIG, [message % reason], False)
         else:  # enhancement does not evaluate atom B
             assert (rc, lines) == (EXIT_OK, [])
+
+
+@pytest.mark.parametrize(
+    "section, entry, field",
+    [
+        ("atom_b", {"omega0": 1e160, "gamma": 0.001}, "config.atom_b.omega0"),
+        (
+            "system",
+            {"upper": "vacuum", "lower": {**_BEYOND_FLOAT_RANGE, "eps0": 6.57, "omega_t": 1e160}, "omega_max": 3.0},
+            "config.system.lower.omega_t",
+        ),
+    ],
+    ids=["omega0-1e160", "omega_t-1e160"],
+)
+def test_a_frequency_whose_square_overflows_exits_1_naming_the_field(tmp_path, section, entry, field):
+    # once a polarizability (or oscillator) pole at every grid point, and for
+    # validate an omega**2 error that blamed validate.omega
+    cfg = write_config(tmp_path, **{section: entry})
+    for command in ("spectrum", "enhancement", "peaks", "validate"):
+        rc, lines = _main_and_stderr([command, "--config", str(cfg), "--out", str(tmp_path / command)])
+        assert rc == EXIT_CONFIG and len(lines) == 1 and lines[0].startswith("config error: " + field), lines
 
 
 @pytest.mark.parametrize(

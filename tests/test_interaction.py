@@ -76,6 +76,13 @@ class TestPolarizability:
         with pytest.raises(ParameterError):
             Atom(**kwargs)
 
+    @pytest.mark.parametrize("omega0", [1e160, 10**200], ids=["float", "int"])
+    def test_transition_frequency_whose_square_overflows_rejected(self, omega0):
+        # omega0**2 was inf, and inf - w**2 counted as a polarizability pole at every frequency
+        with pytest.raises(ParameterError, match="finite square") as info:
+            Atom(omega0=omega0)
+        assert info.value.field == "omega0"
+
     @pytest.mark.parametrize("value", [0.0, -0.0, 7.0, -0.5, 2])
     def test_offres_sign_other_than_plus_or_minus_one_rejected(self, value):
         # 0.0 gave a silent -0.0 off-resonant column, 7.0 scaled it sevenfold

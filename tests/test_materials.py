@@ -86,6 +86,11 @@ class TestMaterialEval:
         with pytest.raises(ParameterError):
             Material.lorentz(**params)
 
+    def test_oscillator_resonance_whose_square_overflows_rejected(self):
+        with pytest.raises(ParameterError, match="finite square") as info:
+            Material.lorentz(eta=2.0, eps0=3.0, omega_t=1e160, gamma=0.1)
+        assert info.value.field == "omega_t"
+
     def test_vacuum_with_other_constants_rejected(self):
         with pytest.raises(ParameterError) as info:
             Material(MaterialKind.VACUUM, eps_const=2.0)

@@ -132,15 +132,14 @@ BEYOND_FLOAT_RANGE = Material.lorentz(eta=2.0, eps0=1e160, omega_t=1.0, gamma=0.
         ),
         (
             HalfSpaceSystem(Material.vacuum(), preset("sapphire-ir")),
-            Atom(omega0=1e160, gamma=1e-3),
+            Atom(omega0=1e10, gamma=1e-3, alpha0=1e300),
             "the resonant potential is not finite at omega_a = 0.5",
         ),
     ],
-    ids=["eps0-1e160", "omega0-1e160"],
+    ids=["eps0-1e160", "alpha0-1e300"],
 )
 def test_a_value_beyond_the_float_range_is_flagged_with_scalar_reason(system, atom_b, reason):
-    # the products of the coupling overflow, or omega0**2 does: an infinite
-    # omega0**2 is no polarizability pole, and no numpy warning is issued
+    # the products of the coupling overflow, or alpha0*omega0**2 does; no numpy warning is issued
     scan = ScanSpec(omega_min=0.5, omega_max=1.5, n_points=5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
