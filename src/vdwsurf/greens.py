@@ -139,8 +139,8 @@ class _Kernel:
         self.mu_u, self.mu_l = system.upper.mu(omega), system.lower.mu(omega)
         n_u = complex(_upward_root(self.eps_u * self.mu_u))
         n_l = complex(_upward_root(self.eps_l * self.mu_l))
-        # omega**2 and each (n*omega)**2 must be normal floats: complex ** 2 raises
-        # OverflowError above them, and p_norm divides by zero below
+        # omega**2 and each nonzero (n*omega)**2 must be normal floats: complex ** 2
+        # raises OverflowError above them, and p_norm divides by zero below
         if not all(_TINY <= (x * omega) * (x * omega) <= _HUGE for x in (1.0, abs(n_u), abs(n_l)) if x):
             raise ParameterError(f"omega**2 and (n*omega)**2 must be within the float range, got {omega!r}", "omega")
         self._nw2_u, self._nw2_l = (n_u * omega) ** 2, (n_l * omega) ** 2

@@ -331,7 +331,7 @@ class _Poles:
         self.flagged |= hit
 
     def check_finite(self, what: str, *values) -> None:
-        """Flag, as a pole, where one of ``values`` is not finite: its terms are beyond the float range."""
+        """Flag (raise for a scalar) like a pole where a value is not finite, its terms beyond the float range."""
         if self.reasons is None:
             hit = not all(map(math.isfinite, values))
         else:
