@@ -126,9 +126,9 @@ class _Kernel:
     Media constants and refractive indices are evaluated once, here.  A call
     at in-plane wavenumbers ``k`` (float or array) returns
     ``(beta, beta_m, den_p, den_s, p, s)``: the perpendicular wavenumbers,
-    the Fresnel denominators, and p = mu_u*t_p/(beta*n_u*n_l*omega^2) and
-    s = mu_u*t_s/beta, the transmission coefficients with the kernel's
-    1/beta folded in, which stay finite at beta = 0 (lossless grazing).
+    the Fresnel denominators, p = 2/(omega^2 den_p) = mu_u t_p/(beta n_u n_l omega^2)
+    and s = 2 mu_u mu_l/den_s = mu_u t_s/beta, the transmission coefficients
+    with the kernel's 1/beta folded in, finite at beta = 0 and at n = 0.
     """
 
     def __init__(self, system: HalfSpaceSystem, omega: float):
@@ -137,17 +137,14 @@ class _Kernel:
         self.omega = omega
         self.eps_u, self.eps_l = system.upper.eps(omega), system.lower.eps(omega)
         self.mu_u, self.mu_l = system.upper.mu(omega), system.lower.mu(omega)
-        n_u = complex(_upward_root(self.eps_u * self.mu_u))
-        n_l = complex(_upward_root(self.eps_l * self.mu_l))
+        self.n_u = n_u = complex(_upward_root(self.eps_u * self.mu_u))
+        self.n_l = n_l = complex(_upward_root(self.eps_l * self.mu_l))
         # omega**2 and each nonzero (n*omega)**2 must be normal floats: complex ** 2
-        # raises OverflowError above them, and p_norm divides by zero below
+        # raises OverflowError above them
         if not all(_TINY <= (x * omega) * (x * omega) <= _HUGE for x in (1.0, abs(n_u), abs(n_l)) if x):
             raise ParameterError(f"omega**2 and (n*omega)**2 must be within the float range, got {omega!r}", "omega")
         self._nw2_u, self._nw2_l = (n_u * omega) ** 2, (n_l * omega) ** 2
-        # sqrt(eps_u*mu_l/(eps_l*mu_u)) written as n_u*mu_l/(n_l*mu_u) so its
-        # branch follows the same roots that normalize the polarization vectors.
-        self._tp_num = n_u * self.mu_l / (n_l * self.mu_u) * 2.0 * self.eps_l
-        self.p_norm = 1.0 / (n_u * n_l * omega * omega)
+        self._p_num, self._s_num = 2.0 / (omega * omega), 2.0 * self.mu_u * self.mu_l
         self.k_breaks = sorted({abs((n_u * omega).real), abs((n_l * omega).real)})
 
     def __call__(self, k):
@@ -155,8 +152,7 @@ class _Kernel:
         beta_m = _upward_root(self._nw2_l - k * k)
         den_p = self.eps_l * beta + self.eps_u * beta_m
         den_s = self.mu_l * beta + self.mu_u * beta_m
-        p = self.mu_u * (self._tp_num / den_p) * self.p_norm
-        return beta, beta_m, den_p, den_s, p, self.mu_u * (2.0 * self.mu_l / den_s)
+        return beta, beta_m, den_p, den_s, self._p_num / den_p, self._s_num / den_s
 
     def at(self, k: float):
         """``(beta, beta_m, p, s)`` at one k >= 0 as Python complex numbers, off the poles."""
@@ -189,7 +185,7 @@ def fresnel_t(system: HalfSpaceSystem, omega: float, k: float):
     """
     kernel = _Kernel(system, omega)
     beta, _, p, s = kernel.at(k)
-    return p * beta / (kernel.mu_u * kernel.p_norm), s * beta / kernel.mu_u
+    return p * beta * kernel.n_u * kernel.n_l * omega * omega / kernel.mu_u, s * beta / kernel.mu_u
 
 
 def kspace_green(system: HalfSpaceSystem, omega: float, k: float, z_a: float, z_b: float) -> np.ndarray:
@@ -294,9 +290,10 @@ def sommerfeld_green(
 
     Raises QuadratureError when the panel budget is exhausted and, before
     any integral, SingularityError when a lossless interface mode sits on
-    the path or at a pole of ``_coupling`` (either way) or of mu_u + mu_l,
-    and ParameterError when omega or the geometry put the kernel constants
-    or the closed form beyond the float range, or leave no head.
+    the path, at a pole of ``_coupling`` (either way) or of mu_u + mu_l, or
+    where ``_coupling`` is beyond the float range, and ParameterError when
+    omega or the geometry put the kernel constants or the closed form
+    beyond the float range, or leave no head.
     """
     return _sommerfeld_many(system, omega, [pos], quad, local_field)[0][0]
 
@@ -326,8 +323,7 @@ def _sommerfeld_many(
     if quad is None:
         quad = QuadratureSpec()
     kernel.check_path_poles()
-    coupling, screening = _coupling(kernel.eps_u, kernel.eps_l, _Poles(omega, "omega"))
-    near = (coupling if local_field else screening) / complex(omega) ** 2  # as nonretarded_green forms it
+    near, screening = _near_factors(kernel.eps_u, kernel.eps_l, omega, local_field)
     mu_u, mu_l = kernel.mu_u, kernel.mu_l
     if _pole(mu_u + mu_l, abs(mu_u) + abs(mu_l)):
         raise SingularityError(f"mu_u + mu_l vanishes at omega = {omega!r}")
@@ -449,15 +445,23 @@ def nonretarded_green(
         G = D * D_m / (omega^2 * avg_eps) * (3*rr - I)/R^3
 
     with the Onsager factors D, D_m dropped when ``local_field`` is False;
-    ``_coupling`` gives both and raises at its poles either way.  Accepts
-    complex ``omega`` (imaginary-axis evaluation).
+    ``_coupling`` gives both and raises at its poles, or where it is beyond
+    the float range, either way.  Accepts complex ``omega`` (imaginary-axis
+    evaluation).
     """
     # checked before complex(), which overflows on an integer beyond the float range
     if not (omega != 0 and _is_finite(omega.real) and _is_finite(omega.imag)):
         raise ParameterError(f"omega must be nonzero and finite, got {_shown(omega)}", "omega")
     w = complex(omega)
-    coupling, screening = _coupling(system.upper.eps(w), system.lower.eps(w), _Poles(omega, "omega"))
-    return _dipole_tensor(pos.r_vec) * ((coupling if local_field else screening) / (w * w))
+    return _dipole_tensor(pos.r_vec) * _near_factors(system.upper.eps(w), system.lower.eps(w), omega, local_field)[0]
+
+
+def _near_factors(eps_u, eps_l, omega, local_field: bool):
+    """(D*D_m or 1)/(avg_eps*omega^2) and 1/avg_eps; SingularityError at a pole of either or beyond the float range."""
+    poles, w = _Poles(omega, "omega"), complex(omega)
+    coupling, screening = _coupling(eps_u, eps_l, poles)
+    poles.check_finite("the near-field coupling", abs(coupling), abs(screening))
+    return (coupling if local_field else screening) / (w * w), screening
 
 
 @dataclass(frozen=True)
@@ -529,7 +533,8 @@ def nonretarded_limit_check(
     passes when all ratios at the smallest scale sit within tolerance of 1.
     The Sommerfeld integrals of every scale run in one integration loop; each
     tensor, and any error raised, is that of :func:`sommerfeld_green` at the
-    scale, and the first scale's error is raised first.
+    scale, and the first scale's error is raised first.  A closed form of 0
+    (eps = 0 in a medium) raises ParameterError naming the smaller |eps|.
     """
     scales = tuple(scales)
     for i, s in enumerate(scales):  # named as in ValidateSpec, and checked before float() overflows
@@ -540,6 +545,11 @@ def nonretarded_limit_check(
     tensors = _sommerfeld_many(system, omega, positions, quad, local_field, fields) if scales else []
     rows = []
     for s, (green, closed) in zip(scales, tensors):
+        if not closed.any():  # a medium with eps = 0 has an Onsager factor of 0
+            eps = {side: abs(getattr(system, side).eps(omega)) for side in ("upper", "lower")}
+            side = min(eps, key=eps.get)
+            message = f"|system.{side}.eps| = {eps[side]:.3g} at omega = {omega!r}: the near-field closed form is 0"
+            raise ParameterError(message, f"system.{side}.eps")
         floor = 1e-12 * np.max(np.abs(closed))
         for name in COMPONENTS:
             idx = _COMPONENT_INDEX[name]

@@ -1042,6 +1042,34 @@ def test_validate_beyond_the_float_range_exits_1_naming_the_field(tmp_path, vali
     assert lines[0].startswith("error: ") and field in lines[0], lines
 
 
+@pytest.mark.parametrize("side", ["upper", "lower"])
+def test_validate_with_a_zero_permittivity_exits_1_naming_it(tmp_path, side):
+    # a medium with eps = 0 has an Onsager factor of 0, so the closed form is 0:
+    # once a ZeroDivisionError traceback from the kernel, which divided by its
+    # index; spectrum does not run the kernel and exits 0 as before
+    system = {"upper": "vacuum", "lower": "sapphire-ir", "omega_max": 3.0, side: {"kind": "constant", "eps": 0.0}}
+    cfg = write_config(tmp_path, system=system)
+    out = tmp_path / "v.csv"
+    rc, lines = _main_and_stderr(["validate", "--config", str(cfg), "--out", str(out)])
+    assert (rc, len(lines), out.exists()) == (EXIT_CONFIG, 1, False), lines
+    assert lines[0].startswith(f"error: |system.{side}.eps| = 0 at omega = 0.5: "), lines
+    assert _main_and_stderr(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "s.csv")]) == (EXIT_OK, [])
+
+
+def test_validate_with_a_coupling_beyond_the_float_range_exits_1(tmp_path, capsys):
+    # under sapphire, a lower eps of -1e300 overflows the coupling: once a table
+    # of nan ratios, numpy RuntimeWarnings and exit 4
+    system = {"upper": "sapphire-ir", "lower": {"kind": "constant", "eps": -1e300}, "omega_max": 3.0}
+    cfg = write_config(tmp_path, system=system)
+    out = tmp_path / "v.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["validate", "--config", str(cfg), "--out", str(out)])
+    assert (rc, capsys.readouterr().err, out.exists()) == (
+        EXIT_CONFIG, "error: the near-field coupling is not finite at omega = 0.5\n", False
+    )
+
+
 @st.composite
 def _physical_config(draw):
     """A valid config: vacuum, sapphire, constant and undamped Lorentz media, poles on and off the grid."""

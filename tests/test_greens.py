@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -140,6 +141,23 @@ class TestFresnel:
         sys_ = HalfSpaceSystem(upper=Material.vacuum(), lower=lower)
         assert np.all(np.isfinite(fresnel_t(sys_, 1.0, 0.5)))
         assert np.all(np.isfinite(kspace_green(sys_, 1.0, 0.5, 0.3, -0.2)))
+
+    @pytest.mark.parametrize("side", ["upper", "lower"])
+    def test_zero_index_medium_is_the_limit_of_a_small_eps(self, side):
+        # eps = 0 gives an index of 0, which the kernel once divided by
+        # (ZeroDivisionError); p = 2/(omega^2 den_p) does not
+        def system(eps):
+            media = {"upper": Material.vacuum(), "lower": Material.constant(2.25 + 0.1j), side: Material.constant(eps)}
+            return HalfSpaceSystem(**media)
+
+        zero, small = system(0.0), system(1e-20)
+        for k in (0.5, 3.0):
+            t = fresnel_t(zero, 1.0, k)
+            assert np.all(np.isfinite(t))
+            assert_allclose(t, fresnel_t(small, 1.0, k), rtol=1e-9, atol=1e-9)  # t_p ~ sqrt(eps) -> 0
+            g = kspace_green(zero, 1.0, k, 0.3, -0.2)
+            assert np.all(np.isfinite(g))
+            assert_allclose(g, kspace_green(small, 1.0, k, 0.3, -0.2), rtol=1e-9, atol=1e-9 * np.max(np.abs(g)))
 
     def test_invalid_arguments(self, vacuum_system):
         with pytest.raises(ParameterError):
@@ -881,7 +899,9 @@ def _residual_without_cancellation(kernel: _Kernel, p0, s0, z_a, z_b, rho):
     """
     mp = [mpmath.mpc(z) for z in (kernel.mu_u, kernel.mu_l, kernel.eps_u, kernel.eps_l, p0, s0)]
     mu_u, mu_l, eps_u, eps_l, mp0, ms0 = mp
-    c_p = mu_u * mpmath.mpc(kernel._tp_num) * mpmath.mpc(kernel.p_norm)  # ik*p = c_p*ik/den_p
+    # ik*p = c_p*ik/den_p: t_p = 2*n_u*mu_l*eps_l*beta/(n_l*mu_u*den_p) and
+    # p = mu_u*t_p/(beta*n_u*n_l*omega^2), with n_l^2 = eps_l*mu_l, give c_p = 2/omega^2
+    c_p = 2 / mpmath.mpf(kernel.omega) ** 2
     with mpmath.workdps(40):
         d_p = complex(c_p - mp0 * (eps_u + eps_l))
         d_s = complex(2 * mu_u * mu_l - ms0 * (mu_u + mu_l))  # ik*s = 2*mu_u*mu_l*ik/den_s
@@ -1184,3 +1204,27 @@ def test_limit_check_names_the_bad_scale(sapphire_system, bad):
     with pytest.raises(ParameterError) as info:
         nonretarded_limit_check(sapphire_system, 0.5, POS, [0.1, bad])
     assert info.value.field == "scales[1]"
+
+
+@pytest.mark.parametrize("side", ["upper", "lower"])
+def test_limit_check_with_a_zero_permittivity_names_it(sapphire, side):
+    # eps = 0 makes that medium's Onsager factor 0, so the closed form is 0 and
+    # no ratio can be formed (once a ZeroDivisionError from the kernel, then a
+    # report with no rows); without local fields the closed form is 2/eps_other
+    # and the Sommerfeld tensor of the zero-index kernel converges to it
+    system = HalfSpaceSystem(**{"upper": Material.vacuum(), "lower": sapphire, side: Material.constant(0.0)})
+    with pytest.raises(ParameterError, match=rf"^\|system\.{side}\.eps\| = 0 at omega = 0\.5: ") as info:
+        nonretarded_limit_check(system, 0.5, POS, [0.1, 0.01])
+    assert info.value.fields == (f"system.{side}.eps",)
+    assert nonretarded_limit_check(system, 0.5, POS, [0.01], local_field=False).passed(1e-3)
+
+
+@pytest.mark.parametrize("closed_form", [nonretarded_green, sommerfeld_green])
+def test_coupling_beyond_the_float_range_raises(sapphire, closed_form):
+    # under a lower eps of -1e300, 18*eps_u*eps_l overflows: the closed form was
+    # all NaN, and validate wrote nan ratios with numpy warnings
+    system = HalfSpaceSystem(upper=sapphire, lower=Material.constant(-1e300))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularityError, match="^the near-field coupling is not finite at omega = 0.5$"):
+            closed_form(system, 0.5, POS)

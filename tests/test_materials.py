@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -217,6 +218,48 @@ class TestInterfaceQuantities:
         assert_allclose([w for w, _ in found], zeros, rtol=1e-15)
         assert all(damping == 0.0 for _, damping in found)
         assert _screening_zeros(lower, upper) == found
+
+    @pytest.mark.parametrize("omega_t", [(0.6, 1.3), (1.3, 0.6)], ids=["upper-below", "upper-above"])
+    def test_two_oscillator_zeros_are_the_roots_mpmath_brackets(self, omega_t):
+        # oracle: the sum of the two undamped permittivities rises from -inf to
+        # +inf between the resonances and from -inf to eta_u + eta_l above the
+        # larger, so it has one zero in each; mpmath finds both by bracketing
+        upper = Material.lorentz(1.5, 3.0, omega_t[0], 0.0)
+        lower = Material.lorentz(2.0, 5.0, omega_t[1], 0.0)
+
+        def total(w):
+            return sum(m.eta + (m.eps0 - m.eta) * m.omega_t**2 / (m.omega_t**2 - w * w) for m in (upper, lower))
+
+        lo, hi = sorted(omega_t)
+        with mpmath.workdps(40):
+            brackets = [(lo * (1 + mpmath.mpf(1e-12)), hi * (1 - mpmath.mpf(1e-12))), (hi * (1 + mpmath.mpf(1e-12)), 100 * hi)]
+            want = sorted(float(mpmath.findroot(total, bracket, solver="anderson")) for bracket in brackets)
+        found = _screening_zeros(upper, lower)
+        assert_allclose(sorted(w for w, _ in found), want, rtol=1e-14)
+        assert _screening_zeros(lower, upper) == found
+
+    @pytest.mark.parametrize("c", [2.25 + 0.002j, -8.0 + 0.002j], ids=["above-eta", "below-eps0"])
+    def test_lossy_constant_width_is_newtons_complex_zero(self, c):
+        # oracle: Newton's method on the complex eps(omega) + c of the damped
+        # oscillator; the zero sits at omega_0 - i*damping/2, which the closed
+        # form gives to first order in gamma and Im c
+        m = Material.lorentz(2.71, 6.57, 0.7, 1e-3)
+
+        def f(w):
+            return m.eta + (m.eps0 - m.eta) * m.omega_t**2 / (m.omega_t**2 - w * w - 1j * w * m.gamma) + c
+
+        def df(w):
+            return (m.eps0 - m.eta) * m.omega_t**2 * (2 * w + 1j * m.gamma) / (m.omega_t**2 - w * w - 1j * w * m.gamma) ** 2
+
+        with mpmath.workdps(40):
+            w = mpmath.mpc(m.omega_t * math.sqrt((m.eps0 + c.real) / (m.eta + c.real)))
+            for _ in range(40):
+                w -= f(w) / df(w)
+            assert abs(f(w)) < 1e-30
+        for found in (_screening_zeros(m, Material.constant(c)), _screening_zeros(Material.constant(c), m)):
+            [(frequency, damping)] = found
+            assert_allclose(frequency, float(w.real), rtol=1e-5)
+            assert_allclose(damping, -2.0 * float(w.imag), rtol=1e-5)
 
     def test_preset_scaled_to_surface_mode(self, sapphire):
         # the preset derives its resonance from the pinned surface mode
