@@ -457,7 +457,7 @@ def nonretarded_green(
 
 
 def _near_factors(eps_u, eps_l, omega, local_field: bool):
-    """(D*D_m or 1)/(avg_eps*omega^2) and 1/avg_eps; SingularityError at a pole of either or beyond the float range."""
+    """(D*D_m or 1)/(avg_eps*omega^2) and 1/avg_eps; SingularityError at a pole of ``_coupling`` or where it is not finite."""
     poles, w = _Poles(omega, "omega"), complex(omega)
     coupling, screening = _coupling(eps_u, eps_l, poles)
     poles.check_finite("the near-field coupling", abs(coupling), abs(screening))
