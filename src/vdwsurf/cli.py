@@ -23,7 +23,7 @@ import numpy as np
 from .config import RunConfig, _config_error, load_config, resolve_config_path
 from .errors import ConfigError, ParameterError, QuadratureError, SingularityError, VdwError
 from .materials import AtomPositions
-from .spectra import _ENHANCEMENT, _find_peaks, _scan_blocks
+from .spectra import _find_peaks, _scan_blocks
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -127,7 +127,7 @@ def cmd_spectrum(cfg: RunConfig, notes: list) -> tuple:
 
 def cmd_enhancement(cfg: RunConfig, notes: list) -> tuple:
     """The rows of :func:`~vdwsurf.spectra.scan_enhancement`, block by block."""
-    blocks = ([columns[i] for i in _ENHANCEMENT] for columns, _ in _scan(cfg, notes))
+    blocks = ([terms.omega, terms.g, terms.g_no_lf] for _, terms in _scan(cfg, notes))
     fmt = cfg.output.format if cfg.output else "csv"
     return "vdw_enhancement.csv", _table(fmt, ["omega_over_ref", "g", "g_no_lf"], blocks), EXIT_OK
 
@@ -138,9 +138,9 @@ def cmd_peaks(cfg: RunConfig, notes: list) -> tuple:
     Flagged grid points and grid maxima left out at a pole are notes of the one warning line.
     """
     omegas, metric = [], []  # the unflagged grid points of each block
-    for columns, terms in _scan(cfg, notes, cfg.atom_b):
-        omegas.append(columns[0][~terms.flagged])
-        metric.append(abs(columns[1][~terms.flagged]))
+    for _, terms in _scan(cfg, notes, cfg.atom_b):
+        omegas.append(terms.omega[~terms.flagged])
+        metric.append(abs(terms.u[~terms.flagged]))
     peaks, left_out = _find_peaks(cfg.system, cfg.atom_b, np.concatenate(omegas), np.concatenate(metric))
     if left_out:
         notes.append("grid maxima left out for a pole between their grid neighbours: %d" % left_out)

@@ -120,6 +120,18 @@ def _dipole_tensor(r_vec) -> np.ndarray:
 _TINY, _HUGE = sys.float_info.min, sys.float_info.max  # the normal float range
 
 
+def _check_squares(omega, *indices) -> None:
+    """ParameterError naming omega unless |omega|**2 and each nonzero |n*omega|**2 are normal floats.
+
+    complex ** 2 raises OverflowError above them, and below them 1/omega**2
+    is beyond the float range or a division by zero.
+    """
+    w = abs(omega)
+    if not all(_TINY <= (x * w) * (x * w) <= _HUGE for x in (1.0, *indices) if x):
+        what = "omega**2 and (n*omega)**2" if indices else "omega**2"
+        raise ParameterError(f"{what} must be within the float range, got {omega!r}", "omega")
+
+
 class _Kernel:
     """Plane-wave transmission kernel of one system at one frequency.
 
@@ -139,13 +151,11 @@ class _Kernel:
         self.mu_u, self.mu_l = system.upper.mu(omega), system.lower.mu(omega)
         self.n_u = n_u = complex(_upward_root(self.eps_u * self.mu_u))
         self.n_l = n_l = complex(_upward_root(self.eps_l * self.mu_l))
-        # omega**2 and each nonzero (n*omega)**2 must be normal floats: complex ** 2
-        # raises OverflowError above them
-        if not all(_TINY <= (x * omega) * (x * omega) <= _HUGE for x in (1.0, abs(n_u), abs(n_l)) if x):
-            raise ParameterError(f"omega**2 and (n*omega)**2 must be within the float range, got {omega!r}", "omega")
+        _check_squares(omega, abs(n_u), abs(n_l))
         self._nw2_u, self._nw2_l = (n_u * omega) ** 2, (n_l * omega) ** 2
         self._p_num, self._s_num = 2.0 / (omega * omega), 2.0 * self.mu_u * self.mu_l
         self.k_breaks = sorted({abs((n_u * omega).real), abs((n_l * omega).real)})
+        self.check_p([0.0, *self.k_breaks])
 
     def __call__(self, k):
         beta = _upward_root(self._nw2_u - k * k)
@@ -158,12 +168,27 @@ class _Kernel:
         """``(beta, beta_m, p, s)`` at one k >= 0 as Python complex numbers, off the poles."""
         if not (_is_finite(k) and k >= 0.0):
             raise ParameterError(f"k must be finite and >= 0, got {_shown(k)}", "k")
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(all="ignore"):
             beta, beta_m, den_p, den_s, p, s = self(k)
         scale = self.omega * (abs(self.eps_u) + abs(self.eps_l) + abs(self.mu_u) + abs(self.mu_l))
         if _pole(den_p, scale) or _pole(den_s, scale):
             raise SingularityError(f"interface-mode pole hit at omega={self.omega}, k={k}")
+        self.check_p([k])
         return complex(beta), complex(beta_m), complex(p), complex(s)
+
+    def check_p(self, ks) -> None:
+        """ParameterError naming omega where p is beyond the float range at a wavenumber of ``ks``.
+
+        p grows as 1/omega**3 and is largest where |den_p| is least: at k = 0,
+        a light line or the p pole.  It must be a float there, or a tiny omega
+        overflows it where the integrand's products of p are finite.  den_p = 0
+        (a zero index at k = 0, matched light lines) is the kernel's 1/beta
+        peak, finite in those products.
+        """
+        with np.errstate(all="ignore"):
+            _, _, den_p, _, p, _ = self(np.array(ks))
+        if not np.all(np.isfinite(p) | (den_p == 0.0)):
+            raise ParameterError(f"omega = {self.omega!r} puts p = 2/(omega**2 den_p) beyond the float range", "omega")
 
     def check_path_poles(self) -> None:
         """Reject lossless media whose interface-mode pole lies on the real-k path."""
@@ -346,6 +371,7 @@ def _sommerfeld_many(
     # (mu = 1), is a peak of half width |Im k_p| that the head's panels bracket
     # when it lies in (k_split, K0); the edges outside that range are dropped.
     k_p = omega * np.sqrt(kernel.eps_u * kernel.eps_l / (kernel.eps_u + kernel.eps_l))
+    kernel.check_p([k_p.real])
     pole_edges = k_p.real + np.array([-8.0, -2.0, -0.5, 0.5, 2.0, 8.0]) * abs(k_p.imag)
 
     frames, jobs, rows = [], [], []  # per position (closed form, phi, job count); per job
@@ -447,21 +473,33 @@ def nonretarded_green(
     with the Onsager factors D, D_m dropped when ``local_field`` is False;
     ``_coupling`` gives both and raises at its poles, or where it is beyond
     the float range, either way.  Accepts complex ``omega`` (imaginary-axis
-    evaluation).
+    evaluation).  ParameterError naming omega where omega**2, or the
+    tensor, is beyond the float range.
     """
     # checked before complex(), which overflows on an integer beyond the float range
-    if not (omega != 0 and _is_finite(omega.real) and _is_finite(omega.imag)):
-        raise ParameterError(f"omega must be nonzero and finite, got {_shown(omega)}", "omega")
+    if not (_is_finite(omega.real) and _is_finite(omega.imag)):
+        raise ParameterError(f"omega must be finite, got {_shown(omega)}", "omega")
+    _check_squares(omega)  # and so nonzero
     w = complex(omega)
-    return _dipole_tensor(pos.r_vec) * _near_factors(system.upper.eps(w), system.lower.eps(w), omega, local_field)[0]
+    near = _near_factors(system.upper.eps(w), system.lower.eps(w), omega, local_field)[0]
+    with np.errstate(over="ignore"):  # a tensor beyond the float range raises below
+        green = _dipole_tensor(pos.r_vec) * near
+    if not np.all(np.isfinite(green)):
+        message = f"the near-field tensor is not finite at omega = {omega!r}: 1/(omega**2 R**3) beyond the float range"
+        raise ParameterError(message, "omega", "pos")
+    return green
 
 
 def _near_factors(eps_u, eps_l, omega, local_field: bool):
-    """(D*D_m or 1)/(avg_eps*omega^2) and 1/avg_eps; SingularityError at a pole of ``_coupling`` or where it is not finite."""
+    """(D*D_m or 1)/(avg_eps*omega^2) and 1/avg_eps, for an omega that passed :func:`_check_squares`.
+
+    SingularityError at a pole of ``_coupling``, or where either factor is not finite.
+    """
     poles, w = _Poles(omega, "omega"), complex(omega)
     coupling, screening = _coupling(eps_u, eps_l, poles)
-    poles.check_finite("the near-field coupling", abs(coupling), abs(screening))
-    return (coupling if local_field else screening) / (w * w), screening
+    near = (coupling if local_field else screening) / (w * w)
+    poles.check_finite("the near-field coupling", abs(coupling), abs(screening), abs(near))
+    return near, screening
 
 
 @dataclass(frozen=True)

@@ -115,7 +115,7 @@ class ResonantTerms:
 def _polarizability(atom: Atom, w2, iw, poles: _Poles | None = None, omega0=None):
     """alpha0*w0^2/(w0^2 - w^2 - i*w*gamma) from w2 = w^2 and iw = i*w.
 
-    Like ``Material._lorentz``, this serves complex w (scalar or CArray) and
+    Like ``Material._eps``, this serves complex w (scalar or CArray) and
     the imaginary axis w = i*xi in real arithmetic (w2 = -xi^2, iw = -xi).
     ``omega0``, when given, replaces the atom's w0; an array broadcasts
     against w, so w of shape (n, 1) and omega0 of shape (rows,) give (n, rows).

@@ -141,13 +141,9 @@ class Material:
         SingularityError for a scalar and gives NaN in that element of an
         array.
         """
-        if self.kind is not MaterialKind.LORENTZ:
-            return self.eps_const if is_scalar(omega) else np.full(np.shape(omega), self.eps_const)
         w, poles = operand(omega), _Poles(omega, "omega")
-        eps = to_complex(self._lorentz(w * w, 1j * w, poles))
-        if poles.flagged is not None:
-            eps[poles.flagged] = np.nan
-        return eps
+        value = self._eps(w * w, 1j * w, poles)
+        return value if poles.flagged is None else np.where(poles.flagged, np.nan, to_complex(value))
 
     def eps_imag(self, xi):
         """Permittivity on the positive imaginary axis, vectorized over xi.
@@ -158,31 +154,25 @@ class Material:
 
             eps(i*xi) = eta + (eps0 - eta) * w_t**2 / (w_t**2 + xi**2 + xi*gamma)
 
-        Constant models return their fixed value unchanged.
+        Constant models return their fixed value in an array of xi's shape.
         """
         xi = np.asarray(xi, dtype=float)
         if self.kind is MaterialKind.LORENTZ:
-            return self._lorentz(-xi * xi, -xi)
+            return self._eps(-xi * xi, -xi)
         return np.full(xi.shape, self.eps_const)
 
-    def _eps(self, w2, iw, poles: _Poles):
-        """``_lorentz`` for an oscillator, else ``eps_const`` (a complex scalar even over an array).
-
-        The resonance is checked against the caller's ``poles``: it raises for
-        a scalar; a flagged array element is left as the formula gives it, for
-        the caller to blank.
-        """
-        if self.kind is MaterialKind.LORENTZ:
-            return self._lorentz(w2, iw, poles)
-        return self.eps_const
-
-    def _lorentz(self, w2, iw, poles: _Poles | None = None):
-        """The oscillator formula from ``w2`` = omega**2 and ``iw`` = 1j*omega.
+    def _eps(self, w2, iw, poles: _Poles | None = None):
+        """The permittivity from ``w2`` = omega**2 and ``iw`` = 1j*omega.
 
         Taking these two lets one expression serve complex omega (scalar or
         CArray) and the imaginary axis omega = i*xi in real arithmetic
-        (w2 = -xi**2, iw = -xi).  ``poles`` checks the resonance denominator.
+        (w2 = -xi**2, iw = -xi).  A constant medium gives ``eps_const``, a
+        complex scalar even over an array.  ``poles`` checks the oscillator's
+        resonance denominator: it raises for a scalar; a flagged array element
+        is left as the formula gives it, for the caller to blank.
         """
+        if self.kind is not MaterialKind.LORENTZ:
+            return self.eps_const
         wt2 = self.omega_t * self.omega_t
         den = wt2 - w2 - iw * self.gamma
         if poles is not None:

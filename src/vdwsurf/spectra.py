@@ -91,7 +91,6 @@ class PeakReport:
 
 
 _BLOCK = 2000  # grid points per block of a scan: bounds the memory of every stage
-_ENHANCEMENT = (0, 3, 4)  # omega, g and g_no_lf among a block's columns
 
 
 def _scan_blocks(system: HalfSpaceSystem, scan: ScanSpec, atom_b=None, atom_a=None, quad=None):
@@ -151,8 +150,8 @@ def scan_enhancement(system: HalfSpaceSystem, scan: ScanSpec):
     Rows at a pole carry NaN factors.  ``vdw enhancement`` writes the same
     rows from the same blocks of columns, without building this list.
     """
-    blocks = _scan_blocks(system, scan)
-    return [row for columns, _ in blocks for row in zip(*(columns[i].tolist() for i in _ENHANCEMENT))]
+    blocks = ((terms.omega, terms.g, terms.g_no_lf) for _, terms in _scan_blocks(system, scan))
+    return [row for block in blocks for row in zip(*(column.tolist() for column in block))]
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0

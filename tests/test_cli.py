@@ -1042,6 +1042,24 @@ def test_validate_beyond_the_float_range_exits_1_naming_the_field(tmp_path, vali
     assert lines[0].startswith("error: ") and field in lines[0], lines
 
 
+def test_validate_at_a_tiny_omega_exits_0_or_1_naming_omega(tmp_path):
+    # on fig2 every omega from 1e-103 to 1e-154 once exited 3, "integrand not
+    # finite on the panel": p = 2/(omega^2 den_p) ~ 0.85/omega^3 overflowed
+    cfg = json.loads(resolve_config_path("fig2").read_text())
+    codes = []
+    for e in range(95, 161):
+        cfg["validate"] = {"omega": float(f"1e-{e}")}
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(cfg))
+        rc, lines = _main_and_stderr(["validate", "--config", str(path), "--out", str(tmp_path / "v.csv")])
+        assert (rc, lines) == (EXIT_OK, []) or rc == EXIT_CONFIG and len(lines) == 1, (e, rc, lines)
+        assert rc == EXIT_OK or lines[0].startswith(f"error: omega = 1e-{e} puts p") or (
+            lines[0] == f"error: omega**2 and (n*omega)**2 must be within the float range, got 1e-{e}"
+        ), lines
+        codes.append(rc)
+    assert codes == [EXIT_OK] * 8 + [EXIT_CONFIG] * 58
+
+
 @pytest.mark.parametrize("side", ["upper", "lower"])
 def test_validate_with_a_zero_permittivity_exits_1_naming_it(tmp_path, side):
     # a medium with eps = 0 has an Onsager factor of 0, so the closed form is 0:

@@ -1228,3 +1228,54 @@ def test_coupling_beyond_the_float_range_raises(sapphire, closed_form):
         warnings.simplefilter("error")
         with pytest.raises(SingularityError, match="^the near-field coupling is not finite at omega = 0.5$"):
             closed_form(system, 0.5, POS)
+
+
+@pytest.mark.parametrize("omega", [1e-160, 1e-163, 1e-170j])
+def test_nonretarded_green_with_omega_squared_below_the_float_range_raises(sapphire_system, omega):
+    # once a RuntimeWarning and a NaN tensor at 1e-160, and a ZeroDivisionError
+    # from the division by omega**2 at 1e-163 and 1e-170j
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match=r"^omega\*\*2 must be within the float range, got ") as info:
+            nonretarded_green(sapphire_system, omega, POS)
+    assert info.value.fields == ("omega",)
+
+
+def test_nonretarded_tensor_beyond_the_float_range_raises(sapphire_system):
+    # 1/(omega**2 R**3) overflows at a short separation though omega**2 is a float
+    pos = POS.scaled(1e-3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.all(np.isfinite(nonretarded_green(sapphire_system, 1e-149, pos)))
+        with pytest.raises(ParameterError, match="^the near-field tensor is not finite at omega = 1e-150: ") as info:
+            nonretarded_green(sapphire_system, 1e-150, pos)
+    assert info.value.fields == ("omega", "pos")
+
+
+@pytest.mark.parametrize("lower", [preset("sapphire-ir"), Material.constant(-2.0 + 1e-6j)], ids=["sapphire", "pole"])
+@pytest.mark.parametrize("omega", np.geomspace(1e-104, 1e-100, 33).tolist())
+def test_kernel_p_beyond_the_float_range_raises_naming_omega(lower, omega):
+    # p = 2/(omega^2 den_p) grows as 1/omega^3, most next to the vacuum light line
+    # under sapphire (0.85/omega^3) and at the p pole of an interface mode: a tiny
+    # omega overflowed it, and the integrand's finite products of p with it, so
+    # validate exited 3 with "integrand not finite on the panel"
+    system = HalfSpaceSystem(upper=Material.vacuum(), lower=lower)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            green = sommerfeld_green(system, omega, POS)
+        except ParameterError as exc:
+            assert str(exc) == f"omega = {omega!r} puts p = 2/(omega**2 den_p) beyond the float range"
+            assert exc.fields == ("omega",)
+        else:
+            assert omega > 1e-103 and np.all(np.isfinite(green))
+        # at the p pole p overflows first: fresnel_t and kspace_green once warned there
+        eps = lower.eps(omega)
+        for k in (0.0, omega * np.sqrt(eps / (1.0 + eps)).real):
+            try:
+                fresnel_t(system, omega, k)
+                assert np.all(np.isfinite(kspace_green(system, omega, k, 0.3, -0.2)))
+            except ParameterError as exc:
+                assert str(exc).startswith(f"omega = {omega!r} puts p")
+            else:
+                assert omega > 1e-103

@@ -116,6 +116,45 @@ class TestMaterialEval:
         vals = lossless.eps(np.array([0.5, 1.0, 1.5]))
         assert np.isnan(vals[1]) and np.all(np.isfinite(vals[[0, 2]]))
 
+    @pytest.mark.parametrize(
+        "medium",
+        [
+            Material.constant(2.25 + 0.1j),
+            Material.vacuum(),
+            Material.lorentz(eta=2.71, eps0=6.57, omega_t=0.7, gamma=0.015),
+            Material.lorentz(eta=2.0, eps0=3.0, omega_t=1.0, gamma=0.0),
+        ],
+        ids=["constant", "vacuum", "damped", "undamped"],
+    )
+    @pytest.mark.parametrize("shape", ["float", "0-d", "1-d"])
+    def test_eps_and_eps_imag_return_contract(self, medium, shape):
+        # eps: a Python complex for a scalar, a fresh writable complex128 array
+        # of the argument's shape for an array, NaN at an undamped resonance;
+        # eps_imag: np.float64 for an oscillator at a 0-d xi, else a writable array
+        # of xi's shape, float64 for an oscillator and complex128 for a constant
+        omegas = np.array([0.5, 1.0, 1.5])  # 1.0: the undamped resonance
+        x = {"float": 0.5, "0-d": np.array(0.5), "1-d": omegas}[shape]
+        oscillator = medium.kind is MaterialKind.LORENTZ
+        eps = medium.eps(x)
+        if shape == "1-d":
+            assert type(eps) is np.ndarray and eps.dtype == complex and eps.shape == (3,)
+            assert eps.flags.writeable and eps.flags.owndata
+            flagged = medium.gamma == 0.0 and oscillator
+            assert np.isnan(eps).tolist() == [False, flagged, False]
+            assert eps[0] == medium.eps(0.5)
+            eps[:] = 0.0  # a fresh array: no later call sees the write
+            assert medium.eps(omegas)[0] == medium.eps(0.5)
+        else:
+            assert type(eps) is complex
+        xi = medium.eps_imag(x)
+        if oscillator and shape != "1-d":
+            assert type(xi) is np.float64
+        else:
+            assert type(xi) is np.ndarray and xi.shape == np.shape(x) and xi.flags.writeable
+            assert xi.dtype == (float if oscillator else complex)
+            xi[...] = 0.0
+            assert np.all(medium.eps_imag(x) != 0.0)
+
     @given(st.floats(min_value=1e-3, max_value=3.0))
     def test_passivity_on_real_axis(self, omega):
         m = preset("sapphire-ir")
