@@ -28,7 +28,17 @@ from importlib import resources
 import numpy as np
 
 from .errors import ParameterError, SingularityError, _is_finite, _shown
-from .materials import AtomPositions, HalfSpaceSystem, _coordinates, _coupling, _norm, _pole, _Poles, local_field_factor
+from .materials import (
+    AtomPositions,
+    HalfSpaceSystem,
+    _check_frequency,
+    _coordinates,
+    _coupling,
+    _norm,
+    _pole,
+    _Poles,
+    local_field_factor,
+)
 from .quadrature import QuadratureSpec, _bisection, _integrate_many, _result, _tail
 
 #: Tensor components that are generally nonzero in the frame whose x axis is
@@ -476,9 +486,7 @@ def nonretarded_green(
     evaluation).  ParameterError naming omega where omega**2, or the
     tensor, is beyond the float range.
     """
-    # checked before complex(), which overflows on an integer beyond the float range
-    if not (_is_finite(omega.real) and _is_finite(omega.imag)):
-        raise ParameterError(f"omega must be finite, got {_shown(omega)}", "omega")
+    _check_frequency(omega, "omega")
     _check_squares(omega)  # and so nonzero
     w = complex(omega)
     near = _near_factors(system.upper.eps(w), system.lower.eps(w), omega, local_field)[0]

@@ -29,8 +29,9 @@ from .materials import (
     HalfSpaceSystem,
     Material,
     MaterialKind,
+    _check_frequency,
     _coupling,
-    _pole,
+    _lorentzian,
     _Poles,
     local_field_factor,
     surface_mode_frequency,
@@ -113,19 +114,13 @@ class ResonantTerms:
 
 
 def _polarizability(atom: Atom, w2, iw, poles: _Poles | None = None, omega0=None):
-    """alpha0*w0^2/(w0^2 - w^2 - i*w*gamma) from w2 = w^2 and iw = i*w.
+    """alpha0*w0^2/(w0^2 - w^2 - i*w*gamma) from w2 = w^2 and iw = i*w, by :func:`_lorentzian`.
 
-    Like ``Material._eps``, this serves complex w (scalar or CArray) and
-    the imaginary axis w = i*xi in real arithmetic (w2 = -xi^2, iw = -xi).
     ``omega0``, when given, replaces the atom's w0; an array broadcasts
     against w, so w of shape (n, 1) and omega0 of shape (rows,) give (n, rows).
     """
     w0 = atom.omega0 if omega0 is None else omega0
-    w02 = w0 * w0
-    den = w02 - w2 - iw * atom.gamma
-    if poles is not None:
-        poles.check(_pole(den, w02), "undamped polarizability pole at omega = {!r}")
-    return atom.alpha0 * w02 / den
+    return _lorentzian(atom.alpha0, w0, atom.gamma, w2, iw, poles, "undamped polarizability pole at omega = {!r}")
 
 
 def _resonant(system: HalfSpaceSystem, omega, atom_b: Atom | None, poles: _Poles):
@@ -138,10 +133,6 @@ def _resonant(system: HalfSpaceSystem, omega, atom_b: Atom | None, poles: _Poles
     w = operand(omega)
     w2, iw = w * w, 1j * w
     e_u, e_l = system.upper._eps(w2, iw, poles), system.lower._eps(w2, iw, poles)
-    if poles.flagged is not None and isinstance(e_u, complex) and isinstance(e_l, complex):
-        # two constant media over an array: as a CArray, a vanishing e_u + e_l
-        # flags its rows instead of raising ZeroDivisionError
-        e_u = operand(np.full(poles.flagged.shape, e_u))
     coupling, coupling_no_lf = _coupling(e_u, e_l, poles)
     g = abs_squared(coupling)
     g_no_lf = abs_squared(coupling_no_lf)
@@ -197,9 +188,7 @@ def polarizability(atom: Atom, omega) -> complex:
     Real on the positive imaginary axis.  An undamped atom evaluated at its
     own transition raises SingularityError.
     """
-    # checked before complex(), which overflows on an integer beyond the float range
-    if not (_is_finite(omega.real) and _is_finite(omega.imag)):
-        raise ParameterError(f"omega must be finite, got {_shown(omega)}", "omega")
+    _check_frequency(omega, "omega")
     w = complex(omega)
     return _polarizability(atom, w * w, 1j * w, _Poles(omega, "omega"))
 
@@ -314,10 +303,10 @@ def _offresonant_many(system: HalfSpaceSystem, atom_a: Atom, atom_b: Atom, omega
     def integrand(t, w0):
         xi = t / (1.0 - t)
         jac = 1.0 / (1.0 - t) ** 2
-        # imaginary axis w = i*xi: w^2 = -xi^2 and i*w = -xi, all real
-        a_a = _polarizability(atom_a, -xi * xi, -xi, omega0=w0)
-        a_b = _polarizability(atom_b, -xi * xi, -xi)
-        coupling, _ = _coupling(system.upper.eps_imag(xi), system.lower.eps_imag(xi))
+        w2, iw = -xi * xi, -xi  # the imaginary axis w = i*xi in real arithmetic
+        a_a = _polarizability(atom_a, w2, iw, omega0=w0)
+        a_b = _polarizability(atom_b, w2, iw)
+        coupling, _ = _coupling(system.upper._eps(w2, iw), system.lower._eps(w2, iw))
         return a_a * a_b * np.real(coupling * coupling) * jac
 
     prefactor = 3.0 * HBAR_REDUCED / (2.0 * np.pi * atom_a.dipole_weight * atom_b.alpha0)

@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from ._carray import is_scalar, operand, to_complex
+from ._carray import CArray, is_scalar, operand, to_complex
 from .errors import ParameterError, SingularityError, UnsupportedModelError, _is_finite, _shown
 
 
@@ -136,17 +136,19 @@ class Material:
         ``omega`` is a real or complex number, or an array of them (then a
         complex array comes back).  Supported arguments are real
         frequencies and points on the positive imaginary axis; the closed
-        form is evaluated as-is for any complex input.  An undamped
-        oscillator at (or within roundoff of) its resonance raises
+        form is evaluated as-is for any complex input.  ParameterError
+        naming omega where omega, or an element of it, is not finite.  An
+        undamped oscillator at (or within roundoff of) its resonance raises
         SingularityError for a scalar and gives NaN in that element of an
         array.
         """
+        _check_frequency(omega, "omega")
         w, poles = operand(omega), _Poles(omega, "omega")
         value = self._eps(w * w, 1j * w, poles)
         return value if poles.flagged is None else np.where(poles.flagged, np.nan, to_complex(value))
 
     def eps_imag(self, xi):
-        """Permittivity on the positive imaginary axis, vectorized over xi.
+        """Permittivity on the positive imaginary axis, vectorized over xi >= 0.
 
         For the oscillator model the continuation is real and strictly
         decreasing from eps0 to eta, ``eps(1j*xi).real`` evaluated in real
@@ -155,29 +157,29 @@ class Material:
             eps(i*xi) = eta + (eps0 - eta) * w_t**2 / (w_t**2 + xi**2 + xi*gamma)
 
         Constant models return their fixed value in an array of xi's shape.
+        ParameterError naming xi where xi, or an element of it, is not
+        finite or is negative.
         """
+        _check_frequency(xi, "xi")
         xi = np.asarray(xi, dtype=float)
-        if self.kind is MaterialKind.LORENTZ:
-            return self._eps(-xi * xi, -xi)
-        return np.full(xi.shape, self.eps_const)
+        if np.any(xi < 0.0):
+            raise ParameterError(f"xi must be >= 0 (the positive imaginary axis), got {np.min(xi).item()!r}", "xi")
+        return self._eps(-xi * xi, -xi)
 
     def _eps(self, w2, iw, poles: _Poles | None = None):
         """The permittivity from ``w2`` = omega**2 and ``iw`` = 1j*omega.
 
         Taking these two lets one expression serve complex omega (scalar or
         CArray) and the imaginary axis omega = i*xi in real arithmetic
-        (w2 = -xi**2, iw = -xi).  A constant medium gives ``eps_const``, a
-        complex scalar even over an array.  ``poles`` checks the oscillator's
-        resonance denominator: it raises for a scalar; a flagged array element
-        is left as the formula gives it, for the caller to blank.
+        (w2 = -xi**2, iw = -xi).  A constant medium gives ``eps_const`` shaped
+        like ``w2`` (a complex, a CArray of scalar parts, or a fresh array).
+        ``poles`` checks the oscillator's resonance, see :func:`_lorentzian`.
         """
-        if self.kind is not MaterialKind.LORENTZ:
-            return self.eps_const
-        wt2 = self.omega_t * self.omega_t
-        den = wt2 - w2 - iw * self.gamma
-        if poles is not None:
-            poles.check(_pole(den, wt2), RESONANCE_POLE)
-        return self.eta + (self.eps0 - self.eta) * wt2 / den
+        if self.kind is MaterialKind.LORENTZ:
+            return self.eta + _lorentzian(self.eps0 - self.eta, self.omega_t, self.gamma, w2, iw, poles, RESONANCE_POLE)
+        if isinstance(w2, CArray):  # np.float64 parts broadcast, and divide by zero to NaN rather than raise
+            return CArray(np.float64(self.eps_const.real), np.float64(self.eps_const.imag))
+        return self.eps_const if isinstance(w2, complex) else np.full(np.shape(w2), self.eps_const)
 
     def mu(self, omega) -> complex:
         """Relative permeability (dispersionless in every supported model)."""
@@ -287,6 +289,35 @@ def _pole(den, scale):
     a value that is not finite, which :meth:`_Poles.check_finite` flags.
     """
     return (abs(den) <= _POLE_RTOL * scale) & (scale < math.inf)
+
+
+def _lorentzian(strength, w0, gamma, w2, iw, poles: _Poles | None, message: str):
+    """strength*w0**2/(w0**2 - w**2 - i*w*gamma), the one resonance of the oscillator medium and the atom.
+
+    From ``w2`` = w**2 and ``iw`` = i*w as ``Material._eps`` takes them; ``w0`` may be an array broadcast
+    against w2.  ``poles``, when given, checks the pole against w0**2 and reports it with ``message``.
+    """
+    w02 = w0 * w0
+    den = w02 - w2 - iw * gamma
+    if poles is not None:
+        poles.check(_pole(den, w02), message)
+    return strength * w02 / den
+
+
+def _check_frequency(omega, name: str) -> None:
+    """ParameterError naming ``name`` unless ``omega``, a number or each element of an array, is finite.
+
+    Both parts of a complex value count.  An integer beyond the float range
+    is not finite; this check comes before complex() or a float array,
+    which overflow on it.
+    """
+    values = [omega] if is_scalar(omega) else np.ravel(omega)
+    if isinstance(values, list) or values.dtype == object:
+        bad = [w for w in values if not (_is_finite(w.real) and _is_finite(w.imag))]
+    else:
+        bad = values[~np.isfinite(values)].tolist()
+    if bad:
+        raise ParameterError(f"{name} must be finite, got {_shown(bad[0])}", name)
 
 
 def _cavity_pole(eps, size):
@@ -425,6 +456,7 @@ def resonant_inv_avg_eps(m: Material, omega) -> complex:
     """
     if m.kind is not MaterialKind.LORENTZ:
         raise UnsupportedModelError("resonant form is defined for the oscillator model")
+    _check_frequency(omega, "omega")
     w = complex(omega)
     ws2 = surface_mode_frequency(m) ** 2
     return (2.0 / (m.eta + 1.0)) * (

@@ -22,6 +22,7 @@ from vdwsurf import (
     offresonant_potential,
     peak_enhancement_estimate,
     polarizability,
+    resonant_inv_avg_eps,
     resonant_potential,
 )
 from vdwsurf import greens
@@ -326,12 +327,27 @@ _FREQUENCY_ENTRY_POINTS = {
     "enhancement_factor": (lambda system, w: enhancement_factor(system, w), "omega_a"),
     "resonant_terms": (lambda system, w: resonant_terms(system, [0.5, w]), "omega"),
     "polarizability": (lambda system, w: polarizability(Atom(omega0=0.8, gamma=0.0), w), "omega"),
+    # the material response: these returned NaN, and ended in an OverflowError for 10**400
+    "eps": (lambda system, w: system.lower.eps(w), "omega"),
+    "eps_imag": (lambda system, w: system.lower.eps_imag(w), "xi"),
+    "avg_eps": (lambda system, w: system.avg_eps(w), "omega"),
+    "resonant_inv_avg_eps": (lambda system, w: resonant_inv_avg_eps(system.lower, w), "omega"),
 }
+_RESPONSE = ("eps", "eps_imag", "avg_eps", "resonant_inv_avg_eps")
 
 
 _NON_FINITE = [(entry, w) for entry in sorted(_FREQUENCY_ENTRY_POINTS) for w in (np.inf, np.nan)] + [
     ("nonretarded_green", complex(0.0, np.inf)),  # these two accept complex frequencies
     ("polarizability", complex(0.0, np.inf)),
+] + [
+    pytest.param(entry, w, id=f"{entry}-{name}")
+    for entry in _RESPONSE
+    for name, w in [
+        ("-inf", -np.inf),
+        ("1+infj", complex(1.0, np.inf)),
+        ("array-with-nan", np.array([0.5, np.nan])),
+        ("array-with-1e400", np.array([0.5, 10**400], dtype=object)),
+    ]
 ]
 
 
@@ -340,8 +356,10 @@ def test_non_finite_frequency_rejected(sapphire_system, entry, omega):
     # an infinite frequency used to give all-NaN tensors and coefficients,
     # or errors about abs_tol or an undamped resonance at inf
     run, field = _FREQUENCY_ENTRY_POINTS[entry]
-    with pytest.raises(ParameterError) as info:
-        run(sapphire_system, omega)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError) as info:
+            run(sapphire_system, omega)
     assert info.value.field == field and field in str(info.value)
 
 
@@ -350,8 +368,10 @@ def test_frequency_beyond_the_float_range_rejected(sapphire_system, entry):
     # an integer beyond the float range used to overflow complex(omega) or
     # the float array of frequencies before the finiteness check
     run, field = _FREQUENCY_ENTRY_POINTS[entry]
-    with pytest.raises(ParameterError) as info:
-        run(sapphire_system, 10**400)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError) as info:
+            run(sapphire_system, 10**400)
     assert info.value.field == field and field in str(info.value)
 
 

@@ -171,6 +171,13 @@ class TestMaterialEval:
         assert m.eta <= lo < hi <= m.eps0
 
 
+@pytest.mark.parametrize("xi", [-1.0, np.array([0.0, 2.0, -0.5])], ids=["scalar", "array"])
+def test_eps_imag_rejects_a_negative_xi(sapphire, xi):
+    with pytest.raises(ParameterError, match=r"^xi must be >= 0 ") as info:
+        sapphire.eps_imag(xi)
+    assert info.value.field == "xi"
+
+
 class TestInterfaceQuantities:
     def test_avg_eps_vacuum(self, vacuum_system):
         assert vacuum_system.avg_eps(0.7) == 1.0

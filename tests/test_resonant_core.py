@@ -179,6 +179,28 @@ def test_one_ulp_off_an_undamped_resonance_is_its_pole(omega):
     assert np.isnan(terms.g[1]) and np.isfinite(terms.g[0])
 
 
+def test_medium_and_atom_share_one_resonance_window():
+    # the medium's eps and the atom's polarizability are one resonance formula
+    # with one pole rule: at omega_t = omega0 = 1, undamped, both have their
+    # pole at the same grid points around 1, and a scan flags just those rows
+    atom = Atom(omega0=1.0, gamma=0.0)
+    omegas = 1.0 + np.arange(-8, 9) * 2.5e-13
+
+    def raises(f, omega):
+        try:
+            f(omega)
+        except SingularityError:
+            return True
+        return False
+
+    atom_poles = [raises(lambda w: polarizability(atom, w), w) for w in omegas]
+    assert any(atom_poles) and not all(atom_poles)
+    assert [raises(LOSSLESS_AT_1.eps, w) for w in omegas] == atom_poles
+    assert np.isnan(LOSSLESS_AT_1.eps(omegas)).tolist() == atom_poles
+    terms = resonant_terms(HalfSpaceSystem(Material.vacuum(), LOSSLESS_AT_1), omegas, atom)
+    assert terms.flagged.tolist() == atom_poles
+
+
 # -- the array core against the scalar formulas it replaced ---------------
 #
 # Written out in plain Python complex arithmetic, as the scalar functions
