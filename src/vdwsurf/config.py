@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .errors import ConfigError, ParameterError, _is_finite, _shown
+from .errors import ConfigError, ParameterError, _check_number, _is_finite
 from .interaction import Atom
 from .materials import AtomPositions, HalfSpaceSystem, Material, preset
 from .quadrature import QuadratureSpec
@@ -72,8 +72,7 @@ class ValidateSpec:
         positive = {"omega": self.omega, "tolerance": self.tolerance}
         positive.update((f"scales[{i}]", s) for i, s in enumerate(self.scales))
         for name, value in positive.items():
-            if not (value > 0.0 and _is_finite(value)):
-                raise ParameterError(f"{name} must be positive and finite, got {_shown(value)}", name)
+            _check_number(value, name, "positive")
         AtomPositions(self.r_a, self.r_b)  # the position rules, fields named alike
 
 

@@ -27,11 +27,10 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import ParameterError, SingularityError, _is_finite, _shown
+from .errors import ParameterError, SingularityError, _check_number
 from .materials import (
     AtomPositions,
     HalfSpaceSystem,
-    _check_frequency,
     _coordinates,
     _coupling,
     _norm,
@@ -114,17 +113,28 @@ def _upward_root(z):
 
 
 def near_field_tensor(r_vec) -> np.ndarray:
-    """Instantaneous dipole tensor (3*rr - I)/r^3 for a separation vector."""
-    return _dipole_tensor(_coordinates("r_vec", r_vec))
+    """Instantaneous dipole tensor (3*rr - I)/r^3 for a separation vector.
+
+    ParameterError naming r_vec where 1/r**3 is beyond the float range;
+    where it is below, the tensor is 0 or the nearest floats.
+    """
+    tensor = _dipole_tensor(_coordinates("r_vec", r_vec))
+    if not np.all(np.isfinite(tensor)):
+        raise ParameterError("the near-field tensor is not finite: 1/r**3 beyond the float range", "r_vec")
+    return tensor
 
 
 def _dipole_tensor(r_vec) -> np.ndarray:
-    """:func:`near_field_tensor` of three floats already checked finite (an AtomPositions separation)."""
+    """:func:`near_field_tensor` of three floats already checked finite (an AtomPositions separation).
+
+    Not finite, without a warning, where 1/r**3 is beyond the float range: the caller checks.
+    """
     r = _norm(r_vec)
     if r == 0.0:
         raise ParameterError("zero separation", "r_vec")
     rhat = r_vec / r
-    return (3.0 * np.outer(rhat, rhat) - np.eye(3)) / r**3
+    with np.errstate(all="ignore"):
+        return (3.0 * np.outer(rhat, rhat) - np.eye(3)) / r**3
 
 
 _TINY, _HUGE = sys.float_info.min, sys.float_info.max  # the normal float range
@@ -154,8 +164,7 @@ class _Kernel:
     """
 
     def __init__(self, system: HalfSpaceSystem, omega: float):
-        if not (omega > 0.0 and _is_finite(omega)):
-            raise ParameterError(f"omega must be positive and finite, got {_shown(omega)}", "omega")
+        _check_number(omega, "omega", "positive")
         self.omega = omega
         self.eps_u, self.eps_l = system.upper.eps(omega), system.lower.eps(omega)
         self.mu_u, self.mu_l = system.upper.mu(omega), system.lower.mu(omega)
@@ -176,8 +185,7 @@ class _Kernel:
 
     def at(self, k: float):
         """``(beta, beta_m, p, s)`` at one k >= 0 as Python complex numbers, off the poles."""
-        if not (_is_finite(k) and k >= 0.0):
-            raise ParameterError(f"k must be finite and >= 0, got {_shown(k)}", "k")
+        _check_number(k, "k", ">= 0")
         with np.errstate(all="ignore"):
             beta, beta_m, den_p, den_s, p, s = self(k)
         scale = self.omega * (abs(self.eps_u) + abs(self.eps_l) + abs(self.mu_u) + abs(self.mu_l))
@@ -233,9 +241,8 @@ def kspace_green(system: HalfSpaceSystem, omega: float, k: float, z_a: float, z_
     with p_up = (beta*khat - k*zhat)/(n*omega) and p_low its lower-medium
     counterpart.  The s block occupies only the middle row/column.
     """
-    for name, z in (("z_a", z_a), ("z_b", z_b)):
-        if not _is_finite(z):
-            raise ParameterError(f"{name} must be finite, got {_shown(z)}", name)
+    _check_number(z_a, "z_a", "real")
+    _check_number(z_b, "z_b", "real")
     if not (z_a > 0.0 > z_b):
         raise ParameterError(f"kernel needs z_a > 0 > z_b, got z_a={z_a}, z_b={z_b}", "z_a", "z_b")
     beta, beta_m, p, s = _Kernel(system, omega).at(k)
@@ -486,11 +493,11 @@ def nonretarded_green(
     evaluation).  ParameterError naming omega where omega**2, or the
     tensor, is beyond the float range.
     """
-    _check_frequency(omega, "omega")
+    _check_number(omega, "omega")
     _check_squares(omega)  # and so nonzero
     w = complex(omega)
     near = _near_factors(system.upper.eps(w), system.lower.eps(w), omega, local_field)[0]
-    with np.errstate(over="ignore"):  # a tensor beyond the float range raises below
+    with np.errstate(over="ignore", invalid="ignore"):  # a tensor beyond the float range raises below
         green = _dipole_tensor(pos.r_vec) * near
     if not np.all(np.isfinite(green)):
         message = f"the near-field tensor is not finite at omega = {omega!r}: 1/(omega**2 R**3) beyond the float range"
@@ -584,8 +591,7 @@ def nonretarded_limit_check(
     """
     scales = tuple(scales)
     for i, s in enumerate(scales):  # named as in ValidateSpec, and checked before float() overflows
-        if not (s > 0.0 and _is_finite(s)):
-            raise ParameterError(f"scales[{i}] must be positive and finite, got {_shown(s)}", f"scales[{i}]")
+        _check_number(s, f"scales[{i}]", "positive")
     scales = tuple(float(s) for s in scales)
     positions, fields = [pos.scaled(s) for s in scales], [f"scales[{i}]" for i in range(len(scales))]
     tensors = _sommerfeld_many(system, omega, positions, quad, local_field, fields) if scales else []

@@ -21,15 +21,14 @@ from .errors import (
     SingularityError,
     UnsupportedModelError,
     ValidityWarning,
+    _check_number,
     _is_finite,
-    _shown,
 )
 from .materials import (
     AtomPositions,
     HalfSpaceSystem,
     Material,
     MaterialKind,
-    _check_frequency,
     _coupling,
     _lorentzian,
     _Poles,
@@ -63,19 +62,16 @@ class Atom:
     offres_sign: float = 1.0
 
     def __post_init__(self):
-        for name in ("omega0", "gamma", "alpha0", "dipole_weight", "offres_sign"):
-            if not _is_finite(getattr(self, name)):
-                raise ParameterError(f"atom {name} must be finite, got {_shown(getattr(self, name))}", name)
-        if not (self.omega0 > 0.0):
-            raise ParameterError(f"transition frequency must be positive, got {self.omega0}", "omega0")
+        for name, rule in (
+            ("omega0", "positive"),
+            ("gamma", ">= 0"),
+            ("alpha0", "positive"),
+            ("dipole_weight", "positive"),
+            ("offres_sign", "real"),
+        ):
+            _check_number(getattr(self, name), name, rule)
         if not _is_finite(self.omega0 * self.omega0):  # omega0**2 enters the polarizability
             raise ParameterError(f"transition frequency must have a finite square, got {self.omega0}", "omega0")
-        if not (self.gamma >= 0.0):
-            raise ParameterError(f"linewidth must be >= 0, got {self.gamma}", "gamma")
-        if not (self.alpha0 > 0.0):
-            raise ParameterError(f"static polarizability must be positive, got {self.alpha0}", "alpha0")
-        if not (self.dipole_weight > 0.0):
-            raise ParameterError(f"dipole weight must be positive, got {self.dipole_weight}", "dipole_weight")
         if self.offres_sign not in (1.0, -1.0):
             raise ParameterError(f"offres_sign must be +1 or -1, got {self.offres_sign}", "offres_sign")
 
@@ -154,13 +150,8 @@ def resonant_terms(system: HalfSpaceSystem, omega, atom_b: Atom | None = None) -
     frequency; where those raise SingularityError the element is flagged
     instead (see :class:`ResonantTerms`).
     """
-    omega = np.asarray(omega)
-    # an integer beyond the float range makes an object array, whose float conversion overflows
-    if omega.dtype == object and not all(_is_finite(w) for w in omega.flat):
-        raise ParameterError("omega must be positive and finite", "omega")
+    _check_number(omega, "omega", "positive")  # before the float conversion, which overflows on 10**400
     omega = np.asarray(omega, dtype=float).reshape(-1)
-    if not np.all((omega > 0.0) & np.isfinite(omega)):
-        raise ParameterError("omega must be positive and finite", "omega")
     poles = _Poles(omega, "omega_a")
     with np.errstate(all="ignore"):  # a value beyond the float range is flagged, not warned of
         g, g_no_lf, u, u_no_lf = _resonant(system, omega, atom_b, poles)
@@ -188,7 +179,7 @@ def polarizability(atom: Atom, omega) -> complex:
     Real on the positive imaginary axis.  An undamped atom evaluated at its
     own transition raises SingularityError.
     """
-    _check_frequency(omega, "omega")
+    _check_number(omega, "omega")
     w = complex(omega)
     return _polarizability(atom, w * w, 1j * w, _Poles(omega, "omega"))
 
@@ -206,8 +197,7 @@ def enhancement_factor(system: HalfSpaceSystem, omega_a: float):
     without the two Onsager cavity factors.  :func:`resonant_terms`
     evaluates the same over a frequency array.
     """
-    if not (omega_a > 0.0 and _is_finite(omega_a)):
-        raise ParameterError(f"omega_a must be positive and finite, got {_shown(omega_a)}", "omega_a")
+    _check_number(omega_a, "omega_a", "positive")
     g, g_no_lf, _, _ = _resonant(system, omega_a, None, _Poles(omega_a, "omega_a"))
     return g, g_no_lf
 
@@ -246,8 +236,7 @@ def resonant_potential(
     when the geometry strains the near-field regime.
     """
     if r is not None:
-        if not (r > 0.0 and _is_finite(r)):
-            raise ParameterError(f"separation must be positive and finite, got {_shown(r)}", "r")
+        _check_number(r, "r", "positive")
         if r * max(atom_a.omega0, system.omega_max) > 1.0:
             warnings.warn(
                 f"separation {r} is not small against 1/omega_max; "
@@ -282,8 +271,8 @@ def offresonant_potential(
     of U0 like the return value; its message keeps the integrator's own
     numbers, those of the integral over t.
     """
-    if r is not None and not (r > 0.0 and _is_finite(r)):
-        raise ParameterError(f"separation must be positive and finite, got {_shown(r)}", "r")
+    if r is not None:
+        _check_number(r, "r", "positive")
     u, err = _offresonant_many(system, atom_a, atom_b, np.array([atom_a.omega0]), quad)
     return (float(u[0]), float(err[0])) if full_output else float(u[0])
 
@@ -329,8 +318,13 @@ def force(system: HalfSpaceSystem, atom_a: Atom, atom_b: Atom, pos: AtomPosition
     of :func:`resonant_potential`: 12*u*|d_A|^2*alpha_B(0)/R^7 * rhat with
     rhat = (r_a - r_b)/R.  Returns ``(f_a, f_b)`` with f_b = -f_a exactly;
     attractive (f_a antiparallel to rhat) when u < 0, i.e. Re[alpha_B] > 0.
+    ParameterError naming pos where 1/R**7 is beyond the float range; where
+    it is below, the force is 0 or the nearest float.
     """
     u = resonant_potential(system, atom_a, atom_b).u_resonant
-    dist = pos.distance
-    f_a = (12.0 * u * atom_a.dipole_weight * atom_b.alpha0 / dist**7) * (pos.r_vec / dist)
+    dist = np.float64(pos.distance)
+    with np.errstate(all="ignore"):  # R**7 overflows to inf (a force of 0) or underflows to 0, raising below
+        f_a = (12.0 * u * atom_a.dipole_weight * atom_b.alpha0 / dist**7) * (pos.r_vec / dist)
+    if not np.all(np.isfinite(f_a)):
+        raise ParameterError(f"the force is not finite at R = {float(dist)!r}: 1/R**7 beyond the float range", "pos")
     return f_a, -f_a

@@ -12,6 +12,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -19,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from ._carray import CArray, is_scalar, operand, to_complex
-from .errors import ParameterError, SingularityError, UnsupportedModelError, _is_finite, _shown
+from .errors import ParameterError, SingularityError, UnsupportedModelError, _check_number, _is_finite, _shown
 
 
 #: Reason reported when an undamped oscillator is evaluated at its resonance.
@@ -30,12 +31,6 @@ class MaterialKind(Enum):
     VACUUM = "vacuum"
     CONSTANT = "constant"
     LORENTZ = "lorentz"
-
-
-def _finite_complex(z, name: str) -> complex:
-    if not (_is_finite(z.real) and _is_finite(z.imag)):
-        raise ParameterError(f"non-finite material parameter {name} = {_shown(z)}", name)
-    return complex(z)
 
 
 def _check_oscillator(eta, eps0) -> None:
@@ -70,21 +65,16 @@ class Material:
     gamma: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "eps_const", _finite_complex(self.eps_const, "eps_const"))
-        object.__setattr__(self, "mu_const", _finite_complex(self.mu_const, "mu_const"))
+        for name in ("eps_const", "mu_const"):
+            _check_number(getattr(self, name), name)
+            object.__setattr__(self, name, complex(getattr(self, name)))
         if self.kind is MaterialKind.LORENTZ:
-            for name in ("eta", "eps0", "omega_t", "gamma"):
-                value = getattr(self, name)
-                if not _is_finite(value):
-                    raise ParameterError(f"oscillator {name} must be finite, got {_shown(value)}", name)
-                object.__setattr__(self, name, float(value))
+            for name, rule in (("eta", "real"), ("eps0", "real"), ("omega_t", "positive"), ("gamma", ">= 0")):
+                _check_number(getattr(self, name), name, rule)
+                object.__setattr__(self, name, float(getattr(self, name)))
             _check_oscillator(self.eta, self.eps0)
-            if not (self.omega_t > 0.0):
-                raise ParameterError(f"oscillator resonance must be positive, got {self.omega_t}", "omega_t")
             if not _is_finite(self.omega_t * self.omega_t):  # omega_t**2 enters the oscillator formula
                 raise ParameterError(f"oscillator resonance must have a finite square, got {self.omega_t}", "omega_t")
-            if not (self.gamma >= 0.0):
-                raise ParameterError(f"oscillator damping must be >= 0, got {self.gamma}", "gamma")
         elif self.kind is MaterialKind.VACUUM:
             if self.eps_const != 1.0 or self.mu_const != 1.0:
                 raise ParameterError("vacuum must have eps = mu = 1", "eps_const", "mu_const")
@@ -120,10 +110,7 @@ class Material:
         omega_t = omega_s * sqrt((eta + 1)/(eps0 + 1)); convenient when a
         measurement fixes the surface mode rather than the bulk resonance.
         """
-        if not (omega_s > 0.0 and _is_finite(omega_s)):
-            raise ParameterError(
-                f"surface-mode frequency must be positive and finite, got {_shown(omega_s)}", "omega_s"
-            )
+        _check_number(omega_s, "omega_s", "positive")
         _check_oscillator(eta, eps0)  # before the square root below
         omega_t = float(omega_s) * math.sqrt((eta + 1.0) / (eps0 + 1.0))
         return Material.lorentz(eta, eps0, omega_t, gamma, mu=mu)
@@ -142,7 +129,7 @@ class Material:
         SingularityError for a scalar and gives NaN in that element of an
         array.
         """
-        _check_frequency(omega, "omega")
+        _check_number(omega, "omega")
         w, poles = operand(omega), _Poles(omega, "omega")
         value = self._eps(w * w, 1j * w, poles)
         return value if poles.flagged is None else np.where(poles.flagged, np.nan, to_complex(value))
@@ -158,12 +145,10 @@ class Material:
 
         Constant models return their fixed value in an array of xi's shape.
         ParameterError naming xi where xi, or an element of it, is not
-        finite or is negative.
+        a finite real >= 0.
         """
-        _check_frequency(xi, "xi")
+        _check_number(xi, "xi", ">= 0")  # the positive imaginary axis
         xi = np.asarray(xi, dtype=float)
-        if np.any(xi < 0.0):
-            raise ParameterError(f"xi must be >= 0 (the positive imaginary axis), got {np.min(xi).item()!r}", "xi")
         return self._eps(-xi * xi, -xi)
 
     def _eps(self, w2, iw, poles: _Poles | None = None):
@@ -200,10 +185,7 @@ class HalfSpaceSystem:
     omega_max: float = 10.0
 
     def __post_init__(self):
-        if not (self.omega_max > 0.0 and _is_finite(self.omega_max)):
-            raise ParameterError(
-                f"omega_max must be positive and finite, got {_shown(self.omega_max)}", "omega_max"
-            )
+        _check_number(self.omega_max, "omega_max", "positive")
 
     def avg_eps(self, omega) -> complex:
         """Average permittivity (eps_upper + eps_lower)/2 of the media in contact."""
@@ -211,11 +193,10 @@ class HalfSpaceSystem:
 
 
 def _coordinates(name: str, value) -> np.ndarray:
-    """``value`` as three floats; ParameterError naming ``name[i]`` unless each is finite as a float."""
+    """``value`` as three floats; ParameterError naming ``name[i]`` unless each is a real number finite as a float."""
     coords = np.asarray(value, dtype=object).reshape(3)
     for i, x in enumerate(coords):
-        if not _is_finite(x):
-            raise ParameterError(f"{name}[{i}] must be finite, got {_shown(x)}", f"{name}[{i}]")
+        _check_number(x, f"{name}[{i}]", "real")
     return coords.astype(float)
 
 
@@ -258,8 +239,7 @@ class AtomPositions:
         return float(np.hypot(*(self.r_a[:2] - self.r_b[:2])))
 
     def scaled(self, s: float) -> "AtomPositions":
-        if not (s > 0.0 and _is_finite(s)):
-            raise ParameterError(f"scale must be positive and finite, got {_shown(s)}", "scale")
+        _check_number(s, "scale", "positive")
         return AtomPositions(s * self.r_a, s * self.r_b)
 
 
@@ -273,12 +253,18 @@ def local_field_factor(eps) -> complex:
     """Onsager empty-cavity factor 3*eps/(2*eps + 1).
 
     Raises SingularityError at (or within roundoff of) the cavity pole
-    eps = -1/2.
+    eps = -1/2, and ParameterError naming eps where eps, or the factor,
+    is not finite (3*eps and 2*eps + 1 overflow for |eps| near the float
+    range).
     """
+    _check_number(eps, "eps")
     eps = complex(eps)
-    if _cavity_pole(eps, abs(eps)):
+    if _cavity_pole(eps, math.hypot(eps.real, eps.imag)):  # abs() raises OverflowError above the float range
         raise SingularityError(f"local-field factor pole at eps = {eps!r}")
-    return 3.0 * eps / (2.0 * eps + 1.0)
+    factor = 3.0 * eps / (2.0 * eps + 1.0)
+    if not cmath.isfinite(factor):
+        raise ParameterError(f"the local-field factor is not finite at eps = {eps!r}", "eps")
+    return factor
 
 
 def _pole(den, scale):
@@ -302,22 +288,6 @@ def _lorentzian(strength, w0, gamma, w2, iw, poles: _Poles | None, message: str)
     if poles is not None:
         poles.check(_pole(den, w02), message)
     return strength * w02 / den
-
-
-def _check_frequency(omega, name: str) -> None:
-    """ParameterError naming ``name`` unless ``omega``, a number or each element of an array, is finite.
-
-    Both parts of a complex value count.  An integer beyond the float range
-    is not finite; this check comes before complex() or a float array,
-    which overflow on it.
-    """
-    values = [omega] if is_scalar(omega) else np.ravel(omega)
-    if isinstance(values, list) or values.dtype == object:
-        bad = [w for w in values if not (_is_finite(w.real) and _is_finite(w.imag))]
-    else:
-        bad = values[~np.isfinite(values)].tolist()
-    if bad:
-        raise ParameterError(f"{name} must be finite, got {_shown(bad[0])}", name)
 
 
 def _cavity_pole(eps, size):
@@ -456,7 +426,7 @@ def resonant_inv_avg_eps(m: Material, omega) -> complex:
     """
     if m.kind is not MaterialKind.LORENTZ:
         raise UnsupportedModelError("resonant form is defined for the oscillator model")
-    _check_frequency(omega, "omega")
+    _check_number(omega, "omega")
     w = complex(omega)
     ws2 = surface_mode_frequency(m) ** 2
     return (2.0 / (m.eta + 1.0)) * (

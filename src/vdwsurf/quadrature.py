@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, QuadratureError, _is_count, _is_finite, _shown
+from .errors import ParameterError, QuadratureError, _check_number, _is_count, _is_finite, _shown
 
 # The 7- and 15-point Gauss-Legendre rules on [-1, 1], written out as
 # QUADPACK's qk routines do; each literal is bit for bit the value of
@@ -68,9 +68,7 @@ class QuadratureSpec:
 
     def __post_init__(self):
         for name in ("rel_tol", "abs_tol"):
-            value = getattr(self, name)
-            if not (value >= 0.0 and _is_finite(value)):
-                raise ParameterError(f"{name} must be >= 0 and finite, got {_shown(value)}", name)
+            _check_number(getattr(self, name), name, ">= 0")
         if self.rel_tol == 0.0 and self.abs_tol == 0.0:
             raise ParameterError("at least one of rel_tol/abs_tol must be positive", "rel_tol", "abs_tol")
         if not _is_count(self.max_panels, 1):
@@ -151,18 +149,13 @@ def adaptive_gauss(f, a, b, spec: QuadratureSpec | None = None, breakpoints=()):
     return _result(_integrate_many(lambda x, job: f(x), [_bisection(a, b, spec, breakpoints)])[0])
 
 
-def _str(x) -> str:
-    """``str(x)`` for a message, or the size of an integer too long to print."""
-    return _shown(x) if isinstance(x, int) else str(x)
-
-
 def _bisection(a, b, spec: QuadratureSpec | None = None, breakpoints=()):
     """:func:`adaptive_gauss` as a job of :func:`_integrate_many`."""
     if spec is None:
         spec = QuadratureSpec()
     # a limit that is not finite as a float gives NaN panels or overflows
     if not (_is_finite(a) and _is_finite(b)):
-        raise ParameterError(f"integration interval [{_str(a)}, {_str(b)}] must be finite")
+        raise ParameterError(f"integration interval [{_shown(a)}, {_shown(b)}] must be finite")
     a, b = float(a), float(b)
     if not b > a:
         raise ParameterError(f"empty integration interval [{a}, {b}]")
@@ -217,12 +210,9 @@ def _tail(a, half_period, dz, spec: QuadratureSpec):
     of the remainder model, the estimate bounds the rule and extrapolation
     error; rounding in the integrand's values it estimates by |G15 - G7|.
     """
-    if not (_is_finite(a) and a >= 0.0):
-        raise ParameterError(f"tail start must be finite and >= 0, got {_str(a)}")
-    if not (half_period > 0.0 and _is_finite(half_period)):
-        raise ParameterError(f"half_period must be positive and finite, got {_str(half_period)}")
-    if not (dz >= 0.0 and _is_finite(dz)):
-        raise ParameterError(f"envelope decay dz must be >= 0 and finite, got {_str(dz)}")
+    _check_number(a, "a", ">= 0")
+    _check_number(half_period, "half_period", "positive")
+    _check_number(dz, "dz", ">= 0")
     received, count, value, err = [], 0, None, None  # (values, rule errors) per batch
     for batch in _BATCHES:
         left = a + half_period * np.arange(count, min(count + batch, spec.max_panels))

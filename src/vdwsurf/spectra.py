@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ParameterError, _is_count, _is_finite, _shown
+from .errors import ParameterError, _check_number, _is_count, _is_finite, _shown
 from .interaction import Atom, _offresonant_many, _resonant, resonant_terms
 from .materials import (
     HalfSpaceSystem,
@@ -48,14 +48,14 @@ class ScanSpec:
     include_no_lf_curve: bool = True
 
     def __post_init__(self):
+        for name in ("omega_min", "omega_max"):
+            _check_number(getattr(self, name), name, "real")
         if not (0.0 < self.omega_min < self.omega_max):
             raise ParameterError(
                 f"need 0 < omega_min < omega_max, got [{_shown(self.omega_min)}, {_shown(self.omega_max)}]",
                 "omega_min",
                 "omega_max",
             )
-        if not _is_finite(self.omega_max):
-            raise ParameterError(f"omega_max must be finite, got {_shown(self.omega_max)}", "omega_max")
         if not _is_count(self.n_points, 2, MAX_SCAN_POINTS):
             raise ParameterError(
                 f"n_points must be an integer in [2, {MAX_SCAN_POINTS}], got {_shown(self.n_points)}", "n_points"
@@ -164,8 +164,11 @@ def golden_section_max(f, a: float, b: float, rel_tol: float = 1e-6):
     Returns ``(x, f(x))``; the bracket shrinks until its width is below
     rel_tol relative to the midpoint location.  ``rel_tol`` must be finite
     and at least 4 machine epsilons: a narrower bracket cannot be resolved
-    in floating point, and the search would never stop.
+    in floating point, and the search would never stop.  ``a`` and ``b``
+    must be finite real numbers.
     """
+    _check_number(a, "a", "real")
+    _check_number(b, "b", "real")
     if not (b > a):
         raise ParameterError(f"invalid bracket [{a}, {b}]")
     if not (_is_finite(rel_tol) and rel_tol >= _MIN_REL_TOL):

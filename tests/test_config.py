@@ -315,12 +315,12 @@ LOWER = "config.system.lower"
         ),
         (
             {**LORENTZ_S, "omega_s": -1},
-            f"{LOWER}.omega_s: surface-mode frequency must be positive and finite, got -1.0",
+            f"{LOWER}.omega_s: omega_s must be positive and finite, got -1.0",
             f"{LOWER}.omega_s",
         ),
         (
             {"kind": "lorentz", "eta": 2.71, "eps0": 6.57, "omega_t": -1.0, "gamma": 0.015},
-            f"{LOWER}.omega_t: oscillator resonance must be positive, got -1.0",
+            f"{LOWER}.omega_t: omega_t must be positive and finite, got -1.0",
             f"{LOWER}.omega_t",
         ),
         (

@@ -1252,6 +1252,21 @@ def test_nonretarded_tensor_beyond_the_float_range_raises(sapphire_system):
     assert info.value.fields == ("omega", "pos")
 
 
+def test_dipole_tensor_beyond_the_float_range(sapphire_system):
+    # r = 1e-200 gave an inf tensor with divide and invalid warnings, r**3
+    # warned of overflow at r = 1e200, and nonretarded_green leaked the first
+    # two before its ParameterError at R = 2e-110
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.all(near_field_tensor([1e200, 0.0, 0.0]) == 0.0)
+        with pytest.raises(ParameterError, match=r"^the near-field tensor is not finite: 1/r\*\*3 beyond") as info:
+            near_field_tensor([1e-200, 0.0, 0.0])
+        assert info.value.field == "r_vec"
+        with pytest.raises(ParameterError, match="^the near-field tensor is not finite at omega = 0.5: ") as info:
+            nonretarded_green(sapphire_system, 0.5, AtomPositions([0.0, 0.0, 1e-110], [0.0, 0.0, -1e-110]))
+        assert info.value.fields == ("omega", "pos")
+
+
 @pytest.mark.parametrize("lower", [preset("sapphire-ir"), Material.constant(-2.0 + 1e-6j)], ids=["sapphire", "pole"])
 @pytest.mark.parametrize("omega", np.geomspace(1e-104, 1e-100, 33).tolist())
 def test_kernel_p_beyond_the_float_range_raises_naming_omega(lower, omega):

@@ -375,6 +375,56 @@ def test_frequency_beyond_the_float_range_rejected(sapphire_system, entry):
     assert info.value.field == field and field in str(info.value)
 
 
+# the entry points that take a real frequency only
+_REAL_FREQUENCY = (
+    "enhancement_factor",
+    "eps_imag",
+    "fresnel_t",
+    "kspace_green",
+    "nonretarded_limit_check",
+    "resonant_terms",
+    "sommerfeld_green",
+)
+
+
+@pytest.mark.parametrize("omega", [1.0 + 1.0j, 1.0 + 0.0j], ids=["1+1j", "1+0j"])
+@pytest.mark.parametrize("entry", _REAL_FREQUENCY)
+def test_complex_frequency_rejected_where_a_real_one_is_needed(sapphire_system, entry, omega):
+    # resonant_terms dropped the imaginary part with only a ComplexWarning,
+    # and enhancement_factor ended in a TypeError
+    run, field = _FREQUENCY_ENTRY_POINTS[entry]
+    rule = ">= 0" if field == "xi" else "positive"
+    shown = "(0.5+0j)" if entry == "resonant_terms" else repr(omega)  # [0.5, omega] is complex from its first element
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError) as info:
+            run(sapphire_system, omega)
+    assert str(info.value) == f"{field} must be {rule} and finite, got {shown}" and info.value.field == field
+
+
+@pytest.mark.parametrize("entry", ["enhancement_factor", "resonant_terms", "eps"])
+def test_numpy_scalars_are_shown_as_python_numbers(sapphire_system, entry):
+    # messages read "got np.float64(nan)"
+    run, field = _FREQUENCY_ENTRY_POINTS[entry]
+    rule = "finite" if entry == "eps" else "positive and finite"
+    with pytest.raises(ParameterError, match=rf"^{field} must be {rule}, got nan$"):
+        run(sapphire_system, np.float64(np.nan))
+
+
+def test_force_at_separations_beyond_the_float_range(sapphire_system, atom_b):
+    # R**7 underflowed to 0 at R = 2e-60 (a ZeroDivisionError) and overflowed
+    # at R = 2e50 (an OverflowError)
+    atom_a = Atom(omega0=0.8)
+    far, near = (AtomPositions([0.0, 0.0, z], [0.0, 0.0, -z]) for z in (1e50, 1e-60))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f_a, f_b = force(sapphire_system, atom_a, atom_b, far)
+        assert np.all(f_a == 0.0) and np.all(f_b == 0.0)
+        with pytest.raises(ParameterError, match=r"^the force is not finite at R = 2e-60: 1/R\*\*7 beyond") as info:
+            force(sapphire_system, atom_a, atom_b, near)
+    assert info.value.field == "pos"
+
+
 @pytest.mark.parametrize("r", [0.0, -1.0, np.inf, np.nan, 10**400], ids=["zero", "negative", "inf", "nan", "1e400"])
 @pytest.mark.parametrize("potential", [resonant_potential, offresonant_potential])
 def test_separation_must_be_positive_and_finite(sapphire_system, atom_b, potential, r):

@@ -199,6 +199,28 @@ class TestInterfaceQuantities:
         with pytest.raises(SingularityError):
             local_field_factor(-0.5)
 
+    @pytest.mark.parametrize(
+        "eps, message",
+        [
+            (np.inf, "eps must be finite, got inf"),
+            (complex(1.0, np.nan), "eps must be finite, got (1+nanj)"),
+            (1e308, "the local-field factor is not finite at eps = (1e+308+0j)"),
+            (complex(1.7e308, 1.7e308), "the local-field factor is not finite at eps = (1.7e+308+1.7e+308j)"),
+        ],
+        ids=["inf", "nan", "1e308", "abs-overflow"],
+    )
+    def test_local_field_factor_not_finite_names_eps(self, eps, message):
+        # 3*eps and 2*eps + 1 overflowed to a silent (nan+nanj), and abs(eps)
+        # of the last raised OverflowError
+        with pytest.raises(ParameterError) as info:
+            local_field_factor(eps)
+        assert (str(info.value), info.value.field) == (message, "eps")
+
+    @pytest.mark.parametrize("eps", [1e300, -1e307 + 1e300j, 2.0 - 1e-300j])
+    def test_local_field_factor_is_the_closed_form_where_finite(self, eps):
+        eps = complex(eps)
+        assert local_field_factor(eps) == 3.0 * eps / (2.0 * eps + 1.0)
+
     @given(st.floats(min_value=-10, max_value=10), st.floats(min_value=-10, max_value=10))
     def test_local_field_fixed_point_only_at_unity(self, re, im):
         # the only fixed point with nonzero response is eps = 1 (eps = 0 is

@@ -592,7 +592,7 @@ def test_limits_too_long_to_print_raise_parameter_error(call):
 def test_limit_messages_show_floats_as_str():
     with pytest.raises(ParameterError, match=r"^integration interval \[0\.0, inf\] must be finite$"):
         adaptive_gauss(np.cos, np.float64(0.0), np.inf)
-    with pytest.raises(ParameterError, match="^tail start must be finite and >= 0, got nan$"):
+    with pytest.raises(ParameterError, match="^a must be >= 0 and finite, got nan$"):
         _one_tail(np.cos, np.float64(np.nan), 1.0, 0.0, QuadratureSpec())
 
 

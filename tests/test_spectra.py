@@ -205,6 +205,22 @@ class TestGoldenSection:
         with pytest.raises(ParameterError):
             golden_section_max(lambda x: x, 1.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "a, b, field, shown",
+        [
+            (0.0, np.inf, "b", "inf"),
+            (-np.inf, 0.0, "a", "-inf"),
+            (0.0, 10**400, "b", "1" + "0" * 400),
+            (0.0, 1 + 0j, "b", "(1+0j)"),
+        ],
+        ids=["inf", "-inf", "1e400", "complex"],
+    )
+    def test_bracket_not_finite_rejected(self, a, b, field, shown):
+        # [0, inf] returned (inf, -inf)
+        with pytest.raises(ParameterError) as info:
+            golden_section_max(lambda x: -x * x, a, b)
+        assert str(info.value) == f"{field} must be real and finite, got {shown}" and info.value.field == field
+
 
     @staticmethod
     def _peak_at_03(calls):
