@@ -111,6 +111,18 @@ def to_complex(z):
     return out
 
 
+def modulus(z):
+    """``abs(z)`` for a scalar or a CArray, or inf where ``abs`` of a complex raises OverflowError.
+
+    ``abs`` of a complex and ``np.hypot`` (a CArray's ``abs``) both call
+    libm's hypot, which ``math.hypot`` does not always equal in the last bit.
+    """
+    try:
+        return abs(z)
+    except OverflowError:  # a complex with finite parts whose modulus is beyond the float range
+        return np.inf
+
+
 def abs_squared(z):
     """``abs(z) ** 2`` rounded as CPython rounds it, for scalars and CArrays."""
     if isinstance(z, CArray):

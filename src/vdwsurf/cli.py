@@ -3,8 +3,9 @@
     vdw spectrum|enhancement|peaks|validate --config <file> [--points N] [--out <path>]
 
 Exit codes: 0 ok, 1 config error, 2 I/O error, 3 quadrature failure,
-4 validation failure.  Set VDW_LOG_LEVEL (debug/info/warning) to control
-logging verbosity; nothing else is read from the environment.
+4 validation failure.  :func:`main` writes at most one line to stderr: the
+error of a nonzero exit, or the warnings of a run that exits 0.  Nothing
+is read from the environment.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import logging
 import math
 import os
 import sys
@@ -30,8 +30,6 @@ EXIT_CONFIG = 1
 EXIT_IO = 2
 EXIT_QUADRATURE = 3
 EXIT_VALIDATION = 4
-
-log = logging.getLogger("vdwsurf")
 
 
 def _write(path: str, pieces) -> None:
@@ -122,14 +120,14 @@ def cmd_spectrum(cfg: RunConfig, notes: list) -> tuple:
     header = _SPECTRUM_HEADER[: 6 if cfg.scan.include_offresonant else 5]
     blocks = (columns for columns, _ in _scan(cfg, notes, cfg.atom_b, cfg.atom_a))
     fmt = cfg.output.format if cfg.output else "csv"
-    return "vdw_spectrum.csv", _table(fmt, header, blocks), EXIT_OK
+    return "vdw_spectrum.csv", _table(fmt, header, blocks), None
 
 
 def cmd_enhancement(cfg: RunConfig, notes: list) -> tuple:
     """The rows of :func:`~vdwsurf.spectra.scan_enhancement`, block by block."""
     blocks = ([terms.omega, terms.g, terms.g_no_lf] for _, terms in _scan(cfg, notes))
     fmt = cfg.output.format if cfg.output else "csv"
-    return "vdw_enhancement.csv", _table(fmt, ["omega_over_ref", "g", "g_no_lf"], blocks), EXIT_OK
+    return "vdw_enhancement.csv", _table(fmt, ["omega_over_ref", "g", "g_no_lf"], blocks), None
 
 
 def cmd_peaks(cfg: RunConfig, notes: list) -> tuple:
@@ -153,11 +151,11 @@ def cmd_peaks(cfg: RunConfig, notes: list) -> tuple:
         }
         for peak in peaks
     ]
-    return "vdw_peaks.json", [json.dumps(payload, indent=2) + "\n"], EXIT_OK
+    return "vdw_peaks.json", [json.dumps(payload, indent=2) + "\n"], None
 
 
 def cmd_validate(cfg: RunConfig, notes: list) -> tuple:
-    """The convergence table as CSV, whatever ``output.format``; exit 4 when it fails.
+    """The convergence table as CSV, whatever ``output.format``, and the line of exit 4 when it fails.
 
     greens is imported here: no other command runs it.
     """
@@ -171,21 +169,14 @@ def cmd_validate(cfg: RunConfig, notes: list) -> tuple:
         "%.12g,%s,%.12g,%.12g" % (row.scale, row.component, row.ratio.real, row.ratio.imag)
         for row in report.rows
     )
-    ok = report.passed(v.tolerance)
     smallest = min(v.scales)
     deviation = report.max_deviation(smallest)
-    log.info("validation %s (max deviation %.3e at scale %s)", "PASS" if ok else "FAIL", deviation, smallest)
-    if not ok:
-        print(
-            f"validation FAILED: ratios at scale {smallest} deviate "
-            f"by up to {deviation:.3e} (> {v.tolerance})",
-            file=sys.stderr,
-        )
-    return "vdw_validate.csv", ["\n".join(lines) + "\n"], EXIT_OK if ok else EXIT_VALIDATION
+    failure = f"validation FAILED: ratios at scale {smallest} deviate by up to {deviation:.3e} (> {v.tolerance})"
+    return "vdw_validate.csv", ["\n".join(lines) + "\n"], None if report.passed(v.tolerance) else failure
 
 
 # Each command maps the config and the list of its warnings to (default file
-# name, text pieces, exit code); main writes the pieces and logs the warnings.
+# name, text pieces, the line of exit 4 or None); main writes and prints.
 _COMMANDS = {
     "spectrum": cmd_spectrum,
     "enhancement": cmd_enhancement,
@@ -216,10 +207,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(
-        level=os.environ.get("VDW_LOG_LEVEL", "warning").upper(),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    """Run one command, print its one stderr line, if any, to ``sys.stderr`` as it is now, and return the exit code."""
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(resolve_config_path(args.config))
@@ -230,25 +218,21 @@ def main(argv=None) -> int:
                 error = _config_error(exc, "config.scan")
                 raise ConfigError(f"--points: {error}", field=error.field) from None
         notes = []  # the command's warnings: one line, once its output is written
-        default, pieces, code = _COMMANDS[args.command](cfg, notes)
-        path = args.out or (cfg.output.path if cfg.output else default)
-        _write(path, pieces)
-        log.info("wrote %s", path)
-        if notes:
-            log.warning("; ".join(notes))
-        return code
+        default, pieces, failure = _COMMANDS[args.command](cfg, notes)
+        _write(args.out or (cfg.output.path if cfg.output else default), pieces)
+        code = EXIT_VALIDATION if failure else EXIT_OK
+        line = failure or (notes and "WARNING vdwsurf: " + "; ".join(notes))
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        code, line = EXIT_CONFIG, f"config error: {exc}"
     except QuadratureError as exc:
-        print(f"quadrature error: {exc}", file=sys.stderr)
-        return EXIT_QUADRATURE
+        code, line = EXIT_QUADRATURE, f"quadrature error: {exc}"
     except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        code, line = EXIT_IO, f"i/o error: {exc}"
     except VdwError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        code, line = EXIT_CONFIG, f"error: {exc}"
+    if line:
+        print(line, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -70,6 +70,7 @@ class Atom:
             ("offres_sign", "real"),
         ):
             _check_number(getattr(self, name), name, rule)
+            object.__setattr__(self, name, float(getattr(self, name)))
         if not _is_finite(self.omega0 * self.omega0):  # omega0**2 enters the polarizability
             raise ParameterError(f"transition frequency must have a finite square, got {self.omega0}", "omega0")
         if self.offres_sign not in (1.0, -1.0):

@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from ._carray import CArray, is_scalar, operand, to_complex
+from ._carray import CArray, is_scalar, modulus, operand, to_complex
 from .errors import ParameterError, SingularityError, UnsupportedModelError, _check_number, _is_finite, _shown
 
 
@@ -259,7 +259,7 @@ def local_field_factor(eps) -> complex:
     """
     _check_number(eps, "eps")
     eps = complex(eps)
-    if _cavity_pole(eps, math.hypot(eps.real, eps.imag)):  # abs() raises OverflowError above the float range
+    if _cavity_pole(eps, modulus(eps)):
         raise SingularityError(f"local-field factor pole at eps = {eps!r}")
     factor = 3.0 * eps / (2.0 * eps + 1.0)
     if not cmath.isfinite(factor):
@@ -274,7 +274,7 @@ def _pole(den, scale):
     Never where ``scale`` is infinite: terms beyond the float range make
     a value that is not finite, which :meth:`_Poles.check_finite` flags.
     """
-    return (abs(den) <= _POLE_RTOL * scale) & (scale < math.inf)
+    return (modulus(den) <= _POLE_RTOL * scale) & (scale < math.inf)
 
 
 def _lorentzian(strength, w0, gamma, w2, iw, poles: _Poles | None, message: str):
@@ -341,7 +341,7 @@ def _coupling(e_u, e_l, poles: _Poles | None = None):
     """
     s = e_u + e_l
     if poles is not None:
-        a_u, a_l = abs(e_u), abs(e_l)
+        a_u, a_l = modulus(e_u), modulus(e_l)
         poles.check(_pole(s, a_u + a_l + 1.0), "average permittivity vanishes at {name} = {}")
         poles.check(_cavity_pole(e_u, a_u) | _cavity_pole(e_l, a_l), "Onsager cavity pole at {name} = {}")
     return 18.0 * e_u * e_l / (s * (2.0 * e_u + 1.0) * (2.0 * e_l + 1.0)), 2.0 / s

@@ -394,8 +394,8 @@ def test_streamed_table_equals_the_rowwise_writer_byte_for_byte(tmp_path, fmt, n
 
 def test_no_command_imports_numpy_polynomial(tmp_path):
     # the Gauss-Legendre rules are constants: no command needs numpy.polynomial;
-    # and peaks takes its median grid step by a sort, not by np.median, which
-    # loads numpy.ma
+    # peaks takes its median grid step by a sort, not by np.median, which
+    # loads numpy.ma; and main prints its one stderr line without logging
     script = """
 import json, sys, vdwsurf.cli
 from vdwsurf.config import resolve_config_path
@@ -409,7 +409,7 @@ for command, config in (
 ):
     if vdwsurf.cli.main([command, "--config", config, "--out", sys.argv[1] + command]) != 0:
         sys.exit(command + " failed on " + config)
-for module in ("numpy.polynomial", "numpy.ma"):
+for module in ("numpy.polynomial", "numpy.ma", "logging"):
     if module in sys.modules:
         sys.exit(module + " was loaded")
 """
@@ -1133,20 +1133,59 @@ _ALL_FLAGGED = re.compile(r"error: (\d+) of \1 grid points are on a pole and hav
 
 
 def _main_and_stderr(args):
-    """``main(args)`` and the lines a run of ``vdw`` would write to stderr: its messages, log lines and warnings."""
-    err, logger = io.StringIO(), logging.getLogger("vdwsurf")
-    handler = logging.StreamHandler(err)
-    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))  # the format main sets
-    logger.addHandler(handler)
-    logger.propagate = False  # the root handler may write to an earlier stderr
+    """``main(args)`` and the lines it writes to stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main(args)
+    return rc, err.getvalue().splitlines()
+
+
+_POLE_WARNING = (
+    "WARNING vdwsurf: 1 of 3 grid points are on a pole and have no value;"
+    " the first: undamped oscillator evaluated at its resonance 1.0"
+)
+
+
+def _warning_run(tmp_path):
+    """spectrum over 3 grid points, the middle one an undamped resonance: exit 0 and the line _POLE_WARNING."""
+    lower = {"kind": "lorentz", "eta": 2.71, "eps0": 6.57, "omega_t": 1.0, "gamma": 0.0}
+    cfg = write_config(
+        tmp_path,
+        system={"upper": "vacuum", "lower": lower, "omega_max": 3.0},
+        scan={"omega_min": 0.5, "omega_max": 1.5, "n_points": 3},
+    )
+    return ["spectrum", "--config", str(cfg), "--out", str(tmp_path / "s.csv")]
+
+
+def test_each_in_process_run_writes_its_warning_to_the_stderr_of_its_call(tmp_path):
+    # the warning was a log record, and the root handler that a first call set
+    # up stayed bound to that call's stderr: a later redirect caught nothing
+    args = _warning_run(tmp_path)
+    assert [_main_and_stderr(args) for _ in range(2)] == [(EXIT_OK, [_POLE_WARNING])] * 2
+
+
+def test_a_root_logger_at_error_does_not_swallow_the_warning_line(tmp_path, caplog):
+    caplog.set_level(logging.ERROR)  # the root logger's level, as a host application may set it
+    assert _main_and_stderr(_warning_run(tmp_path)) == (EXIT_OK, [_POLE_WARNING])
+
+
+def test_a_failed_validation_that_cannot_be_written_exits_2_with_one_line(tmp_path):
+    # the validation FAILED line was printed before the write, and the i/o error after it
+    cfg = write_config(tmp_path, validate={"scales": [1.0]})
+    rc, lines = _main_and_stderr(["validate", "--config", str(cfg), "--out", str(tmp_path / "no_dir" / "v.csv")])
+    assert rc == EXIT_IO and len(lines) == 1 and lines[0].startswith("i/o error: "), lines
+
+
+def test_main_leaves_the_root_logger_without_handlers(tmp_path):
+    # main once called logging.basicConfig, which gave the root logger a handler
+    root = logging.getLogger()
+    handlers, root.handlers = root.handlers, []  # as in a process that has not set up logging
     try:
-        with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            rc = main(args)
+        for args in (_warning_run(tmp_path), ["validate", "--config", str(tmp_path / "missing.json")]):
+            _main_and_stderr(args)
+        assert root.handlers == []
     finally:
-        logger.removeHandler(handler)
-        logger.propagate = True
-    return rc, err.getvalue().splitlines() + ["%s: %s" % (w.category.__name__, w.message) for w in caught]
+        root.handlers = handlers
 
 
 def _table_rows(text, fmt):

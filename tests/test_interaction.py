@@ -77,9 +77,10 @@ class TestPolarizability:
         with pytest.raises(ParameterError):
             Atom(**kwargs)
 
-    @pytest.mark.parametrize("omega0", [1e160, 10**200], ids=["float", "int"])
+    @pytest.mark.parametrize("omega0", [1e160, 10**200, np.float64(1e160)], ids=["float", "int", "float64"])
     def test_transition_frequency_whose_square_overflows_rejected(self, omega0):
-        # omega0**2 was inf, and inf - w**2 counted as a polarizability pole at every frequency
+        # omega0**2 was inf, and inf - w**2 counted as a polarizability pole at every
+        # frequency; a NumPy float was squared as given, with numpy's overflow warning
         with pytest.raises(ParameterError, match="finite square") as info:
             Atom(omega0=omega0)
         assert info.value.field == "omega0"

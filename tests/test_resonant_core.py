@@ -135,11 +135,17 @@ BEYOND_FLOAT_RANGE = Material.lorentz(eta=2.0, eps0=1e160, omega_t=1.0, gamma=0.
             Atom(omega0=1e10, gamma=1e-3, alpha0=1e300),
             "the resonant potential is not finite at omega_a = 0.5",
         ),
+        (
+            HalfSpaceSystem(Material.vacuum(), Material.constant(1.7e308 + 1.7e308j)),
+            Atom(omega0=0.9, gamma=1e-3),
+            "the enhancement is not finite at omega_a = 0.5",
+        ),
     ],
-    ids=["eps0-1e160", "alpha0-1e300"],
+    ids=["eps0-1e160", "alpha0-1e300", "eps-modulus-beyond-range"],
 )
 def test_a_value_beyond_the_float_range_is_flagged_with_scalar_reason(system, atom_b, reason):
-    # the products of the coupling overflow, or alpha0*omega0**2 does; no numpy warning is issued
+    # the products of the coupling overflow, or alpha0*omega0**2 does, or |eps| does (the
+    # scalar functions once ended in abs()'s OverflowError); no numpy warning is issued
     scan = ScanSpec(omega_min=0.5, omega_max=1.5, n_points=5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
